@@ -23,8 +23,6 @@ from .devroye import (
     RngStream,
     SampleBatch,
     ds_sample_batch,
-    ds_sample_continuous,
-    ds_sample_discrete,
 )
 from .diagnostics import (
     GofResult,
@@ -55,12 +53,7 @@ from .families import (
     register_family,
 )
 from .logspace import log1mexp, log_diff_exp
-from .reference import (
-    hit_or_miss_batch,
-    hit_or_miss_sample,
-    its_sample,
-    its_sample_batch,
-)
+from .reference import hit_or_miss_batch, its_sample_batch
 
 __version__ = "0.1.0"
 
@@ -88,14 +81,10 @@ __all__ = [
     "check_log_concavity",
     "chi_square_gof",
     "ds_sample_batch",
-    "ds_sample_continuous",
-    "ds_sample_discrete",
     "epd_log_pdf",
     "epd_to_gamma",
     "exp_tail_qq",
     "hit_or_miss_batch",
-    "hit_or_miss_sample",
-    "its_sample",
     "its_sample_batch",
     "list_families",
     "log1mexp",

@@ -343,9 +343,6 @@ def main(argv=None) -> int:
     except (UnknownFamilyError, ParameterError) as exc:
         print(f"trunclc: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (TruncationOverflow, DegenerateTargetError) as exc:
-        print(f"trunclc: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"trunclc: error: {exc}", file=sys.stderr)
         return 1

@@ -120,24 +120,37 @@ def project_mode(desc: DistributionDescriptor, interval: TruncationInterval) -> 
     return float(m)
 
 
-def log_interval_mass(desc: DistributionDescriptor, interval: TruncationInterval) -> float:
-    """log P(a < X <= b), choosing the stabler of the CDF and survival routes.
+def _log_masses(desc: DistributionDescriptor, a: float, b) -> np.ndarray:
+    """log P(a < X <= b) for a 1-d array of upper points ``b >= a``.
 
     The CDF route ``log(F(b) - F(a))`` is used while ``F(a)`` sits in the
     left tail (``log F(a) <= log 1/2``); otherwise the survival route
-    ``log(S(a) - S(b))``.  Masses that underflow linear double precision
-    collapse to ``-inf``.
+    ``log(S(a) - S(b))``.  The route depends on ``a`` alone, so it is
+    picked once for every upper point.  No representability collapse is
+    applied here.
     """
-    a, b = interval.lower, interval.upper
-    la_cdf = float(desc.log_cdf(np.asarray(a))) if a != -math.inf else -math.inf
-    if la_cdf <= LOG_HALF:
-        lb_cdf = float(desc.log_cdf(np.asarray(b))) if b != math.inf else 0.0
-        lm = log_diff_exp(lb_cdf, min(la_cdf, lb_cdf))
+    finite = b != math.inf
+    la = float(desc.log_cdf(np.asarray(a))) if a != -math.inf else -math.inf
+    if la <= LOG_HALF:
+        lb = np.zeros(b.shape)
+        if finite.any():
+            lb[finite] = desc.log_cdf(b[finite])
+        lm = log_diff_exp(lb, np.minimum(la, lb))
     else:
-        la_sf = float(desc.log_sf(np.asarray(a)))
-        lb_sf = float(desc.log_sf(np.asarray(b))) if b != math.inf else -math.inf
-        lm = log_diff_exp(la_sf, min(lb_sf, la_sf))
-    lm = min(lm, 0.0)
+        la = float(desc.log_sf(np.asarray(a)))
+        lb = np.full(b.shape, -np.inf)
+        if finite.any():
+            lb[finite] = desc.log_sf(b[finite])
+        lm = log_diff_exp(la, np.minimum(lb, la))
+    return np.minimum(lm, 0.0)
+
+
+def log_interval_mass(desc: DistributionDescriptor, interval: TruncationInterval) -> float:
+    """log P(a < X <= b), choosing the stabler of the CDF and survival routes.
+
+    Masses that underflow linear double precision collapse to ``-inf``.
+    """
+    lm = float(_log_masses(desc, interval.lower, np.array([interval.upper]))[0])
     # representability limit: a mass whose double value rounds to zero is
     # treated as total underflow
     if math.exp(lm) == 0.0:
@@ -186,30 +199,52 @@ class TruncatedTarget:
             raise DegenerateTargetError("interval mass underflowed; CDF undefined")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a, b = self.interval.lower, self.interval.upper
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            if xi <= a:
-                out[i] = 0.0
-            elif xi >= b:
-                out[i] = 1.0
-            else:
-                lm = log_interval_mass(self.base, TruncationInterval(a, xi))
-                out[i] = math.exp(lm - self.log_mass) if lm > -math.inf else 0.0
+        inside = (x > a) & (x < b)
+        out = np.full(x.shape, np.nan)
+        out[x <= a] = 0.0
+        out[x >= b] = 1.0
+        out[inside] = np.exp(_log_masses(self.base, a, x[inside]) - self.log_mass)
         out = np.minimum(out, 1.0)
         if out.size == 1:
             return float(out[0])
         return out
 
-    def quantile(self, p: float) -> float:
-        """Truncated quantile q(F(a) + p * P(I)) via the base quantile.
+    def invert(self, u):
+        """The inverse-transform pipeline at uniforms ``u``: ``q(F(a) + u P(I))``.
 
         The probability argument is deliberately assembled in linear
-        space (this is the fragile inverse-transform pipeline whose
-        breakdown the diagnostics measure).  Non-finite or out-of-interval
-        results raise :class:`TruncationOverflow`.
+        space (this is the fragile pipeline whose breakdown the
+        diagnostics measure).  Returns ``(p', x, bad)``: the assembled
+        arguments, the base quantiles at them, and the mask of failed
+        inversions (a saturated argument, a non-finite value, or a value
+        outside the interval).
         """
         if self.base.quantile is None:
             raise ValueError(f"{self.base.family_name} descriptor has no quantile function")
+        u = np.asarray(u, dtype=float)
+        a, b = self.interval.lower, self.interval.upper
+        fa = math.exp(float(self.base.log_cdf(np.asarray(a)))) if a != -math.inf else 0.0
+        mass = math.exp(self.log_mass) if self.log_mass > -math.inf else 0.0
+        pp = fa + u * mass
+        # a saturated argument makes the base quantile silently return
+        # sup X (the paper's imputation-as-supremum failure)
+        saturated = (u < 1.0) & (pp >= 1.0)
+        with np.errstate(invalid="ignore"):
+            x = np.asarray(self.base.quantile(pp), dtype=float)
+        if self.base.is_discrete:
+            lo_edge = max(math.floor(a) if math.isfinite(a) else -math.inf,
+                          self.base.support[0] - 1.0)
+            hi_edge = math.floor(b) if math.isfinite(b) else math.inf
+            outside = (x <= lo_edge) | (x > hi_edge)
+        else:
+            outside = (x < a) | (x > b)
+        return pp, x, saturated | ~np.isfinite(x) | outside
+
+    def quantile(self, p: float) -> float:
+        """Truncated quantile q(F(a) + p * P(I)) via :meth:`invert`.
+
+        A failed inversion raises :class:`TruncationOverflow`.
+        """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
         if self.degenerate:
@@ -217,46 +252,21 @@ class TruncatedTarget:
                 f"interval mass underflowed (log mass = -inf) for ]{self.interval.lower}, "
                 f"{self.interval.upper}]"
             )
-        a, b = self.interval.lower, self.interval.upper
+        a = self.interval.lower
         if p == 0.0:
             # the infimum of the truncated law: its smallest support point
             # (discrete) or the open lower endpoint as a limiting value
             if self.base.is_discrete:
-                return project_mode_floor_lower(self.base, self.interval)
+                return float(max(math.floor(a) + 1.0 if math.isfinite(a) else -math.inf,
+                                 self.base.support[0]))
             return a
-        fa = math.exp(float(self.base.log_cdf(np.asarray(a)))) if a != -math.inf else 0.0
-        pp = fa + p * math.exp(self.log_mass)
-        if p < 1.0 and pp >= 1.0:
-            # the assembled probability saturated: the base quantile would
-            # silently return sup X (the paper's imputation-as-supremum
-            # failure), so surface it as the breakdown it is
+        pp, x, bad = self.invert(p)
+        if bad:
             raise TruncationOverflow(
-                f"probability argument saturated at 1.0 (F(a) = {fa!r}, p = {p})"
+                f"quantile route failed: p' = {float(pp)!r} -> {float(x)!r} on "
+                f"]{a}, {self.interval.upper}]"
             )
-        x = float(self.base.quantile(np.asarray(pp)))
-        if not math.isfinite(x):
-            raise TruncationOverflow(
-                f"base quantile returned {x} at p' = {pp!r} (a = {a})"
-            )
-        if self.base.is_discrete:
-            if math.isfinite(a) and x <= math.floor(a):
-                raise TruncationOverflow(
-                    f"quantile collapsed below the interval: {x} <= floor({a})"
-                )
-            if math.isfinite(b) and x > math.floor(b):
-                raise TruncationOverflow(f"quantile escaped the interval: {x} > floor({b})")
-        else:
-            if x < a or x > b:
-                raise TruncationOverflow(f"quantile {x} outside [{a}, {b}]")
-        return x
-
-
-def project_mode_floor_lower(desc: DistributionDescriptor, interval: TruncationInterval) -> float:
-    """Smallest support point of the truncated discrete target."""
-    a = interval.lower
-    lo, _ = desc.support
-    fa = math.floor(a) if math.isfinite(a) else -math.inf
-    return float(max(fa + 1.0 if math.isfinite(fa) else -math.inf, lo))
+        return float(x)
 
 
 def truncate(

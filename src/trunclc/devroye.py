@@ -8,11 +8,16 @@ happen on the log scale, which is what carries the sampler to the
 representability limit of the interval mass rather than the much earlier
 breakdown of linear-space tail arithmetic.
 
-A target whose interval mass underflowed (``log_mass == -inf``) is
-degenerate: depending on the :class:`ImputationPolicy` the sampler
-returns the projected mode flagged as imputed, raises, or imputes
-``+inf`` (provided only to mirror the behavior of quantile-based
-packages; it is not a sound choice for log-concave tails).
+Every sampler in the package fills its batch through one round driver,
+``_fill``, which keeps proposing for the open slots until each is
+accepted or the round cap is reached; the samplers differ only in the
+proposer they hand it.  Slots left open, and every slot of a target whose
+interval mass underflowed (``log_mass == -inf``, a degenerate target),
+go to the one policy helper, ``_finish``: depending on the
+:class:`ImputationPolicy` it substitutes the projected mode flagged as
+imputed, raises, or imputes ``+inf`` (provided only to mirror the
+behavior of quantile-based packages; it is not a sound choice for
+log-concave tails).
 """
 
 from __future__ import annotations
@@ -112,51 +117,63 @@ class SampleBatch:
         return True
 
 
-def _imputed_batch(t: TruncatedTarget, n: int, policy: ImputationPolicy, method: str) -> SampleBatch:
-    if policy.mode == "error":
-        raise DegenerateTargetError(
-            f"log P(I) underflowed to -inf for {t.base.family_name} on "
-            f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy"
-        )
-    fill = t.proj_mode if policy.mode == "impute_mode" else math.inf
-    return SampleBatch(
-        values=np.full(n, fill),
-        imputed=np.ones(n, dtype=bool),
-        proposals=0,
-        accepts=0,
-        method=method,
-    )
+def _finish(t, values, bad_idx, proposals, policy, method, error) -> SampleBatch:
+    """Hand the slots in ``bad_idx`` to the imputation policy and pack the batch.
 
-
-def _finish(t, values, pending, proposals, n, policy, method) -> SampleBatch:
+    This is the one place the policy's mode is read.  ``error(i)`` builds
+    the exception raised under the ``error`` policy, ``i`` being the
+    first bad slot.
+    """
+    n = values.size
     imputed = np.zeros(n, dtype=bool)
-    if pending.size:
+    if bad_idx.size:
         if policy.mode == "error":
-            raise SamplingBreakdownError(
-                f"variate {int(pending[0])} exceeded {policy.max_iterations} proposals"
-            )
-        values[pending] = t.proj_mode if policy.mode == "impute_mode" else math.inf
-        imputed[pending] = True
+            raise error(int(bad_idx[0]))
+        values[bad_idx] = t.proj_mode if policy.mode == "impute_mode" else math.inf
+        imputed[bad_idx] = True
     return SampleBatch(
         values=values,
         imputed=imputed,
         proposals=proposals,
-        accepts=n - pending.size,
+        accepts=n - bad_idx.size,
         method=method,
     )
 
 
-def _continuous_rounds(t: TruncatedTarget, n: int, gen: np.random.Generator, max_rounds: int):
-    """Vectorized proposal rounds; returns (values, unfinished indices, proposals)."""
-    m = t.proj_mode
-    c = math.exp(t.log_peak)
+def _cap_error(policy: ImputationPolicy):
+    return lambda i: SamplingBreakdownError(
+        f"variate {i} exceeded {policy.max_iterations} proposals"
+    )
+
+
+def _fill(n: int, max_rounds: int, propose):
+    """Fill ``n`` slots in rounds; returns (values, open slot indices, proposals).
+
+    ``propose(idx)`` draws one candidate for each open slot in ``idx`` and
+    returns ``(x, accepted, proposals)``; accepted candidates close their
+    slots.  Slots still open after ``max_rounds`` rounds are returned for
+    the imputation policy.
+    """
     values = np.empty(n)
     idx = np.arange(n)
     proposals = 0
     for _ in range(max_rounds):
-        k = idx.size
-        if k == 0:
+        if idx.size == 0:
             break
+        x, acc, props = propose(idx)
+        proposals += props
+        values[idx[acc]] = x[acc]
+        idx = idx[~acc]
+    return values, idx, proposals
+
+
+def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
+    """One envelope proposal and log-space accept test per open slot."""
+    m = t.proj_mode
+    c = math.exp(t.log_peak)
+
+    def propose(idx):
+        k = idx.size
         u = gen.uniform(0.0, 2.0, size=k)
         e = gen.standard_exponential(size=k)
         e_star = gen.standard_exponential(size=k)
@@ -166,25 +183,19 @@ def _continuous_rounds(t: TruncatedTarget, n: int, gen: np.random.Generator, max
         z = np.where(tail, -e - e_star, -e)
         x = m + sign * offset / c
         lf = np.asarray(t.log_pdf(x), dtype=float)
-        acc = z <= lf - t.log_peak
-        proposals += k
-        values[idx[acc]] = x[acc]
-        idx = idx[~acc]
-    return values, idx, proposals
+        return x, z <= lf - t.log_peak, k
+
+    return propose
 
 
-def _discrete_rounds(t: TruncatedTarget, n: int, gen: np.random.Generator, max_rounds: int):
+def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     m = t.proj_mode
     log_c = min(t.log_peak, 0.0)
     c = math.exp(log_c)
     w = 1.0 + c / 2.0
-    values = np.empty(n)
-    idx = np.arange(n)
-    proposals = 0
-    for _ in range(max_rounds):
+
+    def propose(idx):
         k = idx.size
-        if k == 0:
-            break
         u = gen.random(size=k)
         w_u = gen.random(size=k)
         v = gen.random(size=k)
@@ -198,10 +209,13 @@ def _discrete_rounds(t: TruncatedTarget, n: int, gen: np.random.Generator, max_r
         with np.errstate(divide="ignore"):
             log_w = np.log(w_u)
         acc = (log_w + np.minimum(0.0, w - c * y) <= lf - log_c) & (lf > -np.inf)
-        proposals += k
-        values[idx[acc]] = x[acc]
-        idx = idx[~acc]
-    return values, idx, proposals
+        return x, acc, k
+
+    return propose
+
+
+def _proposer(t: TruncatedTarget, gen: np.random.Generator):
+    return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
 
 
 def ds_sample_batch(
@@ -212,71 +226,52 @@ def ds_sample_batch(
 ) -> SampleBatch:
     """Draw ``n`` variates from the truncated target.
 
-    Routes through the family's exception handler when one applies
-    (gamma with shape below one goes through the exponential power
-    transform), otherwise runs the log-concave rejection loop.
+    A degenerate target is handed to the imputation policy whole.
+    Otherwise sampling routes through the family's exception handler when
+    one applies (gamma with shape below one goes through the exponential
+    power transform), else runs the log-concave rejection loop.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
     gen = as_generator(rng)
+    if t.degenerate:
+        # every slot goes to the policy, with no proposals
+        def error(i):
+            return DegenerateTargetError(
+                f"log P(I) underflowed to -inf for {t.base.family_name} on "
+                f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy"
+            )
+
+        return _finish(t, np.empty(n), np.arange(n), 0, policy, "devroye", error)
     route = families.exception_route(t.base)
     if route is not None:
         return route(t, n, gen, policy)
-    if t.degenerate:
-        return _imputed_batch(t, n, policy, "devroye")
-    engine = _discrete_rounds if t.base.is_discrete else _continuous_rounds
-    values, pending, proposals = engine(t, n, gen, policy.max_iterations)
-    return _finish(t, values, pending, proposals, n, policy, "devroye")
-
-
-def ds_sample_continuous(
-    t: TruncatedTarget, rng: RngLike = None, policy: ImputationPolicy = DEFAULT_POLICY
-) -> float:
-    """One exact variate from a continuous truncated log-concave target."""
-    if t.base.is_discrete:
-        raise ValueError("target is discrete; use ds_sample_discrete")
-    return float(ds_sample_batch(t, 1, rng, policy).values[0])
-
-
-def ds_sample_discrete(
-    t: TruncatedTarget, rng: RngLike = None, policy: ImputationPolicy = DEFAULT_POLICY
-) -> int:
-    """One exact variate from a discrete truncated log-concave target."""
-    if not t.base.is_discrete:
-        raise ValueError("target is continuous; use ds_sample_continuous")
-    v = ds_sample_batch(t, 1, rng, policy).values[0]
-    return int(v) if math.isfinite(v) else v
+    values, pending, proposals = _fill(n, policy.max_iterations, _proposer(t, gen))
+    return _finish(t, values, pending, proposals, policy, "devroye", _cap_error(policy))
 
 
 def epd_gamma_route(
     t: TruncatedTarget, n: int, gen: np.random.Generator, policy: ImputationPolicy
 ) -> SampleBatch:
-    """Sampling route for gamma targets with shape < 1.
+    """Sampling route for gamma targets with shape < 1 and a representable mass.
 
-    Draws from the (log-concave) exponential power law with shape
-    ``1/alpha`` via the continuous rejection engine, maps ``|x|^(1/alpha)``
+    Each round draws from the (log-concave) exponential power law with
+    shape ``1/alpha`` via an inner rejection fill, maps ``|x|^(1/alpha)``
     to a gamma variate, and keeps transformed values landing in the
     truncation interval (hit-or-miss against I).
     """
     alpha = t.base.params["alpha"]
     lam = t.base.params["lambda"]
     beta = 1.0 / alpha
-    if t.degenerate:
-        return _imputed_batch(t, n, policy, "devroye")
-    epd_target = truncate(families.build_descriptor("epd", beta=beta))
-    values = np.empty(n)
-    idx = np.arange(n)
-    proposals = 0
-    for _ in range(policy.max_iterations):
+    epd = _continuous_proposer(truncate(families.build_descriptor("epd", beta=beta)), gen)
+
+    def propose(idx):
         k = idx.size
-        if k == 0:
-            break
-        draws, pending, props = _continuous_rounds(epd_target, k, gen, policy.max_iterations)
-        proposals += props
+        draws, pending, props = _fill(k, policy.max_iterations, epd)
         ok = np.ones(k, dtype=bool)
         ok[pending] = False
         y = families.epd_to_gamma(draws, beta) / lam
-        hit = ok & t.interval.contains(y)
-        values[idx[hit]] = y[hit]
-        idx = idx[~hit]
-    return _finish(t, values, idx, proposals, n, policy, "devroye")
+        return y, ok & t.interval.contains(y), props
+
+    values, pending, proposals = _fill(n, policy.max_iterations, propose)
+    return _finish(t, values, pending, proposals, policy, "devroye", _cap_error(policy))

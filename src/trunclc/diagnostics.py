@@ -441,10 +441,6 @@ class SafetyReport:
         )
 
 
-def linear_probes(start: float, stop: float, step: float = 1.0) -> np.ndarray:
-    return np.arange(start, stop + 0.5 * step, step, dtype=float)
-
-
 def geometric_probes(desc: DistributionDescriptor, ratio: float = 2.0, count: int = 64) -> np.ndarray:
     """Probe depths mu + sigma * ratio^k; suits heavy scans like the geometric family."""
     ks = np.arange(count, dtype=float)
@@ -453,9 +449,12 @@ def geometric_probes(desc: DistributionDescriptor, ratio: float = 2.0, count: in
 
 
 def auto_probes(desc: DistributionDescriptor, z_max: int = 50) -> np.ndarray:
-    """Integer-sigma lattice mu + k*sigma, clipped to the support."""
-    probes = desc.mu + desc.sigma * np.arange(0, z_max + 1, dtype=float)
-    return probes
+    """Integer-sigma lattice mu + k*sigma for k = 0..z_max.
+
+    The lattice is not clipped to the support: a probe past its upper end
+    cannot be truncated to, and the scan classifies it as a failure.
+    """
+    return desc.mu + desc.sigma * np.arange(0, z_max + 1, dtype=float)
 
 
 def _classify_its(desc, a: float, n_probe: int, rng: RngLike) -> bool:

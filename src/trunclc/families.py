@@ -27,6 +27,7 @@ from scipy import stats as st
 from .core import DistributionDescriptor
 from .logspace import (
     LOG_2PI,
+    elementwise,
     log1mexp,
     log_diff_exp,
     log_gamma_lower_reg,
@@ -165,47 +166,30 @@ def _discrete_tail_functions(lin_cdf, lin_sf, log_pmf, lo, hi):
     they drop below the precision floor.
     """
 
-    def log_cdf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        k = np.atleast_1d(np.floor(x))
-        out = np.full(k.shape, -np.inf)
-        above = k >= hi
-        mid = (k >= lo) & ~above
-        out[above] = 0.0
-        if mid.any():
-            km = k[mid]
-            lin = np.asarray(lin_cdf(km), dtype=float)
-            vals = np.empty(km.shape)
-            ok = lin > _LINEAR_FLOOR
-            with np.errstate(divide="ignore"):
-                vals[ok] = np.log(lin[ok])
-            for i in np.nonzero(~ok)[0]:
-                vals[i] = _log_tail_sum(log_pmf, km[i], -1.0, lo, hi)
-            out[mid] = vals
-        return float(out[0]) if scalar else out
+    def tail(lin, start, step, below, above):
+        # the fallback sums the pmf from k + start in direction step;
+        # below/above fill points left of lo and at or right of hi
+        @elementwise
+        def log_tail(x):
+            k = np.floor(x)
+            out = np.full(k.shape, -np.inf)
+            out[k < lo] = below
+            out[k >= hi] = above
+            mid = (k >= lo) & (k < hi)
+            if mid.any():
+                km = k[mid]
+                vals = np.asarray(lin(km), dtype=float)
+                low = ~(vals > _LINEAR_FLOOR)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals = np.log(vals)
+                for i in np.nonzero(low)[0]:
+                    vals[i] = _log_tail_sum(log_pmf, km[i] + start, step, lo, hi)
+                out[mid] = vals
+            return out
 
-    def log_sf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        k = np.atleast_1d(np.floor(x))
-        out = np.full(k.shape, 0.0)
-        below = k < lo
-        mid = ~below & (k < hi)
-        out[~below & ~mid] = -np.inf
-        if mid.any():
-            km = k[mid]
-            lin = np.asarray(lin_sf(km), dtype=float)
-            vals = np.empty(km.shape)
-            ok = lin > _LINEAR_FLOOR
-            with np.errstate(divide="ignore"):
-                vals[ok] = np.log(lin[ok])
-            for i in np.nonzero(~ok)[0]:
-                vals[i] = _log_tail_sum(log_pmf, km[i] + 1.0, 1.0, lo, hi)
-            out[mid] = vals
-        return float(out[0]) if scalar else out
+        return log_tail
 
-    return log_cdf, log_sf
+    return tail(lin_cdf, 0.0, -1.0, -np.inf, 0.0), tail(lin_sf, 1.0, 1.0, 0.0, -np.inf)
 
 
 def _integer_mask(x):
@@ -290,27 +274,21 @@ def exception_route(desc: DistributionDescriptor):
 # ---------------------------------------------------------------------------
 # exponential power distribution (ancillary; enables the gamma alpha < 1 route)
 
+@elementwise
 def epd_log_pdf(x, beta: float):
     """log density of the exponential power law: -|x|^beta - log(2 Gamma(1/beta + 1))."""
     if beta < 1.0:
         raise ParameterError(f"epd: beta={beta} violates: beta >= 1 (log-concave regime)")
-    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        out = -np.abs(x) ** beta - math.log(2.0) - sc.gammaln(1.0 / beta + 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return -np.abs(x) ** beta - math.log(2.0) - sc.gammaln(1.0 / beta + 1.0)
 
 
+@elementwise
 def epd_to_gamma(x, beta: float):
     """Map an EPD(beta) variate to |x|^beta, which is gamma(1/beta, rate 1)."""
     if beta < 1.0:
         raise ParameterError(f"epd_to_gamma: beta={beta} violates: beta >= 1")
-    x = np.asarray(x, dtype=float)
-    out = np.abs(x) ** beta
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.abs(x) ** beta
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +320,13 @@ def _build_normal(params):
 def _build_poisson(params):
     lam = params["lambda"]
 
+    @elementwise
     def log_pmf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         ok = _integer_mask(x) & (x >= 0.0)
         out = np.full(x.shape, -np.inf)
         if ok.any():
             out[ok] = _log_poisson_raw(x[ok], lam)
-        return float(out[0]) if scalar else out
+        return out
 
     log_cdf, log_sf = _discrete_tail_functions(
         lambda k: sc.gammaincc(k + 1.0, lam),
@@ -372,15 +348,13 @@ def _build_poisson(params):
 def _build_binomial(params):
     n, p = params["n"], params["p"]
 
+    @elementwise
     def log_pmf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         ok = _integer_mask(x) & (x >= 0.0) & (x <= n)
         out = np.full(x.shape, -np.inf)
         if ok.any():
             out[ok] = _log_binom_raw(x[ok], n, p)
-        return float(out[0]) if scalar else out
+        return out
 
     log_cdf, log_sf = _discrete_tail_functions(
         lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p),
@@ -404,10 +378,8 @@ def _build_nbinom(params):
     # per-trial probability of the counted outcome (mean np/(1-p))
     n, p = params["n"], params["p"]
 
+    @elementwise
     def log_pmf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         ok = _integer_mask(x) & (x >= 0.0)
         out = np.full(x.shape, -np.inf)
         if ok.any():
@@ -415,7 +387,7 @@ def _build_nbinom(params):
             out[ok] = np.log(n) - np.log(n + k) + _log_binom_raw(
                 np.full(k.shape, float(n)), n + k, 1.0 - p
             )
-        return float(out[0]) if scalar else out
+        return out
 
     log_cdf, log_sf = _discrete_tail_functions(
         lambda k: sc.betainc(n, k + 1.0, 1.0 - p),
@@ -440,29 +412,20 @@ def _build_geometric(params):
     p = params["p"]
     lq = math.log1p(-p)
 
+    @elementwise
     def log_pmf(x):
-        x = np.asarray(x, dtype=float)
         ok = _integer_mask(x) & (x >= 0.0)
-        out = np.where(ok, math.log(p) + x * lq, -np.inf)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.where(ok, math.log(p) + x * lq, -np.inf)
 
+    @elementwise
     def log_sf(x):
-        x = np.asarray(x, dtype=float)
         k = np.floor(x)
-        out = np.where(k < 0.0, 0.0, (k + 1.0) * lq)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.where(k < 0.0, 0.0, (k + 1.0) * lq)
 
+    @elementwise
     def log_cdf(x):
-        x = np.asarray(x, dtype=float)
         k = np.floor(x)
-        out = np.where(k < 0.0, -np.inf, log1mexp(np.minimum((k + 1.0) * lq, 0.0)))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.where(k < 0.0, -np.inf, log1mexp(np.minimum((k + 1.0) * lq, 0.0)))
 
     def quantile(q):
         return st.geom.ppf(np.asarray(q, dtype=float), p) - 1.0
@@ -480,25 +443,20 @@ def _build_gamma(params):
 
     if alpha == 1.0:
         # exponential closed forms: exact log-space tails at any depth
+        @elementwise
         def log_pdf(x):
-            x = np.asarray(x, dtype=float)
-            out = np.where(x >= 0.0, math.log(lam) - lam * x, -np.inf)
-            return float(out) if out.ndim == 0 else out
+            return np.where(x >= 0.0, math.log(lam) - lam * x, -np.inf)
 
+        @elementwise
         def log_cdf(x):
-            x = np.asarray(x, dtype=float)
-            out = np.where(x > 0.0, log1mexp(np.minimum(-lam * x, 0.0)), -np.inf)
-            return float(out) if out.ndim == 0 else out
+            return np.where(x > 0.0, log1mexp(np.minimum(-lam * x, 0.0)), -np.inf)
 
+        @elementwise
         def log_sf(x):
-            x = np.asarray(x, dtype=float)
-            out = np.where(x > 0.0, -lam * x, 0.0)
-            return float(out) if out.ndim == 0 else out
+            return np.where(x > 0.0, -lam * x, 0.0)
     else:
+        @elementwise
         def log_pdf(x):
-            x = np.asarray(x, dtype=float)
-            scalar = x.ndim == 0
-            x = np.atleast_1d(x)
             out = np.full(x.shape, -np.inf)
             pos = x > 0.0
             if pos.any():
@@ -507,7 +465,7 @@ def _build_gamma(params):
                     alpha * math.log(lam) + (alpha - 1.0) * np.log(xp)
                     - lam * xp - sc.gammaln(alpha)
                 )
-            return float(out[0]) if scalar else out
+            return out
 
         def _log_cdf_scalar(x):
             return log_gamma_lower_reg(alpha, lam * x) if x > 0.0 else -math.inf
@@ -544,10 +502,8 @@ def _build_invgauss(params):
     # check_log_concavity over the interval of interest to quantify.
     mu, lam = params["mu"], params["lambda"]
 
+    @elementwise
     def log_pdf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         out = np.full(x.shape, -np.inf)
         pos = x > 0.0
         if pos.any():
@@ -555,7 +511,7 @@ def _build_invgauss(params):
             out[pos] = 0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(xp)) - lam * (
                 xp - mu
             ) ** 2 / (2.0 * mu * mu * xp)
-        return float(out[0]) if scalar else out
+        return out
 
     def _terms(x):
         rx = np.sqrt(lam / x)
@@ -563,27 +519,23 @@ def _build_invgauss(params):
         u2 = rx * (x / mu + 1.0)
         return sc.log_ndtr(u1), sc.log_ndtr(-u1), 2.0 * lam / mu + sc.log_ndtr(-u2)
 
+    @elementwise
     def log_cdf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         out = np.full(x.shape, -np.inf)
         pos = x > 0.0
         if pos.any():
             t1, _, t2 = _terms(x[pos])
             out[pos] = np.minimum(np.logaddexp(t1, t2), 0.0)
-        return float(out[0]) if scalar else out
+        return out
 
+    @elementwise
     def log_sf(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         out = np.zeros(x.shape)
         pos = x > 0.0
         if pos.any():
             _, s1, t2 = _terms(x[pos])
             out[pos] = log_diff_exp(s1, np.minimum(t2, s1))
-        return float(out[0]) if scalar else out
+        return out
 
     def quantile(q):
         return st.invgauss.ppf(np.asarray(q, dtype=float), mu / lam, scale=lam)
@@ -613,12 +565,10 @@ def _build_epd(params):
             return math.log(0.5) + log_gamma_upper_reg(a, (-x) ** beta)
         return float(log1mexp(math.log(0.5) + log_gamma_upper_reg(a, x**beta)))
 
+    @elementwise
     def quantile(q):
-        q = np.asarray(q, dtype=float)
         u = 2.0 * q - 1.0
-        mag = sc.gammaincinv(a, np.abs(u)) ** a
-        out = np.sign(u) * mag
-        return float(out) if out.ndim == 0 else out
+        return np.sign(u) * sc.gammaincinv(a, np.abs(u)) ** a
 
     peak = -math.log(2.0) - sc.gammaln(a + 1.0)
     return DistributionDescriptor(

@@ -9,6 +9,7 @@ their linear-space implementations.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,28 +18,38 @@ from scipy import special as sc
 LOG_HALF = math.log(0.5)
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Largest log-value whose exponential still rounds to a nonzero double
-# (log of half the smallest subnormal).  Interval masses below this are
-# not representable in linear probability space.
-LOG_TINY = math.log(5e-324) + LOG_HALF
+
+def elementwise(fn):
+    """Give an array function the package's scalar/array convention.
+
+    ``fn`` receives its first argument as a float array of at least one
+    dimension (further arguments pass through) and returns an array of
+    the same shape.  The wrapped function accepts scalars or arrays; a
+    scalar argument gets a Python ``float`` back.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(x, *args, **kwargs):
+        x = np.asarray(x, dtype=float)
+        out = fn(np.atleast_1d(x), *args, **kwargs)
+        return out if x.ndim else float(out[0])
+
+    return wrapper
 
 
+@elementwise
 def log1mexp(z):
     """log(1 - exp(z)) for z <= 0, stable on both sides of log(1/2).
 
     Accepts scalars or arrays; returns -inf at z == 0.
     """
-    z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(
             z < LOG_HALF,
             np.log1p(-np.exp(z)),
             np.log(-np.expm1(np.where(z < 0.0, z, -np.inf))),
         )
-    out = np.where(z == 0.0, -np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(z == 0.0, -np.inf, out)
 
 
 def log_diff_exp(la, lb):

@@ -6,11 +6,14 @@ in linear space before inverting the base quantile, because the point of
 keeping it around is to measure exactly where that pipeline breaks; a
 failed inversion surfaces as :class:`TruncationOverflow` rather than
 being silently repaired.
+
+Both samplers share the rejection sampler's machinery: hit-or-miss runs
+the round driver ``devroye._fill`` with an untruncated base proposer, and
+both hand their failed variates to the one policy helper
+``devroye._finish``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -21,20 +24,11 @@ from .devroye import (
     RngLike,
     SampleBatch,
     SamplingBreakdownError,
-    _continuous_rounds,
-    _discrete_rounds,
+    _fill,
+    _finish,
+    _proposer,
     as_generator,
 )
-
-
-def its_sample(t: TruncatedTarget, rng: RngLike = None) -> float:
-    """One inverse-transform variate: trunc quantile at a uniform draw.
-
-    Propagates :class:`TruncationOverflow` when the quantile route yields
-    a non-finite or out-of-interval value.
-    """
-    gen = as_generator(rng)
-    return t.quantile(float(gen.random()))
 
 
 def its_sample_batch(
@@ -43,7 +37,7 @@ def its_sample_batch(
     rng: RngLike = None,
     policy: ImputationPolicy = DEFAULT_POLICY,
 ) -> SampleBatch:
-    """Vectorized inverse-transform batch with the same failure semantics.
+    """Vectorized inverse-transform batch: the truncated quantile at ``n`` uniforms.
 
     Under the ``error`` policy the first bad variate raises
     :class:`TruncationOverflow`; otherwise bad variates are imputed and
@@ -51,57 +45,14 @@ def its_sample_batch(
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    if t.base.quantile is None:
-        raise ValueError(f"{t.base.family_name} descriptor has no quantile function")
-    gen = as_generator(rng)
-    u = gen.random(size=n)
-    a, b = t.interval.lower, t.interval.upper
-    fa = (
-        math.exp(float(t.base.log_cdf(np.asarray(a)))) if a != -math.inf else 0.0
-    )
-    mass = math.exp(t.log_mass) if t.log_mass > -math.inf else 0.0
-    pp = fa + u * mass
-    saturated = (u < 1.0) & (pp >= 1.0)
-    with np.errstate(invalid="ignore"):
-        x = np.asarray(t.base.quantile(pp), dtype=float)
-    if t.base.is_discrete:
-        lo_edge = max(math.floor(a) if math.isfinite(a) else -math.inf, t.base.support[0] - 1.0)
-        hi_edge = math.floor(b) if math.isfinite(b) else math.inf
-        bad = saturated | ~np.isfinite(x) | (x <= lo_edge) | (x > hi_edge)
-    else:
-        bad = saturated | ~np.isfinite(x) | (x < a) | (x > b)
-    if bad.any():
-        if policy.mode == "error":
-            i = int(np.nonzero(bad)[0][0])
-            raise TruncationOverflow(
-                f"quantile route failed at variate {i}: p' = {float(pp[i])!r} -> {float(x[i])!r}"
-            )
-        x = x.copy()
-        x[bad] = t.proj_mode if policy.mode == "impute_mode" else math.inf
-    n_bad = int(bad.sum())
-    return SampleBatch(
-        values=x,
-        imputed=bad,
-        proposals=n,
-        accepts=n - n_bad,
-        method="its",
-    )
+    pp, x, bad = t.invert(as_generator(rng).random(size=n))
 
+    def error(i):
+        return TruncationOverflow(
+            f"quantile route failed at variate {i}: p' = {float(pp[i])!r} -> {float(x[i])!r}"
+        )
 
-def hit_or_miss_sample(
-    t: TruncatedTarget,
-    rng: RngLike = None,
-    max_trials: int = 10_000,
-    policy: ImputationPolicy = DEFAULT_POLICY,
-) -> tuple[float, int]:
-    """Draw from the base law until the draw lands in the interval.
-
-    Returns ``(value, trials)``.  The base sampler is the untruncated
-    rejection sampler, so failures here isolate the 1/P(I) cost of
-    re-drawing rather than any quantile fragility.
-    """
-    batch = hit_or_miss_batch(t, 1, rng, max_trials=max_trials, policy=policy)
-    return float(batch.values[0]), int(batch.trials[0])
+    return _finish(t, x, np.flatnonzero(bad), n, policy, "its", error)
 
 
 def hit_or_miss_batch(
@@ -111,41 +62,29 @@ def hit_or_miss_batch(
     max_trials: int = 10_000,
     policy: ImputationPolicy = DEFAULT_POLICY,
 ) -> SampleBatch:
-    """Vectorized hit-or-miss batch; ``trials`` records base draws per variate."""
+    """Draw from the base law until each draw lands in the interval.
+
+    The base sampler is the untruncated rejection sampler, so failures
+    here isolate the 1/P(I) cost of re-drawing rather than any quantile
+    fragility.  ``trials`` records the base draws spent on each variate.
+    """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    gen = as_generator(rng)
-    base_target = truncate(t.base)
-    engine = _discrete_rounds if t.base.is_discrete else _continuous_rounds
-    values = np.empty(n)
+    base = _proposer(truncate(t.base), as_generator(rng))
     trials = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    total = 0
-    for _ in range(max_trials):
+
+    def propose(idx):
         k = idx.size
-        if k == 0:
-            break
-        draws, pending, _ = engine(base_target, k, gen, policy.max_iterations)
+        draws, pending, _ = _fill(k, policy.max_iterations, base)
         ok = np.ones(k, dtype=bool)
         ok[pending] = False
         trials[idx] += 1
-        total += k
-        hit = ok & t.interval.contains(draws)
-        values[idx[hit]] = draws[hit]
-        idx = idx[~hit]
-    imputed = np.zeros(n, dtype=bool)
-    if idx.size:
-        if policy.mode == "error":
-            raise SamplingBreakdownError(
-                f"variate {int(idx[0])} found no hit in {max_trials} base draws"
-            )
-        values[idx] = t.proj_mode if policy.mode == "impute_mode" else math.inf
-        imputed[idx] = True
-    return SampleBatch(
-        values=values,
-        imputed=imputed,
-        proposals=total,
-        accepts=n - idx.size,
-        method="hit_or_miss",
-        trials=trials,
-    )
+        return draws, ok & t.interval.contains(draws), k
+
+    def error(i):
+        return SamplingBreakdownError(f"variate {i} found no hit in {max_trials} base draws")
+
+    values, pending, total = _fill(n, max_trials, propose)
+    batch = _finish(t, values, pending, total, policy, "hit_or_miss", error)
+    batch.trials = trials
+    return batch

@@ -181,6 +181,38 @@ class TestTruncQuantile:
                 assert f_i == pytest.approx(p, abs=1e-8)
 
 
+class TestTruncCdf:
+    def test_deep_target_interior_points(self):
+        # log P(I) = -745 is representable, but each sub-interval mass
+        # below it is not; F_I must still come out of the log-space ratio
+        t = truncate(build_descriptor("gamma", alpha=1, **{"lambda": 1}), lower=745.0)
+        got = t.cdf([745.5, 746.0])
+        want = [-math.expm1(-0.5), -math.expm1(-1.0)]
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_matches_per_point_interval_mass(self):
+        # reference: the ratio of two log_interval_mass values per point
+        cases = [
+            ("normal", {"mu": 0.0, "sigma": 1.0}, -1.0, 2.5),
+            ("normal", {"mu": 0.0, "sigma": 1.0}, 3.0, math.inf),
+            ("gamma", {"alpha": 2.0, "lambda": 1.0}, 5.0, 9.0),
+            ("poisson", {"lambda": 5.0}, 4.0, math.inf),
+            ("geometric", {"p": 0.3}, -math.inf, 12.0),
+            ("nbinom", {"n": 10.0, "p": 0.5}, 1000.0, math.inf),
+        ]
+        for family, params, a, b in cases:
+            t = truncate(build_descriptor(family, params), lower=a, upper=b)
+            lo = a if math.isfinite(a) else -3.0
+            xs = np.concatenate([[lo - 1.0, lo], lo + np.linspace(0.25, 6.0, 7)])
+            want = [
+                0.0 if x <= a else 1.0 if x >= b else math.exp(
+                    log_interval_mass(t.base, TruncationInterval(a, x)) - t.log_mass)
+                for x in xs
+            ]
+            assert t.cdf(xs) == pytest.approx(np.minimum(want, 1.0), rel=1e-14, abs=1e-15)
+        assert isinstance(t.cdf(1002.0), float)
+
+
 class TestDescriptorConsistency:
     def test_cdf_plus_sf_is_one(self):
         # |F + S - 1| <= 1e-12 wherever both are comfortably representable

@@ -14,8 +14,6 @@ from trunclc import (
     build_descriptor,
     chi_square_gof,
     ds_sample_batch,
-    ds_sample_continuous,
-    ds_sample_discrete,
     truncate,
 )
 
@@ -211,20 +209,6 @@ class TestImputation:
         t = truncate(build_descriptor("normal", mu=0, sigma=1))
         with pytest.raises(ValueError):
             ds_sample_batch(t, 0, RngStream(0))
-
-
-class TestScalarSamplers:
-    def test_kind_dispatch(self):
-        tn = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0)
-        tp = truncate(build_descriptor("poisson", {"lambda": 5.0}), lower=2.0)
-        x = ds_sample_continuous(tn, RngStream(30))
-        assert x > 1.0
-        k = ds_sample_discrete(tp, RngStream(31))
-        assert isinstance(k, int) and k > 2
-        with pytest.raises(ValueError):
-            ds_sample_continuous(tp, RngStream(32))
-        with pytest.raises(ValueError):
-            ds_sample_discrete(tn, RngStream(33))
 
 
 class TestGammaExceptionRoute:

@@ -14,8 +14,6 @@ from trunclc import (
     chi_square_gof,
     ds_sample_batch,
     hit_or_miss_batch,
-    hit_or_miss_sample,
-    its_sample,
     its_sample_batch,
     truncate,
 )
@@ -36,8 +34,8 @@ class TestInverseTransform:
 
     def test_overflow_at_ten_sigma(self):
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=10.0)
-        with pytest.raises(TruncationOverflow):
-            its_sample(t, RngStream(0))
+        with pytest.raises(TruncationOverflow, match="variate 0"):
+            its_sample_batch(t, 1, RngStream(0), ImputationPolicy("error"))
 
     def test_batch_matches_scalar_semantics(self):
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=0.5, upper=3.0)
@@ -115,5 +113,5 @@ class TestHitOrMiss:
 
     def test_scalar_roundtrip(self):
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=0.0)
-        x, trials = hit_or_miss_sample(t, RngStream(14))
-        assert x > 0.0 and trials >= 1
+        b = hit_or_miss_batch(t, 1, RngStream(14))
+        assert b.values[0] > 0.0 and b.trials.shape == (1,) and b.trials[0] >= 1
