@@ -4,13 +4,16 @@ Each CLI case runs ``trunclc.cli.main`` in process and compares the
 sha256 digest of its stdout and stderr, plus its exit code, against the
 value recorded when the case was added; each batch case digests the
 values, imputation flags, trial counts and proposal accounting of one
-sampler call.  A refactor that changes any variate,
+sampler call; each demo case digests the stdout of one script in
+``demos/`` (the digest of ``python demos/<name>.py | sha256sum``).  A refactor that changes any variate,
 any breakdown depth or any byte of formatting fails here.  Regenerate a
 digest only for a change that is meant to alter output, and say so in
 CHANGES.md.
 """
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +102,14 @@ GOLDEN = {
     "hit_or_miss_trials": "c3bf618e32ab1f38a0d4555a606b95735a3ed86cc3e6a5b440bf61ec0e7a5d45",
 }
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+DEMO_GOLDEN = {
+    "01_deep_tail_sampling": "4c96f23000af9a0924d49d85350a1cd37e972a04c4416a85856a4dd872819f30",
+    "02_safety_scan": "6bceff87bcef7e70ad750b203e78770f4a6ea730f65c50cb4c7de10f8865acc8",
+    "03_validate_output": "f1624706f7aea25037c51f98c2466623bbb8319c8de02f6d77c27aa2edae39e1",
+}
+
 
 def digest(*parts) -> str:
     h = hashlib.sha256()
@@ -152,3 +163,10 @@ def test_cli_output_is_golden(capsys, name):
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_batch_output_is_golden(name):
     assert batch_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
+def test_demo_output_is_golden(capsys, name):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_GOLDEN[name]
