@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .logspace import LOG_HALF, log_diff_exp
+from .logspace import LOG_HALF, elementwise, log_diff_exp
 
 
 class TruncationOverflow(ArithmeticError):
@@ -42,11 +42,13 @@ class SamplingBreakdownError(RuntimeError):
 class DistributionDescriptor:
     """A parameterized family member exposing log-space descriptors.
 
-    ``log_pdf``, ``log_cdf`` and ``log_sf`` must accept float arrays and
-    return float arrays; for discrete kinds they are step functions of a
-    real argument (internally floored).  ``mu`` and ``sigma`` are the
-    standardization indices used for safety ratios, not necessarily the
-    mean and standard deviation.
+    ``log_pdf``, ``log_cdf``, ``log_sf`` and ``quantile`` follow the
+    convention of :func:`~trunclc.logspace.elementwise` (the built-in
+    families build each with it): a scalar or 0-d argument returns a Python
+    ``float``, an array a float array of its shape.  For discrete kinds the
+    first three are step functions of a real argument (internally
+    floored).  ``mu`` and ``sigma`` are the standardization indices used
+    for safety ratios, not necessarily the mean and standard deviation.
     """
 
     family_name: str
@@ -130,14 +132,14 @@ def _log_masses(desc: DistributionDescriptor, a: float, b) -> np.ndarray:
     applied here.
     """
     finite = b != math.inf
-    la = float(desc.log_cdf(np.asarray(a))) if a != -math.inf else -math.inf
+    la = desc.log_cdf(a) if a != -math.inf else -math.inf
     if la <= LOG_HALF:
         lb = np.zeros(b.shape)
         if finite.any():
             lb[finite] = desc.log_cdf(b[finite])
         lm = log_diff_exp(lb, np.minimum(la, lb))
     else:
-        la = float(desc.log_sf(np.asarray(a)))
+        la = desc.log_sf(a)
         lb = np.full(b.shape, -np.inf)
         if finite.any():
             lb[finite] = desc.log_sf(b[finite])
@@ -174,7 +176,7 @@ class TruncatedTarget:
         # peak of the truncated density at the projected mode; the interval
         # indicator is not applied (the projected mode may sit on the open
         # lower endpoint, where the density value is the relevant limit)
-        lp = float(self.base.log_pdf(np.asarray(pm))) - lm if lm > -math.inf else math.inf
+        lp = self.base.log_pdf(pm) - lm if lm > -math.inf else math.inf
         object.__setattr__(self, "proj_mode", pm)
         object.__setattr__(self, "log_mass", lm)
         object.__setattr__(self, "log_peak", lp)
@@ -183,31 +185,25 @@ class TruncatedTarget:
     def degenerate(self) -> bool:
         return self.log_mass == -math.inf
 
+    @elementwise(at=1)
     def log_pdf(self, x):
         """log f_I(x): log f(x) - log P(I) inside ]a, b], else -inf."""
-        x = np.asarray(x, dtype=float)
-        inside = self.interval.contains(x)
         with np.errstate(invalid="ignore"):
-            out = np.where(inside, self.base.log_pdf(x) - self.log_mass, -np.inf)
-        if out.ndim == 0:
-            return float(out)
-        return out
+            return np.where(self.interval.contains(x), self.base.log_pdf(x) - self.log_mass,
+                            -np.inf)
 
+    @elementwise(at=1)
     def cdf(self, x):
         """F_I(x) = P(a < X <= x) / P(I), computed from log-space masses."""
         if self.degenerate:
             raise DegenerateTargetError("interval mass underflowed; CDF undefined")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         a, b = self.interval.lower, self.interval.upper
         inside = (x > a) & (x < b)
         out = np.full(x.shape, np.nan)
         out[x <= a] = 0.0
         out[x >= b] = 1.0
         out[inside] = np.exp(_log_masses(self.base, a, x[inside]) - self.log_mass)
-        out = np.minimum(out, 1.0)
-        if out.size == 1:
-            return float(out[0])
-        return out
+        return np.minimum(out, 1.0)
 
     def invert(self, u):
         """The inverse-transform pipeline at uniforms ``u``: ``q(F(a) + u P(I))``.
@@ -223,14 +219,14 @@ class TruncatedTarget:
             raise ValueError(f"{self.base.family_name} descriptor has no quantile function")
         u = np.asarray(u, dtype=float)
         a, b = self.interval.lower, self.interval.upper
-        fa = math.exp(float(self.base.log_cdf(np.asarray(a)))) if a != -math.inf else 0.0
+        fa = math.exp(self.base.log_cdf(a)) if a != -math.inf else 0.0
         mass = math.exp(self.log_mass) if self.log_mass > -math.inf else 0.0
         pp = fa + u * mass
         # a saturated argument makes the base quantile silently return
         # sup X (the paper's imputation-as-supremum failure)
         saturated = (u < 1.0) & (pp >= 1.0)
         with np.errstate(invalid="ignore"):
-            x = np.asarray(self.base.quantile(pp), dtype=float)
+            x = self.base.quantile(pp)
         if self.base.is_discrete:
             lo_edge = max(math.floor(a) if math.isfinite(a) else -math.inf,
                           self.base.support[0] - 1.0)

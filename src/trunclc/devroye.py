@@ -140,6 +140,14 @@ def _finish(t, values, bad_idx, proposals, policy, method, error) -> SampleBatch
     )
 
 
+def _degenerate_batch(t: TruncatedTarget, n: int, policy: ImputationPolicy, method: str):
+    """Every slot of a degenerate target goes to the policy, with no proposals."""
+    error = DegenerateTargetError(
+        f"log P(I) underflowed to -inf for {t.base.family_name} on "
+        f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy")
+    return _finish(t, np.empty(n), np.arange(n), 0, policy, method, lambda i: error)
+
+
 def _cap_error(policy: ImputationPolicy):
     return lambda i: SamplingBreakdownError(
         f"variate {i} exceeded {policy.max_iterations} proposals"
@@ -182,7 +190,7 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
         offset = np.where(tail, 1.0 + e_star, u)
         z = np.where(tail, -e - e_star, -e)
         x = m + sign * offset / c
-        lf = np.asarray(t.log_pdf(x), dtype=float)
+        lf = t.log_pdf(x)
         return x, z <= lf - t.log_peak, k
 
     return propose
@@ -205,7 +213,7 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
         y = np.where(tail, (w + e) / c, w * v / c)
         offs = sign * np.floor(y + 0.5)
         x = m + offs
-        lf = np.asarray(t.log_pdf(x), dtype=float)
+        lf = t.log_pdf(x)
         with np.errstate(divide="ignore"):
             log_w = np.log(w_u)
         acc = (log_w + np.minimum(0.0, w - c * y) <= lf - log_c) & (lf > -np.inf)
@@ -235,14 +243,7 @@ def ds_sample_batch(
         raise ValueError(f"batch size must be >= 1, got {n}")
     gen = as_generator(rng)
     if t.degenerate:
-        # every slot goes to the policy, with no proposals
-        def error(i):
-            return DegenerateTargetError(
-                f"log P(I) underflowed to -inf for {t.base.family_name} on "
-                f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy"
-            )
-
-        return _finish(t, np.empty(n), np.arange(n), 0, policy, "devroye", error)
+        return _degenerate_batch(t, n, policy, "devroye")
     route = families.exception_route(t.base)
     if route is not None:
         return route(t, n, gen, policy)

@@ -86,10 +86,10 @@ def truncated_mean_oracle_poisson(lam: float, a: int) -> float:
     if a <= -1:
         return lam
     desc = build_descriptor("poisson", {"lambda": lam})
-    lsf_a = float(desc.log_sf(np.asarray(float(a))))
+    lsf_a = desc.log_sf(a)
     if lsf_a == -math.inf:
         raise OracleUnavailable(f"log survival underflowed at a={a} for lambda={lam}")
-    lsf_am1 = float(desc.log_sf(np.asarray(float(a) - 1.0)))
+    lsf_am1 = desc.log_sf(a - 1.0)
     out = lam * math.exp(lsf_am1 - lsf_a)
     # E[X | X > a] > a always; anything else means the log-space difference
     # lost its significant digits
@@ -123,7 +123,7 @@ def brute_force_truncated_moments(
         if k1 - k0 > 5_000_000:
             raise OracleUnavailable("window too wide for exhaustive summation")
         ks = np.arange(k0, k1 + 1, dtype=float)
-        lp = np.asarray(desc.log_pdf(ks), dtype=float)
+        lp = desc.log_pdf(ks)
         s = lp.max()
         if s == -math.inf:
             raise OracleUnavailable("all probability mass underflowed")
@@ -132,7 +132,7 @@ def brute_force_truncated_moments(
         mean = float((ks * w).sum() / z)
         var = float((ks * ks * w).sum() / z - mean * mean)
         return mean, math.sqrt(max(var, 0.0))
-    shift = float(desc.log_pdf(np.asarray(max(w0, min(w1, desc.mode)))))
+    shift = desc.log_pdf(max(w0, min(w1, desc.mode)))
     if not math.isfinite(shift):
         mid_probe = np.linspace(w0, w1, 101)[1:-1]
         shift = float(np.max(desc.log_pdf(mid_probe)))
@@ -140,7 +140,7 @@ def brute_force_truncated_moments(
         raise OracleUnavailable("density underflowed across the window")
 
     def f(x, power):
-        return (x**power) * math.exp(float(desc.log_pdf(np.asarray(x))) - shift)
+        return (x**power) * math.exp(desc.log_pdf(x) - shift)
 
     opts = dict(limit=400, epsabs=1e-14, epsrel=1e-11)
     z, _ = integrate.quad(f, w0, w1, args=(0,), **opts)
@@ -507,10 +507,11 @@ def _breakdown(
 
 
 def _dprime(desc, schedule: np.ndarray) -> float:
-    """Largest probed depth at which the density is still linearly representable."""
-    lp = np.asarray(desc.log_pdf(np.asarray(schedule, dtype=float)), dtype=float)
-    if desc.is_discrete:
-        lp = np.asarray(desc.log_pdf(np.floor(schedule) + 1.0), dtype=float)
+    """Largest probed depth at which the density is still linearly representable.
+
+    A discrete density is probed at the first support point above each depth.
+    """
+    lp = desc.log_pdf(np.floor(schedule) + 1.0 if desc.is_discrete else schedule)
     ok = np.exp(lp) > 0.0
     if not ok.any():
         return math.nan

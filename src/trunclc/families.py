@@ -27,15 +27,16 @@ from scipy import stats as st
 from .core import DistributionDescriptor
 from .logspace import (
     LOG_2PI,
+    LOG_HALF,
     elementwise,
     log1mexp,
     log_diff_exp,
     log_gamma_lower_reg,
     log_gamma_upper_reg,
+    log_or_fallback,
 )
 
 _LOG_SQRT_2PI = 0.5 * LOG_2PI
-_LINEAR_FLOOR = 1e-280
 
 
 class UnknownFamilyError(ValueError):
@@ -51,7 +52,6 @@ class ParameterError(ValueError):
 
 def _stirlerr(n):
     """log n! - Stirling approximation: lgamma(n+1) - (n+1/2)log n + n - log sqrt(2 pi)."""
-    n = np.asarray(n, dtype=float)
     out = np.empty_like(n)
     small = n < 16.0
     if small.any():
@@ -71,8 +71,6 @@ def _stirlerr(n):
 
 def _bd0(x, m):
     """Binomial deviance x log(x/m) + m - x, stable for x near m."""
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
     x, m = np.broadcast_arrays(x, m)
     out = np.empty(x.shape)
     near = np.abs(x - m) < 0.1 * (x + m)
@@ -97,8 +95,6 @@ def _bd0(x, m):
 
 def _log_binom_raw(x, n, p):
     """Saddle-point log of C(n,x) p^x (1-p)^(n-x) for real 0 <= x <= n."""
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(n, dtype=float)
     x, n = np.broadcast_arrays(x, n)
     q = 1.0 - p
     out = np.empty(x.shape)
@@ -122,7 +118,6 @@ def _log_binom_raw(x, n, p):
 
 def _log_poisson_raw(k, lam):
     """Saddle-point log of exp(-lam) lam^k / k! for integer k >= 0."""
-    k = np.asarray(k, dtype=float)
     out = np.empty(k.shape)
     zero = k == 0.0
     out[zero] = -lam
@@ -140,7 +135,7 @@ def _log_tail_sum(log_pmf, start, step, lo, hi, max_terms=200_000):
     for _ in range(max_terms):
         if j < lo or j > hi:
             break
-        lj = float(log_pmf(np.asarray(j)))
+        lj = log_pmf(j)
         if anchor is None:
             if lj > -math.inf:
                 anchor = lj
@@ -178,13 +173,8 @@ def _discrete_tail_functions(lin_cdf, lin_sf, log_pmf, lo, hi):
             mid = (k >= lo) & (k < hi)
             if mid.any():
                 km = k[mid]
-                vals = np.asarray(lin(km), dtype=float)
-                low = ~(vals > _LINEAR_FLOOR)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = np.log(vals)
-                for i in np.nonzero(low)[0]:
-                    vals[i] = _log_tail_sum(log_pmf, km[i] + start, step, lo, hi)
-                out[mid] = vals
+                out[mid] = log_or_fallback(
+                    lin(km), lambda i: _log_tail_sum(log_pmf, km[i] + start, step, lo, hi))
             return out
 
         return log_tail
@@ -194,6 +184,14 @@ def _discrete_tail_functions(lin_cdf, lin_sf, log_pmf, lo, hi):
 
 def _integer_mask(x):
     return (x == np.floor(x)) & np.isfinite(x)
+
+
+def _masked(x, mask, fill, f):
+    """``f(x[mask])`` where ``mask`` holds, ``fill`` elsewhere."""
+    out = np.full(x.shape, fill)
+    if mask.any():
+        out[mask] = f(x[mask])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +295,22 @@ def epd_to_gamma(x, beta: float):
 def _build_normal(params):
     mu, sigma = params["mu"], params["sigma"]
 
+    @elementwise
     def log_pdf(x):
-        z = (np.asarray(x, dtype=float) - mu) / sigma
+        z = (x - mu) / sigma
         return -0.5 * z * z - math.log(sigma) - _LOG_SQRT_2PI
 
+    @elementwise
     def log_cdf(x):
-        return sc.log_ndtr((np.asarray(x, dtype=float) - mu) / sigma)
+        return sc.log_ndtr((x - mu) / sigma)
 
+    @elementwise
     def log_sf(x):
-        return sc.log_ndtr(-(np.asarray(x, dtype=float) - mu) / sigma)
+        return sc.log_ndtr(-(x - mu) / sigma)
 
+    @elementwise
     def quantile(p):
-        return mu + sigma * sc.ndtri(np.asarray(p, dtype=float))
+        return mu + sigma * sc.ndtri(p)
 
     return DistributionDescriptor(
         family_name="normal", params=params, kind="continuous",
@@ -322,11 +324,8 @@ def _build_poisson(params):
 
     @elementwise
     def log_pmf(x):
-        ok = _integer_mask(x) & (x >= 0.0)
-        out = np.full(x.shape, -np.inf)
-        if ok.any():
-            out[ok] = _log_poisson_raw(x[ok], lam)
-        return out
+        return _masked(x, _integer_mask(x) & (x >= 0.0), -np.inf,
+                       lambda k: _log_poisson_raw(k, lam))
 
     log_cdf, log_sf = _discrete_tail_functions(
         lambda k: sc.gammaincc(k + 1.0, lam),
@@ -334,8 +333,9 @@ def _build_poisson(params):
         log_pmf, 0.0, math.inf,
     )
 
+    @elementwise
     def quantile(p):
-        return st.poisson.ppf(np.asarray(p, dtype=float), lam)
+        return st.poisson.ppf(p, lam)
 
     return DistributionDescriptor(
         family_name="poisson", params=params, kind="discrete",
@@ -350,11 +350,8 @@ def _build_binomial(params):
 
     @elementwise
     def log_pmf(x):
-        ok = _integer_mask(x) & (x >= 0.0) & (x <= n)
-        out = np.full(x.shape, -np.inf)
-        if ok.any():
-            out[ok] = _log_binom_raw(x[ok], n, p)
-        return out
+        return _masked(x, _integer_mask(x) & (x >= 0.0) & (x <= n), -np.inf,
+                       lambda k: _log_binom_raw(k, n, p))
 
     log_cdf, log_sf = _discrete_tail_functions(
         lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p),
@@ -362,8 +359,9 @@ def _build_binomial(params):
         log_pmf, 0.0, n,
     )
 
+    @elementwise
     def quantile(q):
-        return st.binom.ppf(np.asarray(q, dtype=float), int(n), p)
+        return st.binom.ppf(q, int(n), p)
 
     mode = min(n, max(0.0, math.floor((n + 1.0) * p)))
     return DistributionDescriptor(
@@ -380,14 +378,8 @@ def _build_nbinom(params):
 
     @elementwise
     def log_pmf(x):
-        ok = _integer_mask(x) & (x >= 0.0)
-        out = np.full(x.shape, -np.inf)
-        if ok.any():
-            k = x[ok]
-            out[ok] = np.log(n) - np.log(n + k) + _log_binom_raw(
-                np.full(k.shape, float(n)), n + k, 1.0 - p
-            )
-        return out
+        return _masked(x, _integer_mask(x) & (x >= 0.0), -np.inf, lambda k: (
+            np.log(n) - np.log(n + k) + _log_binom_raw(np.full(k.shape, n), n + k, 1.0 - p)))
 
     log_cdf, log_sf = _discrete_tail_functions(
         lambda k: sc.betainc(n, k + 1.0, 1.0 - p),
@@ -395,8 +387,9 @@ def _build_nbinom(params):
         log_pmf, 0.0, math.inf,
     )
 
+    @elementwise
     def quantile(q):
-        return st.nbinom.ppf(np.asarray(q, dtype=float), n, 1.0 - p)
+        return st.nbinom.ppf(q, n, 1.0 - p)
 
     mode = math.floor((n - 1.0) * p / (1.0 - p)) if n > 1.0 else 0.0
     return DistributionDescriptor(
@@ -427,8 +420,9 @@ def _build_geometric(params):
         k = np.floor(x)
         return np.where(k < 0.0, -np.inf, log1mexp(np.minimum((k + 1.0) * lq, 0.0)))
 
+    @elementwise
     def quantile(q):
-        return st.geom.ppf(np.asarray(q, dtype=float), p) - 1.0
+        return st.geom.ppf(q, p) - 1.0
 
     # Table-1 indices: the mode (0) and base standard deviation
     return DistributionDescriptor(
@@ -457,27 +451,20 @@ def _build_gamma(params):
     else:
         @elementwise
         def log_pdf(x):
-            out = np.full(x.shape, -np.inf)
-            pos = x > 0.0
-            if pos.any():
-                xp = x[pos]
-                out[pos] = (
-                    alpha * math.log(lam) + (alpha - 1.0) * np.log(xp)
-                    - lam * xp - sc.gammaln(alpha)
-                )
-            return out
+            return _masked(x, x > 0.0, -np.inf, lambda xp: (
+                alpha * math.log(lam) + (alpha - 1.0) * np.log(xp) - lam * xp - sc.gammaln(alpha)))
 
-        def _log_cdf_scalar(x):
-            return log_gamma_lower_reg(alpha, lam * x) if x > 0.0 else -math.inf
+        @elementwise
+        def log_cdf(x):
+            return log_gamma_lower_reg(alpha, lam * x)
 
-        def _log_sf_scalar(x):
-            return log_gamma_upper_reg(alpha, lam * x) if x > 0.0 else 0.0
+        @elementwise
+        def log_sf(x):
+            return log_gamma_upper_reg(alpha, lam * x)
 
-        log_cdf = np.vectorize(_log_cdf_scalar, otypes=[float])
-        log_sf = np.vectorize(_log_sf_scalar, otypes=[float])
-
+    @elementwise
     def quantile(q):
-        return st.gamma.ppf(np.asarray(q, dtype=float), alpha, scale=1.0 / lam)
+        return st.gamma.ppf(q, alpha, scale=1.0 / lam)
 
     mode = (alpha - 1.0) / lam if alpha >= 1.0 else 0.0
     return DistributionDescriptor(
@@ -504,14 +491,9 @@ def _build_invgauss(params):
 
     @elementwise
     def log_pdf(x):
-        out = np.full(x.shape, -np.inf)
-        pos = x > 0.0
-        if pos.any():
-            xp = x[pos]
-            out[pos] = 0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(xp)) - lam * (
-                xp - mu
-            ) ** 2 / (2.0 * mu * mu * xp)
-        return out
+        return _masked(x, x > 0.0, -np.inf, lambda xp: (
+            0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(xp))
+            - lam * (xp - mu) ** 2 / (2.0 * mu * mu * xp)))
 
     def _terms(x):
         rx = np.sqrt(lam / x)
@@ -537,8 +519,9 @@ def _build_invgauss(params):
             out[pos] = log_diff_exp(s1, np.minimum(t2, s1))
         return out
 
+    @elementwise
     def quantile(q):
-        return st.invgauss.ppf(np.asarray(q, dtype=float), mu / lam, scale=lam)
+        return st.invgauss.ppf(q, mu / lam, scale=lam)
 
     mode = mu * (math.sqrt(1.0 + 9.0 * mu * mu / (4.0 * lam * lam)) - 3.0 * mu / (2.0 * lam))
     return DistributionDescriptor(
@@ -555,15 +538,17 @@ def _build_epd(params):
     def log_pdf(x):
         return epd_log_pdf(x, beta)
 
-    def _log_sf_scalar(x):
-        if x >= 0.0:
-            return math.log(0.5) + log_gamma_upper_reg(a, x**beta)
-        return float(log1mexp(math.log(0.5) + log_gamma_upper_reg(a, (-x) ** beta)))
+    @elementwise
+    def log_sf(x):
+        # P(X > x) = Q(a, x^beta) / 2 on the right; its complement on the left
+        out = LOG_HALF + log_gamma_upper_reg(a, np.abs(x) ** beta)
+        neg = x < 0.0
+        out[neg] = log1mexp(out[neg])
+        return out
 
-    def _log_cdf_scalar(x):
-        if x <= 0.0:
-            return math.log(0.5) + log_gamma_upper_reg(a, (-x) ** beta)
-        return float(log1mexp(math.log(0.5) + log_gamma_upper_reg(a, x**beta)))
+    @elementwise
+    def log_cdf(x):
+        return log_sf(-x)  # the law is symmetric
 
     @elementwise
     def quantile(q):
@@ -573,10 +558,8 @@ def _build_epd(params):
     peak = -math.log(2.0) - sc.gammaln(a + 1.0)
     return DistributionDescriptor(
         family_name="epd", params=params, kind="continuous",
-        support=(-math.inf, math.inf), log_pdf=log_pdf,
-        log_cdf=np.vectorize(_log_cdf_scalar, otypes=[float]),
-        log_sf=np.vectorize(_log_sf_scalar, otypes=[float]),
-        mode=0.0, mu=0.0, sigma=math.exp(-peak), quantile=quantile,
+        support=(-math.inf, math.inf), log_pdf=log_pdf, log_cdf=log_cdf,
+        log_sf=log_sf, mode=0.0, mu=0.0, sigma=math.exp(-peak), quantile=quantile,
     )
 
 
@@ -658,7 +641,7 @@ def check_log_concavity(
         ks = np.arange(math.ceil(lo), math.floor(hi) + 1.0)
         if ks.size > 2_000_000:
             raise ValueError("probe range too wide for an exhaustive integer scan")
-        l = np.asarray(desc.log_pdf(ks), dtype=float)
+        l = desc.log_pdf(ks)
         inner = np.isfinite(l[1:-1]) & np.isfinite(l[:-2]) & np.isfinite(l[2:])
         gap = 2.0 * l[1:-1] - l[:-2] - l[2:]
         bad = inner & (gap < -tol)
@@ -669,9 +652,9 @@ def check_log_concavity(
     rng = rng or np.random.default_rng(0)
     x1 = rng.uniform(lo, hi, size=n_probes)
     x2 = rng.uniform(lo, hi, size=n_probes)
-    lm = np.asarray(desc.log_pdf((x1 + x2) / 2.0), dtype=float)
-    l1 = np.asarray(desc.log_pdf(x1), dtype=float)
-    l2 = np.asarray(desc.log_pdf(x2), dtype=float)
+    lm = desc.log_pdf((x1 + x2) / 2.0)
+    l1 = desc.log_pdf(x1)
+    l2 = desc.log_pdf(x2)
     fin = np.isfinite(l1) & np.isfinite(l2)
     gap = lm - (l1 + l2) / 2.0
     bad = fin & (gap < -tol)

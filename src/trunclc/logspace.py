@@ -9,7 +9,6 @@ their linear-space implementations.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -17,23 +16,29 @@ from scipy import special as sc
 
 LOG_HALF = math.log(0.5)
 LOG_2PI = math.log(2.0 * math.pi)
+LINEAR_FLOOR = 1e-280  # below this a linear-space tail value has lost precision
 
 
-def elementwise(fn):
+def elementwise(fn=None, *, at: int = 0):
     """Give an array function the package's scalar/array convention.
 
-    ``fn`` receives its first argument as a float array of at least one
-    dimension (further arguments pass through) and returns an array of
-    the same shape.  The wrapped function accepts scalars or arrays; a
-    scalar argument gets a Python ``float`` back.
+    ``fn`` gets its positional argument ``at`` (``at=1`` for a method or a
+    function of ``(a, z)``) as a float array of at least one dimension and
+    returns a float array of that shape.  Given a scalar or 0-d argument
+    there, the decorated function returns a Python ``float``.
     """
+    if fn is None:
+        return lambda f: elementwise(f, at=at)
 
-    @functools.wraps(fn)
-    def wrapper(x, *args, **kwargs):
-        x = np.asarray(x, dtype=float)
-        out = fn(np.atleast_1d(x), *args, **kwargs)
+    def wrapper(*args, **kwargs):
+        x = np.asarray(args[at], dtype=float)
+        out = fn(*args[:at], np.atleast_1d(x), *args[at + 1:], **kwargs)
         return out if x.ndim else float(out[0])
 
+    # no ``__wrapped__``: the decorated function is not a wrapper of another
+    # callable to code that unwraps, or skips what is already wrapped
+    wrapper.__name__, wrapper.__qualname__, wrapper.__doc__ = (
+        fn.__name__, fn.__qualname__, fn.__doc__)
     return wrapper
 
 
@@ -64,8 +69,17 @@ def log_diff_exp(la, lb):
         raise ValueError("log_diff_exp requires la >= lb")
     with np.errstate(invalid="ignore"):
         out = np.where(lb == -np.inf, la, la + log1mexp(np.minimum(lb - la, 0.0)))
-    if out.ndim == 0:
-        return float(out)
+    return out if out.ndim else float(out)
+
+
+def log_or_fallback(lin, fallback):
+    """log of the linear-space values ``lin``; ``fallback(i)`` replaces the
+    log of each value below :data:`LINEAR_FLOOR`."""
+    low = ~(lin > LINEAR_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(lin)
+    for i in np.flatnonzero(low):
+        out[i] = fallback(i)
     return out
 
 
@@ -100,9 +114,7 @@ def _log_gamma_q_cf(a: float, z: float, max_iter: int = 200_000) -> float:
 
 
 def _log_gamma_p_series(a: float, z: float, max_iter: int = 200_000) -> float:
-    """log P(a, z) via the ascending series, for z below a + 1."""
-    if z == 0.0:
-        return -np.inf
+    """log P(a, z) via the ascending series, for 0 < z below a + 1."""
     term = 1.0
     total = 1.0
     ap = a
@@ -117,33 +129,31 @@ def _log_gamma_p_series(a: float, z: float, max_iter: int = 200_000) -> float:
     return a * math.log(z) - z - sc.gammaln(a + 1.0) + math.log(total)
 
 
-def log_gamma_upper_reg(a: float, z: float) -> float:
+def _log_gamma_reg(a, z, lin, fallback, at_zero):
+    """log of the regularized incomplete gamma ``lin`` (scipy), or of its
+    log-space ``fallback(a, z)`` below the floor, at ``z > 0``; ``at_zero``
+    fills ``z <= 0``."""
+    out = np.full(z.shape, at_zero)
+    pos = z > 0.0
+    zp = z[pos]
+    out[pos] = log_or_fallback(lin(a, zp), lambda i: fallback(a, float(zp[i])))
+    return out
+
+
+@elementwise(at=1)
+def log_gamma_upper_reg(a: float, z):
     """log of the regularized upper incomplete gamma Q(a, z).
 
     Uses the linear-space scipy value while it carries full precision and
     switches to a log-space continued fraction deep in the right tail,
     where gammaincc underflows to zero.
     """
-    if z <= 0.0:
-        return 0.0
     if a == 1.0:
-        return -z
-    lin = sc.gammaincc(a, z)
-    if lin > 1e-280:
-        return math.log(lin)
-    return _log_gamma_q_cf(a, z)
+        return np.where(z > 0.0, -z, 0.0)
+    return _log_gamma_reg(a, z, sc.gammaincc, _log_gamma_q_cf, 0.0)
 
 
-def log_gamma_lower_reg(a: float, z: float) -> float:
+@elementwise(at=1)
+def log_gamma_lower_reg(a: float, z):
     """log of the regularized lower incomplete gamma P(a, z)."""
-    if z <= 0.0:
-        return -np.inf
-    if a == 1.0:
-        v = -math.expm1(-z)
-        if v > 1e-280:
-            return math.log(v)
-        return math.log(z) + math.log1p(-z / 2.0)  # z below 1e-280: P ~ z - z^2/2
-    lin = sc.gammainc(a, z)
-    if lin > 1e-280:
-        return math.log(lin)
-    return _log_gamma_p_series(a, z)
+    return _log_gamma_reg(a, z, sc.gammainc, _log_gamma_p_series, -np.inf)

@@ -24,6 +24,7 @@ from .devroye import (
     RngLike,
     SampleBatch,
     SamplingBreakdownError,
+    _degenerate_batch,
     _fill,
     _finish,
     _proposer,
@@ -66,12 +67,18 @@ def hit_or_miss_batch(
 
     The base sampler is the untruncated rejection sampler, so failures
     here isolate the 1/P(I) cost of re-drawing rather than any quantile
-    fragility.  ``trials`` records the base draws spent on each variate.
+    fragility.  ``trials`` records the base draws spent on each variate.  A
+    degenerate target is handed to the imputation policy whole, with no
+    draws.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    base = _proposer(truncate(t.base), as_generator(rng))
     trials = np.zeros(n, dtype=np.int64)
+    if t.degenerate:
+        batch = _degenerate_batch(t, n, policy, "hit_or_miss")
+        batch.trials = trials
+        return batch
+    base = _proposer(truncate(t.base), as_generator(rng))
 
     def propose(idx):
         k = idx.size

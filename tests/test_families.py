@@ -19,6 +19,7 @@ from trunclc import (
     ds_sample_batch,
     epd_log_pdf,
     epd_to_gamma,
+    list_families,
     register_family,
     truncate,
 )
@@ -356,3 +357,57 @@ class TestRegistrationApi:
         assert batch.is_clean(target)
         ks = st.kstest(batch.values - 20.0, st.expon.cdf)
         assert ks.pvalue > 0.001
+
+
+# a member of each registered family: the family's defaults, completed here
+# where it has none; extra cases reach the gamma closed forms and EPD route
+MEMBERS = {
+    "poisson": {"lambda": 5.0},
+    "binomial": {"n": 40.0, "p": 0.3},
+    "nbinom": {"n": 4.0, "p": 0.5},
+    "geometric": {"p": 0.3},
+    "gamma": {"alpha": 2.5},
+    "invgauss": {"mu": 1.0, "lambda": 2.0},
+    "epd": {"beta": 1.5},
+}
+CONTRACT_CASES = [(f, MEMBERS.get(f, {})) for f in list_families()] + [
+    ("gamma", {"alpha": 1.0}), ("gamma", {"alpha": 0.5}), ("epd", {"beta": 1.0})]
+
+
+def _bits(v):
+    return np.float64(v).view(np.int64)
+
+
+def _assert_convention(fn, xs):
+    """Scalars and 0-d arrays give a float, arrays a float array of their
+    shape, and a scalar result is the matching array element bit for bit."""
+    out = fn(xs)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == xs.shape
+    for shape in ((1,), (2, xs.size // 2)):
+        part = fn(xs[: math.prod(shape)].reshape(shape))
+        assert isinstance(part, np.ndarray) and part.dtype == np.float64
+        assert part.shape == shape
+        assert (_bits(part.ravel()) == _bits(out[: part.size])).all()
+    for x, want in zip(xs, out):
+        for arg in (float(x), np.float64(x), np.asarray(x)):
+            got = fn(arg)
+            assert type(got) is float, (fn, arg)
+            assert _bits(got) == _bits(want), (fn, arg, got, want)
+
+
+class TestScalarArrayContract:
+    @pytest.mark.parametrize("family,params", CONTRACT_CASES,
+                             ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
+    def test_every_callable_follows_the_convention(self, family, params):
+        d = build_descriptor(family, params)
+        # both sides of the mode, outside the support, and deep tails where
+        # the tail-sum and continued-fraction fallbacks fire
+        xs = d.mu + d.sigma * np.array([-40.0, -3.0, -0.5, 0.0, 0.7, 2.0, 6.0, 40.0])
+        if d.is_discrete:
+            xs = np.floor(xs)
+        for fn in (d.log_pdf, d.log_cdf, d.log_sf):
+            _assert_convention(fn, xs)
+        _assert_convention(d.quantile, np.array([1e-12, 0.1, 0.25, 0.5, 0.9, 1.0 - 1e-9]))
+        t = truncate(d, lower=d.mu + d.sigma)
+        _assert_convention(t.log_pdf, xs)
+        _assert_convention(t.cdf, xs)

@@ -8,6 +8,7 @@ import pytest
 from scipy import special as sc
 
 from trunclc.logspace import (
+    elementwise,
     log1mexp,
     log_diff_exp,
     log_gamma_lower_reg,
@@ -82,3 +83,42 @@ class TestLogGammaRegularized:
     def test_exponential_special_case(self):
         assert log_gamma_upper_reg(1.0, 745.0) == -745.0
         assert log_gamma_upper_reg(1.0, 3.25) == -3.25
+
+
+class TestElementwise:
+    def test_keeps_name_and_doc_but_sets_no_wrapped(self):
+        # a decorated function is the function itself, not a wrapper of
+        # another callable: code that unwraps, or that skips callables it
+        # sees as already wrapped, must treat it as undecorated
+        def double(x):
+            """Twice x."""
+            return 2.0 * x
+
+        wrapped = elementwise(double)
+        assert wrapped.__name__ == "double"
+        assert wrapped.__qualname__ == double.__qualname__
+        assert wrapped.__doc__ == "Twice x."
+        assert not hasattr(wrapped, "__wrapped__")
+        assert not hasattr(log1mexp, "__wrapped__")
+
+    def test_scalar_and_array_convention(self):
+        @elementwise(at=1)
+        def shift(a, x):
+            return x + a
+
+        assert type(shift(1.0, 2)) is float and shift(1.0, 2) == 3.0
+        assert type(shift(1.0, np.asarray(2.0))) is float
+        out = shift(1.0, [[1.0, 2.0]])
+        assert isinstance(out, np.ndarray) and out.shape == (1, 2)
+
+    @pytest.mark.parametrize("fn", [log_gamma_upper_reg, log_gamma_lower_reg])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 300.0])
+    def test_gamma_reg_array_matches_scalar_calls(self, fn, a):
+        # one scipy call per array, with the continued fraction or series
+        # only where it underflows: the same values as point by point
+        z = np.array([-1.0, 0.0, 1e-300, 1e-150, 0.1, 3.0, 50.0, 745.0, 1500.0])
+        out = fn(a, z)
+        assert out.shape == z.shape and out.dtype == np.float64
+        for zi, v in zip(z, out):
+            s = fn(a, float(zi))
+            assert type(s) is float and s == v

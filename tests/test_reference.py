@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as st
 
 from trunclc import (
+    DegenerateTargetError,
     ImputationPolicy,
     RngStream,
     TruncationOverflow,
@@ -115,3 +116,14 @@ class TestHitOrMiss:
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=0.0)
         b = hit_or_miss_batch(t, 1, RngStream(14))
         assert b.values[0] > 0.0 and b.trials.shape == (1,) and b.trials[0] >= 1
+
+    def test_degenerate_target_goes_to_policy_without_draws(self):
+        # log P(I) underflows on ]40, inf[: no base draw can be spent on it
+        t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=40.0)
+        assert t.degenerate
+        b = hit_or_miss_batch(t, 3, RngStream(15))
+        assert b.proposals == 0 and b.accepts == 0
+        assert b.trials.tolist() == [0, 0, 0]
+        assert b.imputed.all() and (b.values == t.proj_mode).all()
+        with pytest.raises(DegenerateTargetError):
+            hit_or_miss_batch(t, 3, RngStream(15), policy=ImputationPolicy("error"))
