@@ -49,6 +49,12 @@ class DistributionDescriptor:
     first three are step functions of a real argument (internally
     floored).  ``mu`` and ``sigma`` are the standardization indices used
     for safety ratios, not necessarily the mean and standard deviation.
+
+    ``transform``, when set, is ``(base, fmap)``: a log-concave descriptor
+    and a map whose image of a ``base`` variate follows this law.  It is how
+    a law outside the log-concave class (gamma with shape below one) tells
+    the sampler to draw ``base``, map the draw, and hit-test it against the
+    interval.
     """
 
     family_name: str
@@ -62,6 +68,7 @@ class DistributionDescriptor:
     mu: float
     sigma: float
     quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    transform: Optional[tuple["DistributionDescriptor", Callable]] = None
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):
@@ -251,11 +258,11 @@ class TruncatedTarget:
         a = self.interval.lower
         if p == 0.0:
             # the infimum of the truncated law: its smallest support point
-            # (discrete) or the open lower endpoint as a limiting value
+            # (discrete) or the open lower endpoint clamped into the support
             if self.base.is_discrete:
                 return float(max(math.floor(a) + 1.0 if math.isfinite(a) else -math.inf,
                                  self.base.support[0]))
-            return a
+            return max(a, self.base.support[0])
         pp, x, bad = self.invert(p)
         if bad:
             raise TruncationOverflow(

@@ -11,9 +11,14 @@ breakdown of linear-space tail arithmetic.
 Every sampler in the package fills its batch through one round driver,
 ``_fill``, which keeps proposing for the open slots until each is
 accepted or the round cap is reached; the samplers differ only in the
-proposer they hand it.  Slots left open, and every slot of a target whose
-interval mass underflowed (``log_mass == -inf``, a degenerate target),
-go to the one policy helper, ``_finish``: depending on the
+proposer they hand it, and ``_proposer`` is the one place that picks it
+from the target: the envelope proposer of the target's kind, or, for a
+descriptor that declares a ``transform``, the hit-test proposer
+``_hit_proposer`` over the log-concave base (draw, map, keep the draws
+that land in the interval).  Hit-or-miss uses the same hit-test proposer
+over the untruncated base.  Slots left open, and every slot of a target
+whose interval mass underflowed (``log_mass == -inf``, a degenerate
+target), go to the one policy helper, ``_finish``: depending on the
 :class:`ImputationPolicy` it substitutes the projected mode flagged as
 imputed, raises, or imputes ``+inf`` (provided only to mirror the
 behavior of quantile-based packages; it is not a sound choice for
@@ -222,7 +227,31 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     return propose
 
 
-def _proposer(t: TruncatedTarget, gen: np.random.Generator):
+def _hit_proposer(base, interval, max_rounds: int, fmap=None):
+    """Hit-or-miss against ``interval``: one draw per open slot from the
+    proposer ``base`` (an inner ``_fill``), mapped through ``fmap``, is
+    accepted if it lands in the interval; an inner slot left open misses.
+    """
+
+    def propose(idx):
+        k = idx.size
+        draws, pending, props = _fill(k, max_rounds, base)
+        ok = np.ones(k, dtype=bool)
+        ok[pending] = False
+        if fmap is not None:
+            draws = fmap(draws)
+        return draws, ok & interval.contains(draws), props
+
+    return propose
+
+
+def _proposer(t: TruncatedTarget, gen: np.random.Generator, max_rounds: int):
+    """The proposer for ``t``: a transform route, or the envelope of its kind."""
+    route = families.exception_route(t.base)
+    if route is not None:
+        base, fmap = route
+        return _hit_proposer(_proposer(truncate(base), gen, max_rounds), t.interval,
+                             max_rounds, fmap)
     return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
 
 
@@ -235,44 +264,16 @@ def ds_sample_batch(
     """Draw ``n`` variates from the truncated target.
 
     A degenerate target is handed to the imputation policy whole.
-    Otherwise sampling routes through the family's exception handler when
-    one applies (gamma with shape below one goes through the exponential
-    power transform), else runs the log-concave rejection loop.
+    Otherwise the rejection loop runs on the proposer ``_proposer`` picks:
+    the envelope of the target's kind, or, when the descriptor declares a
+    ``transform`` (gamma with shape below one), draws of its log-concave
+    base mapped and hit-tested against the interval.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
     gen = as_generator(rng)
     if t.degenerate:
         return _degenerate_batch(t, n, policy, "devroye")
-    route = families.exception_route(t.base)
-    if route is not None:
-        return route(t, n, gen, policy)
-    values, pending, proposals = _fill(n, policy.max_iterations, _proposer(t, gen))
-    return _finish(t, values, pending, proposals, policy, "devroye", _cap_error(policy))
-
-
-def epd_gamma_route(
-    t: TruncatedTarget, n: int, gen: np.random.Generator, policy: ImputationPolicy
-) -> SampleBatch:
-    """Sampling route for gamma targets with shape < 1 and a representable mass.
-
-    Each round draws from the (log-concave) exponential power law with
-    shape ``1/alpha`` via an inner rejection fill, maps ``|x|^(1/alpha)``
-    to a gamma variate, and keeps transformed values landing in the
-    truncation interval (hit-or-miss against I).
-    """
-    alpha = t.base.params["alpha"]
-    lam = t.base.params["lambda"]
-    beta = 1.0 / alpha
-    epd = _continuous_proposer(truncate(families.build_descriptor("epd", beta=beta)), gen)
-
-    def propose(idx):
-        k = idx.size
-        draws, pending, props = _fill(k, policy.max_iterations, epd)
-        ok = np.ones(k, dtype=bool)
-        ok[pending] = False
-        y = families.epd_to_gamma(draws, beta) / lam
-        return y, ok & t.interval.contains(y), props
-
+    propose = _proposer(t, gen, policy.max_iterations)
     values, pending, proposals = _fill(n, policy.max_iterations, propose)
     return _finish(t, values, pending, proposals, policy, "devroye", _cap_error(policy))

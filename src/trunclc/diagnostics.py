@@ -223,12 +223,6 @@ class QQResult:
     ks_statistic: float
     n: int
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"p": float(p), "empirical": float(e), "theoretical": float(t)}
-            for p, e, t in zip(self.percentiles, self.empirical, self.theoretical)
-        ]
-
 
 def exp_tail_qq(batch: SampleBatch, a: float) -> QQResult:
     """Compare the excess X - a with the exponential(rate a) tail approximation.
@@ -457,24 +451,17 @@ def auto_probes(desc: DistributionDescriptor, z_max: int = 50) -> np.ndarray:
     return desc.mu + desc.sigma * np.arange(0, z_max + 1, dtype=float)
 
 
-def _classify_its(desc, a: float, n_probe: int, rng: RngLike) -> bool:
+def _classify(sample, desc, a: float, rng: RngLike) -> bool:
+    """Whether ``sample(target, rng)`` gives a clean batch on ]a, inf[.
+
+    A depth that cannot be truncated to, or a sampler that raises, is a
+    failure.
+    """
     try:
         target = truncate(desc, lower=float(a))
-    except ValueError:
-        return False
-    try:
-        batch = its_sample_batch(target, n_probe, rng, policy=ImputationPolicy("error"))
+        batch = sample(target, rng)
     except (TruncationOverflow, DegenerateTargetError, ValueError):
         return False
-    return batch.is_clean(target)
-
-
-def _classify_ds(desc, a: float, n_probe: int, rng: RngLike) -> bool:
-    try:
-        target = truncate(desc, lower=float(a))
-    except ValueError:
-        return False
-    batch = ds_sample_batch(target, n_probe, rng)
     return batch.is_clean(target)
 
 
@@ -544,6 +531,14 @@ def scan_safety(
         raise ValueError("empty parameter grid")
     root = RngStream(seed)
     rows: list[ScanCell] = []
+
+    # the sampler functions are module attributes read at each call
+    def its(t, r):
+        return its_sample_batch(t, n_probe, r, policy=ImputationPolicy("error"))
+
+    def ds(t, r):
+        return ds_sample_batch(t, n_probe, r)
+
     for params in param_grid:
         desc = build_descriptor(family, params)
         if isinstance(probe_schedule, str):
@@ -562,14 +557,12 @@ def scan_safety(
         cell.a_bar_dprime = _dprime(desc, schedule)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
-                lambda a, r: _classify_its(desc, a, n_probe, r),
-                schedule, cell_stream, refine_tol,
+                lambda a, r: _classify(its, desc, a, r), schedule, cell_stream, refine_tol,
             )
             cell.eta = (cell.a_bar - desc.mu) / desc.sigma
         if method in ("devroye", "both"):
             cell.a_bar_prime, cell.ds_censored, cell.ds_anomalies = _breakdown(
-                lambda a, r: _classify_ds(desc, a, n_probe, r),
-                schedule, cell_stream, refine_tol,
+                lambda a, r: _classify(ds, desc, a, r), schedule, cell_stream, refine_tol,
             )
             cell.eta_prime = (cell.a_bar_prime - desc.mu) / desc.sigma
         rows.append(cell)

@@ -9,16 +9,16 @@ precision.
 
 New families are added with :func:`register_family`, supplying the same
 ingredients: parameter schema, log-density, log-CDF/survival, and a mode
-function.  The gamma family carries an exception handler that reroutes
-sampling through the exponential power distribution when the shape is
-below one (the non-log-concave region).
+function.  A family member outside the log-concave class declares on its
+descriptor how to reach it from one inside (``transform``): gamma with
+shape below one is the image of the exponential power distribution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special as sc
@@ -208,17 +208,15 @@ class ParamSpec:
 class FamilySpec:
     """Recipe for building descriptors of one family.
 
-    ``exception_handler`` maps a parameter dict to an alternate batch
-    sampling route (or None); it lets a family whose log-concavity fails
-    on part of its parameter space delegate to a transformation-based
-    sampler.
+    A family whose log-concavity fails on part of its parameter space sets
+    the descriptor's ``transform`` there; the recipe itself carries no
+    sampling route.
     """
 
     name: str
     params: tuple[ParamSpec, ...]
     builder: Callable[[dict], DistributionDescriptor]
     defaults: dict = field(default_factory=dict)
-    exception_handler: Optional[Callable[[dict], Optional[Callable]]] = None
 
 
 _REGISTRY: dict[str, FamilySpec] = {}
@@ -262,15 +260,12 @@ def build_descriptor(family: str, params: dict | None = None, **kwargs) -> Distr
 
 
 def exception_route(desc: DistributionDescriptor):
-    """Return the alternate sampling route for this descriptor, if any."""
-    spec = _REGISTRY.get(desc.family_name)
-    if spec is None or spec.exception_handler is None:
-        return None
-    return spec.exception_handler(desc.params)
+    """The descriptor's ``(log-concave base, map)`` transform route, or None."""
+    return desc.transform
 
 
 # ---------------------------------------------------------------------------
-# exponential power distribution (ancillary; enables the gamma alpha < 1 route)
+# exponential power distribution (ancillary; the gamma alpha < 1 transform base)
 
 @elementwise
 def epd_log_pdf(x, beta: float):
@@ -467,19 +462,17 @@ def _build_gamma(params):
         return st.gamma.ppf(q, alpha, scale=1.0 / lam)
 
     mode = (alpha - 1.0) / lam if alpha >= 1.0 else 0.0
+    transform = None
+    if alpha < 1.0:
+        # not log-concave: sample |Y|^(1/alpha) / lambda with Y ~ EPD(1/alpha)
+        beta = 1.0 / alpha
+        transform = (_build_epd({"beta": beta}), lambda y: epd_to_gamma(y, beta) / lam)
     return DistributionDescriptor(
         family_name="gamma", params=params, kind="continuous",
         support=(0.0, math.inf), log_pdf=log_pdf, log_cdf=log_cdf, log_sf=log_sf,
         mode=mode, mu=alpha / lam, sigma=math.sqrt(alpha) / lam, quantile=quantile,
+        transform=transform,
     )
-
-
-def _gamma_exception_handler(params):
-    if params["alpha"] < 1.0:
-        from .devroye import epd_gamma_route
-
-        return epd_gamma_route
-    return None
 
 
 def _build_invgauss(params):
@@ -602,7 +595,6 @@ register_family(FamilySpec(
             ParamSpec("lambda", lambda v: v > 0, "lambda > 0")),
     builder=_build_gamma,
     defaults={"lambda": 1.0},
-    exception_handler=_gamma_exception_handler,
 ))
 register_family(FamilySpec(
     name="invgauss",

@@ -8,9 +8,10 @@ failed inversion surfaces as :class:`TruncationOverflow` rather than
 being silently repaired.
 
 Both samplers share the rejection sampler's machinery: hit-or-miss runs
-the round driver ``devroye._fill`` with an untruncated base proposer, and
-both hand their failed variates to the one policy helper
-``devroye._finish``.
+the round loop ``devroye._fill`` with the hit-test proposer
+``devroye._hit_proposer`` over the untruncated base's proposer (the one
+the rejection sampler would pick), and both hand their failed variates to
+the one policy helper ``devroye._finish``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .devroye import (
     _degenerate_batch,
     _fill,
     _finish,
+    _hit_proposer,
     _proposer,
     as_generator,
 )
@@ -78,15 +80,13 @@ def hit_or_miss_batch(
         batch = _degenerate_batch(t, n, policy, "hit_or_miss")
         batch.trials = trials
         return batch
-    base = _proposer(truncate(t.base), as_generator(rng))
+    base = _proposer(truncate(t.base), as_generator(rng), policy.max_iterations)
+    hit = _hit_proposer(base, t.interval, policy.max_iterations)
 
     def propose(idx):
-        k = idx.size
-        draws, pending, _ = _fill(k, policy.max_iterations, base)
-        ok = np.ones(k, dtype=bool)
-        ok[pending] = False
         trials[idx] += 1
-        return draws, ok & t.interval.contains(draws), k
+        draws, ok, _ = hit(idx)
+        return draws, ok, idx.size
 
     def error(i):
         return SamplingBreakdownError(f"variate {i} found no hit in {max_trials} base draws")

@@ -150,6 +150,13 @@ class TestTruncQuantile:
         tp = truncate(build_descriptor("poisson", {"lambda": 5.0}), lower=2.0, upper=20.0)
         assert tp.quantile(0.0) == 3.0
 
+    def test_p_zero_clamped_into_support(self):
+        # the lower endpoint -5 lies below the gamma support [0, inf): the
+        # infimum of the truncated law is 0, and small p approach it from above
+        t = truncate(build_descriptor("gamma", alpha=2.0), lower=-5.0, upper=3.0)
+        assert t.quantile(0.0) == 0.0
+        assert 0.0 < t.quantile(1e-12) < 1e-5
+
     def test_overflow_at_ten_sigma(self):
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=10.0)
         with pytest.raises(TruncationOverflow):

@@ -1,5 +1,6 @@
 """Rejection sampler: envelope, acceptance rates, exactness, imputation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +232,16 @@ class TestGammaExceptionRoute:
         assert b.is_clean(t)
         res = st.kstest(b.values, lambda x: t.cdf(x))
         assert res.pvalue > 0.001
+
+    def test_route_comes_from_the_descriptor(self):
+        # the transform travels with the descriptor, whatever its family name
+        d = build_descriptor("gamma", alpha=0.5)
+        renamed = dataclasses.replace(d, family_name="gamma_half")
+        a = ds_sample_batch(truncate(d, lower=0.3), 2_000, RngStream(43))
+        b = ds_sample_batch(truncate(renamed, lower=0.3), 2_000, RngStream(43))
+        assert a.values.tobytes() == b.values.tobytes()
+        assert (a.proposals, a.accepts) == (b.proposals, b.accepts)
+        assert not b.imputed.any()
 
     def test_extreme_truncation_imputes(self):
         # hit-or-miss against a far interval exhausts the trial budget

@@ -23,6 +23,7 @@ from trunclc import (
     register_family,
     truncate,
 )
+from trunclc.families import exception_route
 from trunclc.logspace import log1mexp
 
 mp.mp.dps = 50
@@ -393,6 +394,19 @@ def _assert_convention(fn, xs):
             got = fn(arg)
             assert type(got) is float, (fn, arg)
             assert _bits(got) == _bits(want), (fn, arg, got, want)
+
+
+class TestTransformRoute:
+    @pytest.mark.parametrize("family,params", CONTRACT_CASES,
+                             ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
+    def test_only_gamma_below_one_declares_a_route(self, family, params):
+        d = build_descriptor(family, params)
+        below_one = family == "gamma" and d.params["alpha"] < 1.0
+        assert (exception_route(d) is not None) == below_one
+        if below_one:
+            base, fmap = exception_route(d)
+            assert base.family_name == "epd" and base.params == {"beta": 2.0}
+            assert fmap(np.array([-1.5, 0.5])).tolist() == [2.25, 0.25]
 
 
 class TestScalarArrayContract:

@@ -117,6 +117,26 @@ class TestHitOrMiss:
         b = hit_or_miss_batch(t, 1, RngStream(14))
         assert b.values[0] > 0.0 and b.trials.shape == (1,) and b.trials[0] >= 1
 
+    def test_gamma_below_one_draws_through_its_transform(self):
+        # gamma(0.5) is not log-concave: its base draws must take the EPD
+        # route, not the envelope (whose peak is -inf at the pole, so every
+        # proposal would be rejected and every variate imputed).  A variate
+        # misses all 20 trials with probability (1 - P(X > 1))^20 ~ 0.033.
+        t = truncate(build_descriptor("gamma", alpha=0.5), lower=1.0)
+        b = hit_or_miss_batch(t, 20, RngStream(16), max_trials=20,
+                              policy=ImputationPolicy("impute_mode", max_iterations=50))
+        assert b.n_imputed <= 3
+        assert t.interval.contains(b.values[~b.imputed]).all()
+        assert b.proposals == b.trials.sum()
+
+    def test_gamma_below_one_matches_conditioned_law(self):
+        t = truncate(build_descriptor("gamma", alpha=0.5), lower=1.0)
+        b = hit_or_miss_batch(t, 20_000, RngStream(17))
+        assert b.is_clean(t)
+        law = st.gamma(0.5)
+        res = st.kstest(b.values, lambda x: 1.0 - law.sf(x) / law.sf(1.0))
+        assert res.pvalue > 0.001
+
     def test_degenerate_target_goes_to_policy_without_draws(self):
         # log P(I) underflows on ]40, inf[: no base draw can be spent on it
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=40.0)
