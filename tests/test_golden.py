@@ -95,9 +95,13 @@ GOLDEN = {
     "validate_memoryless": (0, "ec241c152cd9fbd0571032add5114ef523bb3ec13ae581939e0fd805496ee776"),
     "validate_qq": (0, "15840b8e9ada0fa18333d14cdf9e875142bbd9ede8f44ce8f87fe505b07dc555"),
     "validate_ztest": (0, "2deec019a43f2f229354e272fe28fb7c6a86514ff578b35146c22ba8ed70dff6"),
+    "devroye_binomial_20000": "9758362409d0efae839388abd4cb63c0623198ec92a88da714393be21c0468a5",
     "devroye_cap_continuous": "f5b660f6862a2aa5a095698c675a9e2a543424f7e2e6026efc899c6fc3fd4cad",
     "devroye_cap_discrete": "15ecdc83d723082a54a257d8787890c7421deda7db2fa698c2feabb1c6419415",
     "devroye_cap_epd": "5edbd61e12fafbabb72eb72d7e7872709a9024bd3831ff73ecc3f4f43891b6d8",
+    "devroye_geometric_20000": "44b2b87f00ab5ac881aaa7daaa6ccb371d552066792b1d2bcf21009a9bb7bc2f",
+    "devroye_nbinom_20000": "36b81bb90a983ae39251d7182b5f3c133a2ec23f12ab1382b7d4d820c007cd56",
+    "devroye_poisson_20000": "71c74717c5d159302c878835ff39c8e51188f1c7fe0736490a34eb06189fd1f9",
     "hit_or_miss_cap": "9cbd6b0a64cf9a02e50f910db80f2e4bf3e8e2f5c5994f2baee79cf1abd62e54",
     "hit_or_miss_trials": "c3bf618e32ab1f38a0d4555a606b95735a3ed86cc3e6a5b440bf61ec0e7a5d45",
 }
@@ -143,6 +147,17 @@ BATCH_CASES = {
         _target("binomial", 30, n=60, p=0.3), 300, RngStream(15), CAP),
     "devroye_cap_epd": lambda: ds_sample_batch(
         _target("gamma", 2, alpha=0.5), 300, RngStream(16), CAP),
+    # discrete batches large enough that the proposals of their first rounds
+    # span fewer lattice points than there are proposals; in the last rounds
+    # they span more
+    "devroye_poisson_20000": lambda: ds_sample_batch(
+        _target("poisson", 50, **{"lambda": 50}), 20_000, RngStream(17)),
+    "devroye_binomial_20000": lambda: ds_sample_batch(
+        _target("binomial", 553, n=2048, p=0.27), 20_000, RngStream(18)),
+    "devroye_nbinom_20000": lambda: ds_sample_batch(
+        _target("nbinom", 900, n=10, p=0.5), 20_000, RngStream(19)),
+    "devroye_geometric_20000": lambda: ds_sample_batch(
+        _target("geometric", 2000, p=0.3), 20_000, RngStream(20)),
 }
 
 
