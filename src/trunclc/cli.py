@@ -96,7 +96,13 @@ def _parse_probe(spec: str):
         raise ParameterError(
             f"--probe expects start:stop:step[:linear], auto, or geometric-progression; got {spec!r}"
         )
-    start, stop, step = float(parts[0]), float(parts[1]), float(parts[2])
+    return _lattice("--probe", *map(float, parts[:3]))
+
+
+def _lattice(flag: str, start: float, stop: float, step: float) -> np.ndarray:
+    """``start, start + step, ...`` up to ``stop`` inclusive, for a ``flag`` spec."""
+    if not step > 0.0:
+        raise ParameterError(f"{flag} step must be > 0, got {step!r}")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -161,20 +167,17 @@ def cmd_sample(args) -> int:
         batch = hit_or_miss_batch(target, args.n, rng, policy=policy)
     disc = desc.is_discrete
     rate = batch.acceptance_rate
+    stats = (f"proposals={batch.proposals} accepts={batch.accepts} "
+             f"acceptance_rate={_fmt(rate)}")
     if args.format == "plain":
-        for v in batch.values:
-            print(_fmt(v, disc))
-        print(
-            f"proposals={batch.proposals} accepts={batch.accepts} "
-            f"acceptance_rate={_fmt(rate)}",
-            file=sys.stderr,
-        )
+        # one write for the whole batch: a print per value costs more than
+        # formatting it
+        sys.stdout.write("".join(f"{_fmt(v, disc)}\n" for v in batch.values.tolist()))
+        print(stats, file=sys.stderr)
     elif args.format == "csv":
-        print("value,imputed")
-        for v, f in zip(batch.values, batch.imputed):
-            print(f"{_fmt(v, disc)},{'true' if f else 'false'}")
-        print(f"# proposals={batch.proposals} accepts={batch.accepts} "
-              f"acceptance_rate={_fmt(rate)}")
+        rows = "".join(f"{_fmt(v, disc)},{'true' if f else 'false'}\n"
+                       for v, f in zip(batch.values.tolist(), batch.imputed.tolist()))
+        sys.stdout.write(f"value,imputed\n{rows}# {stats}\n")
     else:
         doc = {
             "meta": {
@@ -208,6 +211,8 @@ def cmd_scan(args) -> int:
         ]
     elif params:
         grid = [params]
+    if args.n_probe < 1:
+        raise ParameterError(f"--n-probe must be >= 1, got {args.n_probe}")
     report = scan_safety(
         args.dist, param_grid=grid, probe_schedule=_parse_probe(args.probe),
         method=args.method, n_probe=args.n_probe, seed=seed,
@@ -264,8 +269,7 @@ def cmd_validate(args) -> int:
             parts = args.lower_grid.split(":")
             if len(parts) != 3:
                 raise ParameterError(f"--lower-grid expects start:stop:step, got {args.lower_grid!r}")
-            start, stop, step = map(float, parts)
-            lowers = list(np.arange(start, stop + 0.5 * step, step))
+            lowers = list(_lattice("--lower-grid", *map(float, parts)))
         elif args.lower is not None:
             lowers = [args.lower]
         else:

@@ -8,6 +8,13 @@ happen on the log scale, which is what carries the sampler to the
 representability limit of the interval mass rather than the much earlier
 breakdown of linear-space tail arithmetic.
 
+A discrete round's proposals sit on a narrow lattice around the projected
+mode, so a round whose offsets span fewer lattice points than it has
+proposals evaluates the log-pmf once per point of that span, into a table
+it then indexes (Devroye 1987, "A simple generator for discrete
+log-concave distributions").  The table is never larger than the round,
+and its values are the per-proposal values bit for bit.
+
 Every sampler in the package fills its batch through one round driver,
 ``_fill``, which keeps proposing for the open slots until each is
 accepted or the round cap is reached; the samplers differ only in the
@@ -202,6 +209,15 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
 
 
 def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
+    """One envelope proposal on the lattice ``m + Z`` and log-space accept
+    test per open slot.
+
+    A round whose integer offsets span fewer lattice points than it has
+    proposals evaluates the log-pmf once per point of that span, into a
+    table it then indexes; any other round evaluates it once per proposal.
+    So the table is never larger than the round, and both give the same
+    values bit for bit.
+    """
     m = t.proj_mode
     log_c = min(t.log_peak, 0.0)
     c = math.exp(log_c)
@@ -218,7 +234,22 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
         y = np.where(tail, (w + e) / c, w * v / c)
         offs = sign * np.floor(y + 0.5)
         x = m + offs
-        lf = t.log_pdf(x)
+        lo, hi = offs.min(), offs.max()
+        if hi - lo < k:
+            # Each log-pmf value depends only on its own point, never on the
+            # rest of the array, so a table entry equals the value at that
+            # point in ``x``.  That includes the series loop in
+            # ``families._bd0``, which stops once the whole array has
+            # converged: its terms share a sign and shrink in magnitude, so
+            # once a term no longer changes an element, no later term does.
+            # ``offs - lo`` and ``lo + (offs - lo)`` are exact, so each
+            # proposal reads the value at its own point ``m + offs``; the
+            # table length is ``hi - lo + 1`` even where ``hi + 1`` would
+            # round to ``hi`` (offsets beyond 2**53).
+            table = t.log_pdf(m + (lo + np.arange(hi - lo + 1.0)))
+            lf = table[(offs - lo).astype(np.intp)]
+        else:
+            lf = t.log_pdf(x)
         with np.errstate(divide="ignore"):
             log_w = np.log(w_u)
         acc = (log_w + np.minimum(0.0, w - c * y) <= lf - log_c) & (lf > -np.inf)

@@ -522,6 +522,9 @@ def scan_safety(
     """
     if method not in ("its", "devroye", "both"):
         raise ValueError(f"unknown method {method!r}")
+    # checked here: a sampler that raises only marks its probe unclean
+    if n_probe < 1:
+        raise ValueError(f"n_probe must be >= 1, got {n_probe}")
     spec = get_family(family)
     if param_grid is None:
         if set(spec.defaults) != {ps.name for ps in spec.params}:

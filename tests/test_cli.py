@@ -141,8 +141,28 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--dist", "normal", "--probe", "oops")
         assert code == 64
 
+    @pytest.mark.parametrize("probe", ["0:3:0", "0:3:-1", "0:3:nan"])
+    def test_probe_step_must_be_positive(self, capsys, probe):
+        code, out, err = run(capsys, "scan", "--dist", "normal", "--probe", probe,
+                             "--n-probe", "20")
+        assert code == 64 and out == ""
+        assert "--probe step must be > 0" in err
+
+    def test_n_probe_below_one_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--dist", "normal", "--n-probe", "0",
+                             "--probe", "0:3:1")
+        assert code == 64 and out == ""
+        assert "--n-probe must be >= 1" in err
+
 
 class TestValidate:
+    @pytest.mark.parametrize("grid", ["0:2:0", "0:2:-1"])
+    def test_lower_grid_step_must_be_positive(self, capsys, grid):
+        code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",
+                             "--lower-grid", grid, "--n", "100")
+        assert code == 64 and out == ""
+        assert "--lower-grid step must be > 0" in err
+
     def test_ztest_single_cell(self, capsys):
         code, out, _ = run(capsys, "validate", "ztest", "--dist", "poisson",
                            "--param", "lambda=5", "--lower", "12", "--n", "20000",

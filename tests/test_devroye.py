@@ -118,6 +118,14 @@ class TestExactness:
         assert np.all(b.values == 10.0)
         assert not b.imputed.any()
 
+    def test_offsets_beyond_two_to_the_53(self):
+        # a one-proposal round always builds its log-pmf table; at lambda =
+        # 1e34 the offsets exceed 2**53, where ``hi + 1`` rounds to ``hi``
+        t = truncate(build_descriptor("poisson", {"lambda": 1e34}))
+        for seed in range(5):
+            batch = ds_sample_batch(t, 1, rng=seed)
+            assert batch.is_clean(t) and batch.values[0] == t.proj_mode
+
     def test_continuous_ks_normal_tail(self):
         d = build_descriptor("normal", mu=0, sigma=1)
         t = truncate(d, lower=1.0)

@@ -220,6 +220,12 @@ class TestScanner:
         with pytest.raises(ValueError):
             scan_safety("poisson", param_grid=[], probe_schedule="auto")
 
+    def test_n_probe_below_one_raises(self):
+        # a sampler error inside a scan only marks its probe unclean, so the
+        # batch size is checked before any probe runs
+        with pytest.raises(ValueError, match="n_probe must be >= 1"):
+            scan_safety("normal", probe_schedule=np.arange(0.0, 3.0), n_probe=0)
+
 
 class TestZGridProperty:
     def test_poisson_grid_fraction_beyond_two_sigma(self):

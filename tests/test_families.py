@@ -425,3 +425,37 @@ class TestScalarArrayContract:
         t = truncate(d, lower=d.mu + d.sigma)
         _assert_convention(t.log_pdf, xs)
         _assert_convention(t.cdf, xs)
+
+
+class TestLogPmfBatchIndependence:
+    """A discrete log-pmf value depends only on its own point, never on the
+    rest of the array it is evaluated in.  The discrete sampler's per-round
+    table relies on this."""
+
+    # members with far-tail points: past the ``_bd0`` near branch, and at
+    # the support's edges
+    CASES = [
+        ("poisson", {"lambda": 50.0}, [200.0, 1e3, 1e5]),
+        ("binomial", {"n": 2048.0, "p": 0.27}, [0.0, 3.0, 1500.0, 2047.0, 2048.0]),
+        ("nbinom", {"n": 10.0, "p": 0.5}, [300.0, 1e3, 1e5]),
+        ("geometric", {"p": 0.3}, [500.0, 2e3, 1e6]),
+    ]
+
+    @pytest.mark.parametrize("family,params,far", CASES, ids=[c[0] for c in CASES])
+    def test_value_does_not_depend_on_batch(self, family, params, far):
+        t = truncate(build_descriptor(family, params))
+        # the lattice from 0 to twice the mode crosses the ``_bd0`` near
+        # branch, |x - m| < 0.1 (x + m), out to its edges, where its series
+        # runs the most terms before it converges
+        lattice = np.arange(0.0, 2.0 * t.base.mode + 20.0)
+        on_lattice = t.log_pdf(lattice)
+        far = np.array(far)
+        rng = np.random.default_rng(0)
+        subset = rng.choice(lattice, size=lattice.size // 2, replace=False)
+        mixed = rng.permutation(np.concatenate([subset, far]))
+        want = {x: _bits(v) for x, v in zip(lattice, on_lattice)}
+        want.update((x, _bits(t.log_pdf(x))) for x in far)
+        got = t.log_pdf(mixed)
+        assert [_bits(v) for v in got] == [want[x] for x in mixed]
+        # each point alone stops the near-branch series at its own term
+        assert [_bits(t.log_pdf(x)) for x in lattice] == [want[x] for x in lattice]
