@@ -432,11 +432,11 @@ class TestLogPmfBatchIndependence:
     rest of the array it is evaluated in.  The discrete sampler's per-round
     table relies on this."""
 
-    # members with far-tail points: past the ``_bd0`` near branch, and at
-    # the support's edges
+    # members with far-tail points: past the ``_bd0`` near branch, at the
+    # support's edge and beyond it
     CASES = [
         ("poisson", {"lambda": 50.0}, [200.0, 1e3, 1e5]),
-        ("binomial", {"n": 2048.0, "p": 0.27}, [0.0, 3.0, 1500.0, 2047.0, 2048.0]),
+        ("binomial", {"n": 2048.0, "p": 0.27}, [1500.0, 2047.0, 2048.0, 3000.0]),
         ("nbinom", {"n": 10.0, "p": 0.5}, [300.0, 1e3, 1e5]),
         ("geometric", {"p": 0.3}, [500.0, 2e3, 1e6]),
     ]

@@ -147,9 +147,9 @@ BATCH_CASES = {
         _target("binomial", 30, n=60, p=0.3), 300, RngStream(15), CAP),
     "devroye_cap_epd": lambda: ds_sample_batch(
         _target("gamma", 2, alpha=0.5), 300, RngStream(16), CAP),
-    # discrete batches large enough that the proposals of their first rounds
-    # span fewer lattice points than there are proposals; in the last rounds
-    # they span more
+    # discrete batches large enough that both kinds of round occur: early
+    # rounds whose proposals span fewer lattice points than there are
+    # proposals, and later, smaller rounds whose proposals span more
     "devroye_poisson_20000": lambda: ds_sample_batch(
         _target("poisson", 50, **{"lambda": 50}), 20_000, RngStream(17)),
     "devroye_binomial_20000": lambda: ds_sample_batch(
