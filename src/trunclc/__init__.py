@@ -16,6 +16,7 @@ from .core import (
     TruncationOverflow,
     log_interval_mass,
     project_mode,
+    support_bounds,
     truncate,
 )
 from .devroye import (
@@ -94,6 +95,7 @@ __all__ = [
     "project_mode",
     "register_family",
     "scan_safety",
+    "support_bounds",
     "truncate",
     "truncated_mean_oracle",
     "truncated_mean_oracle_normal",

@@ -53,16 +53,21 @@ def _fmt(v: float, discrete: bool = False) -> str:
     return repr(float(v))
 
 
+def _number(flag: str, text: str, kind=float):
+    """``kind(text)``; a malformed field is a usage error naming ``flag``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"{flag}: {text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_params(items) -> dict:
     params = {}
     for item in items or []:
         if "=" not in item:
             raise ParameterError(f"--param expects name=value, got {item!r}")
         k, _, v = item.partition("=")
-        try:
-            params[k] = float(v)
-        except ValueError:
-            raise ParameterError(f"--param {k}: {v!r} is not a number") from None
+        params[k] = _number(f"--param {k}", v)
     return params
 
 
@@ -74,7 +79,9 @@ def _parse_axis(spec: str):
         raise ParameterError(
             f"--grid expects name=start:stop:count:scale, got {spec!r}"
         )
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, count = (_number("--grid", f, k) for f, k in zip(parts, (float, float, int)))
+    if count < 1:
+        raise ParameterError(f"--grid count must be >= 1, got {count}")
     scale = parts[3]
     if scale == "linear":
         vals = np.linspace(start, stop, count)
@@ -96,11 +103,12 @@ def _parse_probe(spec: str):
         raise ParameterError(
             f"--probe expects start:stop:step[:linear], auto, or geometric-progression; got {spec!r}"
         )
-    return _lattice("--probe", *map(float, parts[:3]))
+    return _lattice("--probe", parts[:3])
 
 
-def _lattice(flag: str, start: float, stop: float, step: float) -> np.ndarray:
+def _lattice(flag: str, fields) -> np.ndarray:
     """``start, start + step, ...`` up to ``stop`` inclusive, for a ``flag`` spec."""
+    start, stop, step = (_number(flag, f) for f in fields)
     if not step > 0.0:
         raise ParameterError(f"{flag} step must be > 0, got {step!r}")
     return np.arange(start, stop + 0.5 * step, step)
@@ -269,7 +277,7 @@ def cmd_validate(args) -> int:
             parts = args.lower_grid.split(":")
             if len(parts) != 3:
                 raise ParameterError(f"--lower-grid expects start:stop:step, got {args.lower_grid!r}")
-            lowers = list(_lattice("--lower-grid", *map(float, parts)))
+            lowers = list(_lattice("--lower-grid", parts))
         elif args.lower is not None:
             lowers = [args.lower]
         else:

@@ -7,6 +7,12 @@ standardize truncation depths.  A :class:`TruncatedTarget` pairs a
 descriptor with a half-open interval ``]a, b]`` and precomputes the
 log interval mass and the projected mode.
 
+The *truncated support* is the part of the base support in ``]a, b]``;
+for a discrete law, the lattice points ``floor(a) + 1, ..., floor(b)``.
+Its edges are worked out only in :func:`support_bounds`, which the
+projected mode, the quantile at 0, the inverse-transform failure mask and
+the validation oracles all read.
+
 Interval masses are computed entirely in log space, but a mass whose
 linear value is not representable as a nonzero double (log mass below
 roughly -745) is deliberately collapsed to ``-inf`` and the target is
@@ -100,33 +106,33 @@ class TruncationInterval:
         return (x > self.lower) & (x <= self.upper)
 
 
-def project_mode(desc: DistributionDescriptor, interval: TruncationInterval) -> float:
-    """Clamp the base mode into the truncation interval.
+def support_bounds(desc: DistributionDescriptor, interval: TruncationInterval
+                   ) -> tuple[float, float]:
+    """``(lo, hi)``: the smallest and largest points of the truncated support.
 
-    Continuous: ``clamp(m, a, b)`` (the lower endpoint is the limiting
-    infimum of the interval).  Discrete: ``max(floor(a) + 1, min(floor(b), m))``
-    so the result is an integer support point strictly above ``a``.
+    Discrete: ``max(floor(a) + 1, s0)`` and ``min(floor(b), s1)``.
+    Continuous: ``max(a, s0)`` and ``min(b, s1)``, where the lower edge is
+    the limiting infimum of the open end.  Raises ``ValueError`` when
+    ``]a, b]`` holds no point of the support.
     """
     a, b = interval.lower, interval.upper
-    lo, hi = desc.support
+    s0, s1 = desc.support
     if desc.is_discrete:
-        fa = math.floor(a) if math.isfinite(a) else a
-        fb = math.floor(b) if math.isfinite(b) else b
-        lo_pt = max(fa + 1.0 if math.isfinite(fa) else -math.inf, lo)
-        hi_pt = min(fb, hi)
-        if lo_pt > hi_pt:
-            raise ValueError(
-                f"no support point in ]{a}, {b}] for {desc.family_name}"
-            )
-        m = max(lo_pt, min(hi_pt, desc.mode))
+        lo = max(math.floor(a) + 1.0 if math.isfinite(a) else a, s0)
+        hi = min(math.floor(b) if math.isfinite(b) else b, s1)
+        if lo > hi:
+            raise ValueError(f"no support point in ]{a}, {b}] for {desc.family_name}")
     else:
-        if a >= hi or b < lo:
-            raise ValueError(
-                f"]{a}, {b}] does not intersect the support {desc.support}"
-            )
-        m = max(a, min(b, desc.mode))
-        m = max(lo, min(hi, m))
-    return float(m)
+        if a >= s1 or b < s0:
+            raise ValueError(f"]{a}, {b}] does not intersect the support {desc.support}")
+        lo, hi = max(a, s0), min(b, s1)
+    return float(lo), float(hi)
+
+
+def project_mode(desc: DistributionDescriptor, interval: TruncationInterval) -> float:
+    """The base mode clamped into the truncated support (see :func:`support_bounds`)."""
+    lo, hi = support_bounds(desc, interval)
+    return float(max(lo, min(hi, desc.mode)))
 
 
 def _log_masses(desc: DistributionDescriptor, a: float, b) -> np.ndarray:
@@ -220,12 +226,12 @@ class TruncatedTarget:
         diagnostics measure).  Returns ``(p', x, bad)``: the assembled
         arguments, the base quantiles at them, and the mask of failed
         inversions (a saturated argument, a non-finite value, or a value
-        outside the interval).
+        outside the truncated support of :func:`support_bounds`).
         """
         if self.base.quantile is None:
             raise ValueError(f"{self.base.family_name} descriptor has no quantile function")
         u = np.asarray(u, dtype=float)
-        a, b = self.interval.lower, self.interval.upper
+        a = self.interval.lower
         fa = math.exp(self.base.log_cdf(a)) if a != -math.inf else 0.0
         mass = math.exp(self.log_mass) if self.log_mass > -math.inf else 0.0
         pp = fa + u * mass
@@ -234,19 +240,15 @@ class TruncatedTarget:
         saturated = (u < 1.0) & (pp >= 1.0)
         with np.errstate(invalid="ignore"):
             x = self.base.quantile(pp)
-        if self.base.is_discrete:
-            lo_edge = max(math.floor(a) if math.isfinite(a) else -math.inf,
-                          self.base.support[0] - 1.0)
-            hi_edge = math.floor(b) if math.isfinite(b) else math.inf
-            outside = (x <= lo_edge) | (x > hi_edge)
-        else:
-            outside = (x < a) | (x > b)
-        return pp, x, saturated | ~np.isfinite(x) | outside
+        lo, hi = support_bounds(self.base, self.interval)
+        return pp, x, saturated | ~np.isfinite(x) | (x < lo) | (x > hi)
 
     def quantile(self, p: float) -> float:
         """Truncated quantile q(F(a) + p * P(I)) via :meth:`invert`.
 
-        A failed inversion raises :class:`TruncationOverflow`.
+        ``p = 0`` gives the infimum of the truncated law, the lower edge of
+        :func:`support_bounds`.  A failed inversion raises
+        :class:`TruncationOverflow`.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -255,19 +257,13 @@ class TruncatedTarget:
                 f"interval mass underflowed (log mass = -inf) for ]{self.interval.lower}, "
                 f"{self.interval.upper}]"
             )
-        a = self.interval.lower
         if p == 0.0:
-            # the infimum of the truncated law: its smallest support point
-            # (discrete) or the open lower endpoint clamped into the support
-            if self.base.is_discrete:
-                return float(max(math.floor(a) + 1.0 if math.isfinite(a) else -math.inf,
-                                 self.base.support[0]))
-            return max(a, self.base.support[0])
+            return support_bounds(self.base, self.interval)[0]
         pp, x, bad = self.invert(p)
         if bad:
             raise TruncationOverflow(
                 f"quantile route failed: p' = {float(pp)!r} -> {float(x)!r} on "
-                f"]{a}, {self.interval.upper}]"
+                f"]{self.interval.lower}, {self.interval.upper}]"
             )
         return float(x)
 

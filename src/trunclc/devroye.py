@@ -120,13 +120,10 @@ class SampleBatch:
             return math.nan
         return self.accepts / self.proposals
 
-    def is_clean(self, target: Optional[TruncatedTarget] = None) -> bool:
-        """No imputation, all values finite and (if a target is given) in its interval."""
-        if self.imputed.any() or not np.isfinite(self.values).all():
-            return False
-        if target is not None and not target.interval.contains(self.values).all():
-            return False
-        return True
+    def is_clean(self, target: TruncatedTarget) -> bool:
+        """No imputation, and all values finite and in ``target``'s interval."""
+        return (not self.imputed.any() and bool(np.isfinite(self.values).all())
+                and bool(target.interval.contains(self.values).all()))
 
 
 def _finish(t, values, bad_idx, proposals, policy, method, error) -> SampleBatch:

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sc
 from scipy import stats as st
+from scipy.integrate import quad_vec
 
 from .core import (
     DegenerateTargetError,
@@ -34,6 +34,7 @@ from .core import (
     TruncatedTarget,
     TruncationInterval,
     TruncationOverflow,
+    support_bounds,
     truncate,
 )
 from .devroye import ImputationPolicy, RngLike, RngStream, SampleBatch, ds_sample_batch
@@ -103,54 +104,49 @@ def brute_force_truncated_moments(
 ) -> tuple[float, float]:
     """(mean, sd) of the truncated law by exhaustive summation / quadrature.
 
-    The independent oracle for validation: sums the pmf or integrates the
-    density over the interval intersected with mu +/- 60 sigma, working on
-    shifted linear weights so the result is conditioned whenever the
-    interval mass exceeds ~1e-300.
+    The independent oracle for validation.  Over the truncated support (see
+    :func:`~trunclc.core.support_bounds`) within mu +/- 60 sigma, it sums
+    the pmf, or integrates the density in one vector quadrature, times the
+    centred powers (1, d, d^2), d = x - c, with c the mode clamped into the
+    window.  Weights scaled to 1 near c keep it conditioned down to an
+    interval mass of ~1e-300, and centring keeps the variance conditioned.
     """
-    a, b = interval.lower, interval.upper
-    lo, hi = desc.support
-    w0 = max(a, lo, desc.mu - 60.0 * desc.sigma)
-    w1 = min(b, hi, desc.mu + 60.0 * desc.sigma)
-    if w0 >= w1 and not (desc.is_discrete and math.floor(w0) == math.floor(w1)):
-        raise OracleUnavailable("window empty: interval lies beyond mu + 60 sigma")
+    try:
+        lo, hi = support_bounds(desc, interval)
+    except ValueError as exc:
+        raise OracleUnavailable(str(exc)) from None
+    w0 = max(lo, desc.mu - 60.0 * desc.sigma)
+    w1 = min(hi, desc.mu + 60.0 * desc.sigma)
     if desc.is_discrete:
-        k0 = math.floor(max(a, lo - 1.0)) + 1
-        k0 = max(k0, math.ceil(desc.mu - 60.0 * desc.sigma))
-        k1 = math.floor(min(b, hi, desc.mu + 60.0 * desc.sigma))
-        if k1 < k0:
+        w0, w1 = math.ceil(w0), math.floor(w1)
+        if w1 < w0:
             raise OracleUnavailable("no support points in the window")
-        if k1 - k0 > 5_000_000:
+        if w1 - w0 > 5_000_000:
             raise OracleUnavailable("window too wide for exhaustive summation")
-        ks = np.arange(k0, k1 + 1, dtype=float)
+    elif w0 >= w1:
+        raise OracleUnavailable("window empty: interval lies beyond mu + 60 sigma")
+    c = float(max(w0, min(w1, desc.mode)))
+    if desc.is_discrete:
+        ks = np.arange(w0, w1 + 1, dtype=float)
         lp = desc.log_pdf(ks)
-        s = lp.max()
-        if s == -math.inf:
+        if lp.max() == -math.inf:
             raise OracleUnavailable("all probability mass underflowed")
-        w = np.exp(lp - s)
-        z = w.sum()
-        mean = float((ks * w).sum() / z)
-        var = float((ks * ks * w).sum() / z - mean * mean)
-        return mean, math.sqrt(max(var, 0.0))
-    shift = desc.log_pdf(max(w0, min(w1, desc.mode)))
-    if not math.isfinite(shift):
-        mid_probe = np.linspace(w0, w1, 101)[1:-1]
-        shift = float(np.max(desc.log_pdf(mid_probe)))
-    if not math.isfinite(shift):
-        raise OracleUnavailable("density underflowed across the window")
-
-    def f(x, power):
-        return (x**power) * math.exp(desc.log_pdf(x) - shift)
-
-    opts = dict(limit=400, epsabs=1e-14, epsrel=1e-11)
-    z, _ = integrate.quad(f, w0, w1, args=(0,), **opts)
+        w, d = np.exp(lp - lp.max()), ks - c
+        z, m1, m2 = w.sum(), (d * w).sum(), (d * d * w).sum()
+    else:
+        shift = desc.log_pdf(c)
+        if not math.isfinite(shift):
+            shift = float(np.max(desc.log_pdf(np.linspace(w0, w1, 101)[1:-1])))
+        if not math.isfinite(shift):
+            raise OracleUnavailable("density underflowed across the window")
+        powers = np.arange(3)
+        (z, m1, m2), _ = quad_vec(
+            lambda x: (x - c) ** powers * math.exp(desc.log_pdf(x) - shift),
+            w0, w1, limit=400, epsabs=1e-14, epsrel=1e-11)
     if not (z > 0.0 and math.isfinite(z)):
         raise OracleUnavailable("quadrature not conditioned on this interval")
-    m1, _ = integrate.quad(f, w0, w1, args=(1,), **opts)
-    m2, _ = integrate.quad(f, w0, w1, args=(2,), **opts)
-    mean = m1 / z
-    var = m2 / z - mean * mean
-    return float(mean), math.sqrt(max(var, 0.0))
+    m1, m2 = m1 / z, m2 / z
+    return float(c + m1), math.sqrt(max(float(m2 - m1 * m1), 0.0))
 
 
 def truncated_mean_oracle(desc: DistributionDescriptor, a: float) -> float:
@@ -301,9 +297,9 @@ def memorylessness_check(
 ) -> GofResult:
     """Geometric lack-of-memory check under truncation to ]a, inf[.
 
-    Samples the truncated geometric with the rejection sampler, shifts the
-    excess back to the origin, and tests it against the base pmf: the
-    shifted law is exactly the base law, at any truncation depth the
+    Samples the truncated geometric with the rejection sampler, shifts it
+    down by its smallest support point, and tests it against the base pmf:
+    the shifted law is exactly the base law, at any truncation depth the
     sampler survives.
     """
     if not 0.0 < p < 1.0:
@@ -313,8 +309,7 @@ def memorylessness_check(
     if target.degenerate:
         raise DegenerateTargetError(f"geometric({p}) on ]{a}, inf[ has underflowed mass")
     batch = ds_sample_batch(target, n, rng)
-    shift = math.floor(a) + 1 if a >= 0 else 0
-    y = batch.values[~batch.imputed] - shift
+    y = batch.values[~batch.imputed] - support_bounds(target.base, target.interval)[0]
     kmax = int(max(y.max(), 1))
     support = np.arange(0, kmax + 1)
     probs = p * (1.0 - p) ** support
@@ -435,20 +430,25 @@ class SafetyReport:
         )
 
 
-def geometric_probes(desc: DistributionDescriptor, ratio: float = 2.0, count: int = 64) -> np.ndarray:
-    """Probe depths mu + sigma * ratio^k; suits heavy scans like the geometric family."""
-    ks = np.arange(count, dtype=float)
-    probes = desc.mu + desc.sigma * ratio**ks
+REFINE_TOL = 0.01  # the bisection of a breakdown depth stops at this width
+Z_MAX = 50  # the "auto" schedule's deepest probe, in sigmas
+GEOMETRIC_RATIO, GEOMETRIC_COUNT = 2.0, 64
+
+
+def geometric_probes(desc: DistributionDescriptor) -> np.ndarray:
+    """Depths mu + sigma * GEOMETRIC_RATIO^k, k < GEOMETRIC_COUNT; suits heavy tails."""
+    ks = np.arange(GEOMETRIC_COUNT, dtype=float)
+    probes = desc.mu + desc.sigma * GEOMETRIC_RATIO**ks
     return probes[np.isfinite(probes)]
 
 
-def auto_probes(desc: DistributionDescriptor, z_max: int = 50) -> np.ndarray:
-    """Integer-sigma lattice mu + k*sigma for k = 0..z_max.
+def auto_probes(desc: DistributionDescriptor) -> np.ndarray:
+    """Integer-sigma lattice mu + k*sigma for k = 0..Z_MAX.
 
     The lattice is not clipped to the support: a probe past its upper end
     cannot be truncated to, and the scan classifies it as a failure.
     """
-    return desc.mu + desc.sigma * np.arange(0, z_max + 1, dtype=float)
+    return desc.mu + desc.sigma * np.arange(0, Z_MAX + 1, dtype=float)
 
 
 def _classify(sample, desc, a: float, rng: RngLike) -> bool:
@@ -469,7 +469,6 @@ def _breakdown(
     classify: Callable[[float, RngLike], bool],
     schedule: np.ndarray,
     stream: RngStream,
-    refine_tol: float,
 ) -> tuple[float, bool, list]:
     """Largest clean depth on the schedule, one bisection refinement stage, anomalies."""
     probes = [s for s in stream.spawn(len(schedule))]
@@ -483,7 +482,7 @@ def _breakdown(
     if censored:
         return a_lo, True, anomalies
     a_hi = float(schedule[last_clean + 1])
-    while a_hi - a_lo > refine_tol:
+    while a_hi - a_lo > REFINE_TOL:
         mid = 0.5 * (a_lo + a_hi)
         r = stream.spawn(1)[0]
         if classify(mid, r):
@@ -512,7 +511,6 @@ def scan_safety(
     method: str = "both",
     n_probe: int = 1000,
     seed: int = 0,
-    refine_tol: float = 0.01,
 ) -> SafetyReport:
     """Measure breakdown depths over a parameter grid.
 
@@ -560,16 +558,14 @@ def scan_safety(
         cell.a_bar_dprime = _dprime(desc, schedule)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
-                lambda a, r: _classify(its, desc, a, r), schedule, cell_stream, refine_tol,
-            )
+                lambda a, r: _classify(its, desc, a, r), schedule, cell_stream)
             cell.eta = (cell.a_bar - desc.mu) / desc.sigma
         if method in ("devroye", "both"):
             cell.a_bar_prime, cell.ds_censored, cell.ds_anomalies = _breakdown(
-                lambda a, r: _classify(ds, desc, a, r), schedule, cell_stream, refine_tol,
-            )
+                lambda a, r: _classify(ds, desc, a, r), schedule, cell_stream)
             cell.eta_prime = (cell.a_bar_prime - desc.mu) / desc.sigma
         rows.append(cell)
     return SafetyReport(
         family=family, rows=rows, n_probe=n_probe, seed=seed,
-        metadata={"refine_tol": refine_tol, "method": method},
+        metadata={"refine_tol": REFINE_TOL, "method": method},
     )

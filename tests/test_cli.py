@@ -148,6 +148,18 @@ class TestScan:
         assert code == 64 and out == ""
         assert "--probe step must be > 0" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--probe", "a:3:1"], "--probe"),
+        (["--grid", "lambda=2:20:x:log"], "--grid"),
+        (["--grid", "lambda=2:20:0:log"], "--grid"),
+        (["--grid", "lambda=2:20:-1:log"], "--grid"),
+    ])
+    def test_malformed_numeric_field_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, "scan", "--dist", "poisson", "--param", "lambda=2",
+                             "--n-probe", "20", *argv)
+        assert code == 64 and out == ""
+        assert f"usage error: {flag}" in err
+
     def test_n_probe_below_one_usage_error(self, capsys):
         code, out, err = run(capsys, "scan", "--dist", "normal", "--n-probe", "0",
                              "--probe", "0:3:1")
@@ -162,6 +174,12 @@ class TestValidate:
                              "--lower-grid", grid, "--n", "100")
         assert code == 64 and out == ""
         assert "--lower-grid step must be > 0" in err
+
+    def test_malformed_lower_grid_usage_error(self, capsys):
+        code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",
+                             "--lower-grid", "0:b:1", "--n", "100")
+        assert code == 64 and out == ""
+        assert "usage error: --lower-grid" in err
 
     def test_ztest_single_cell(self, capsys):
         code, out, _ = run(capsys, "validate", "ztest", "--dist", "poisson",
@@ -211,3 +229,10 @@ class TestValidate:
                              "--n", "100", "--seed", "13")
         assert code2 == 0
         assert "oracle_unavailable" in out2
+
+    def test_interval_beyond_the_support_has_no_oracle(self, capsys):
+        code, out, _ = run(capsys, "validate", "ztest", "--dist", "binomial",
+                           "--param", "n=20", "--param", "p=0.5", "--lower", "20",
+                           "--n", "100", "--seed", "14")
+        assert code == 0
+        assert out.strip().splitlines()[1].endswith("oracle_unavailable")

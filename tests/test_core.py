@@ -13,9 +13,12 @@ from trunclc import (
     build_descriptor,
     log_interval_mass,
     project_mode,
+    support_bounds,
     truncate,
 )
 from trunclc.logspace import log_diff_exp
+
+from test_families import CONTRACT_CASES
 
 
 def brute_log_sum(desc, lo, hi):
@@ -97,6 +100,72 @@ class TestProjectMode:
             TruncationInterval(2.0, 2.0)
         with pytest.raises(ValueError):
             TruncationInterval(5.0, 1.0)
+
+
+def _random_intervals(d, rng, n=200):
+    """``n`` random ``(a, b)`` with integer, fractional and infinite ends,
+    plus intervals below, above and (for a lattice) between support points."""
+    s0, s1 = d.support
+    edges = [e + off for e in d.support if math.isfinite(e)
+             for off in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    free = d.mu + d.sigma * rng.uniform(-6.0, 8.0, n)
+    pool = np.concatenate([[-math.inf, math.inf], edges, free, np.round(free)])
+    out = []
+    while len(out) < n:
+        a, b = sorted(rng.choice(pool, 2))
+        if a < b:
+            out.append((a, b))
+    k = math.floor(d.mu)
+    out += [(k + 0.2, k + 0.7), (k + 0.2, k + 1.0), (k - 0.5, k + 0.5)]
+    if math.isfinite(s0):
+        out += [(-math.inf, s0 - 1.0), (s0 - 3.0, s0 - 0.5), (-math.inf, s0)]
+    if math.isfinite(s1):
+        out += [(s1 + 0.5, math.inf), (s1, math.inf), (s1 - 0.5, s1 + 2.0)]
+    return out
+
+
+class TestSupportRule:
+    """``support_bounds`` against brute enumeration, and the rules built on it."""
+
+    @pytest.mark.parametrize("family,params", CONTRACT_CASES,
+                             ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
+    def test_bounds_mode_and_lowest_quantile(self, family, params):
+        d = build_descriptor(family, params)
+        s0, s1 = d.support
+        rng = np.random.default_rng(sum(map(ord, f"{family}{params}")))
+        intervals = _random_intervals(d, rng)
+        finite = [x for ab in intervals for x in (*ab, s0, s1) if math.isfinite(x)]
+        bottom, top = math.floor(min(finite)) - 2.0, math.ceil(max(finite)) + 2.0
+        if d.is_discrete:
+            grid = np.arange(max(s0, bottom), min(s1, top) + 1.0)
+        else:
+            grid = np.unique(np.concatenate([finite, np.linspace(bottom, top, 4001)]))
+            grid = grid[(grid >= s0) & (grid <= s1)]
+        for a, b in intervals:
+            iv = TruncationInterval(a, b)
+            pts = grid[(grid > a) & (grid <= b)]
+            if pts.size == 0:
+                with pytest.raises(ValueError):
+                    support_bounds(d, iv)
+                with pytest.raises(ValueError):
+                    project_mode(d, iv)
+                with pytest.raises(ValueError):
+                    truncate(d, a, b)
+                continue
+            lo, hi = support_bounds(d, iv)
+            assert type(lo) is float and type(hi) is float
+            unbounded = b == math.inf and s1 == math.inf
+            if d.is_discrete:
+                assert lo == pts.min(), (a, b)
+                assert hi == (math.inf if unbounded else pts.max()), (a, b)
+            else:
+                # the infimum may be the open end a, the supremum sits in ]a, b]
+                assert lo <= pts.min() and (lo in pts or lo == a), (a, b)
+                assert hi >= pts.max() and (hi in pts or unbounded), (a, b)
+            assert project_mode(d, iv) == max(lo, min(hi, d.mode))
+            t = truncate(d, a, b)
+            if not t.degenerate:
+                assert t.quantile(0.0) == lo
 
 
 class TestTruncLogPdf:

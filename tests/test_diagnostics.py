@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats as st
@@ -106,6 +107,28 @@ class TestBruteForceMoments:
         d = build_descriptor("geometric", p=0.5)
         mean, _ = brute_force_truncated_moments(d, TruncationInterval(2.0, math.inf))
         assert mean == pytest.approx(2 + 1 + 1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [0.5, 5.0, 50.0])
+    def test_gamma_two_tail_closed_form(self, a):
+        # X | X > a for gamma(2, 1): density x e^-x / ((a + 1) e^-a)
+        d = build_descriptor("gamma", {"alpha": 2.0})
+        mean, sd = brute_force_truncated_moments(d, TruncationInterval(a, math.inf))
+        assert type(mean) is float and type(sd) is float
+        assert mean == pytest.approx((a * a + 2 * a + 2) / (a + 1), rel=1e-12)
+        second = (a**3 + 3 * a * a + 6 * a + 6) / (a + 1)
+        assert sd * sd + mean * mean == pytest.approx(second, rel=1e-12)
+
+    def test_normal_deep_tail_variance(self):
+        # var = 1 + a lam - lam^2 with lam = phi(a) / Q(a), at 50 digits; the
+        # raw second moment (~900) is far larger than the variance (~1e-3)
+        a = 30.0
+        with mp.workdps(50):
+            lam = mp.npdf(a) / mp.ncdf(-a)
+            want = float(1 + a * lam - lam * lam)
+        mean, sd = brute_force_truncated_moments(build_descriptor("normal"),
+                                                 TruncationInterval(a, math.inf))
+        assert type(mean) is float and type(sd) is float
+        assert abs(sd * sd - want) <= 1e-12 * want
 
 
 class TestZTest:
