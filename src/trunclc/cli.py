@@ -2,9 +2,9 @@
 
 All commands are deterministic given ``--seed`` (or the ``TRUNCLC_SEED``
 environment variable) and emit machine-readable output: CSV with a header
-row, JSON with one top-level object carrying ``meta`` and ``rows``, or
-plain values one per line.  Numbers are printed in shortest round-trip
-decimal form.
+row, JSON with one top-level object carrying ``meta`` and ``rows`` (both
+written by :func:`~trunclc.diagnostics.format_table`), or plain values one
+per line.  Numbers are printed in shortest round-trip decimal form.
 
 Exit codes: 0 clean, 1 runtime failure or failed validation verdict,
 2 sampling completed but some variates were imputed, 64 usage error.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -27,6 +26,7 @@ from .devroye import ImputationPolicy, RngStream, ds_sample_batch
 from .diagnostics import (
     OracleUnavailable,
     exp_tail_qq,
+    format_table,
     memorylessness_check,
     scan_safety,
     truncated_mean_oracle,
@@ -86,13 +86,16 @@ def _parse_axis(spec: str):
     if scale == "linear":
         vals = np.linspace(start, stop, count)
     elif scale == "log":
+        if not (start > 0.0 and stop > 0.0):
+            raise ParameterError(f"--grid log axis ends must be > 0, got {spec!r}")
         vals = np.geomspace(start, stop, count)
     elif scale == "logit":
-        lo, hi = sc.logit(start), sc.logit(stop)
-        vals = sc.expit(np.linspace(lo, hi, count))
+        if not (0.0 < start < 1.0 and 0.0 < stop < 1.0):
+            raise ParameterError(f"--grid logit axis ends must lie in (0, 1), got {spec!r}")
+        vals = sc.expit(np.linspace(sc.logit(start), sc.logit(stop), count))
     else:
         raise ParameterError(f"--grid scale must be linear, log or logit, got {scale!r}")
-    return name, vals
+    return name, vals.tolist()
 
 
 def _parse_probe(spec: str):
@@ -111,11 +114,9 @@ def _lattice(flag: str, fields) -> np.ndarray:
     start, stop, step = (_number(flag, f) for f in fields)
     if not step > 0.0:
         raise ParameterError(f"{flag} step must be > 0, got {step!r}")
+    if not start <= stop:
+        raise ParameterError(f"{flag} stop must be >= start, got {':'.join(fields)!r}")
     return np.arange(start, stop + 0.5 * step, step)
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("TRUNCLC_SEED", "0"))
 
 
 def build_parser() -> _Parser:
@@ -160,11 +161,11 @@ def build_parser() -> _Parser:
 
 
 def cmd_sample(args) -> int:
-    desc = build_descriptor(args.dist, _parse_params(args.param))
+    params = _parse_params(args.param)
+    desc = build_descriptor(args.dist, params)
     target = truncate(desc, lower=args.lower, upper=args.upper)
     policy = ImputationPolicy(mode=_IMPUTE_MODES[args.impute])
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = RngStream(seed)
+    rng = RngStream(args.seed)
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
     if args.method == "devroye":
@@ -187,45 +188,36 @@ def cmd_sample(args) -> int:
                        for v, f in zip(batch.values.tolist(), batch.imputed.tolist()))
         sys.stdout.write(f"value,imputed\n{rows}# {stats}\n")
     else:
-        doc = {
-            "meta": {
-                "family": args.dist,
-                "params": {k: float(v) for k, v in _parse_params(args.param).items()},
-                "lower": args.lower, "upper": args.upper,
-                "method": args.method, "seed": seed, "n": args.n,
-                "proposals": batch.proposals, "accepts": batch.accepts,
-                "acceptance_rate": None if math.isnan(rate) else rate,
-            },
-            "rows": [
-                {"value": (int(v) if disc and math.isfinite(v) else v),
-                 "imputed": bool(f)}
-                for v, f in zip(batch.values, batch.imputed)
-            ],
-        }
-        print(json.dumps(doc, indent=2))
+        rows = [{"value": (int(v) if disc and math.isfinite(v) else v), "imputed": f}
+                for v, f in zip(batch.values.tolist(), batch.imputed.tolist())]
+        sys.stdout.write(format_table("json", None, rows, meta={
+            "family": args.dist, "params": params,
+            "lower": args.lower, "upper": args.upper,
+            "method": args.method, "seed": args.seed, "n": args.n,
+            "proposals": batch.proposals, "accepts": batch.accepts,
+            "acceptance_rate": None if math.isnan(rate) else rate,
+        }))
     return 2 if batch.imputed.any() else 0
 
 
 def cmd_scan(args) -> int:
     params = _parse_params(args.param)
-    seed = args.seed if args.seed is not None else _default_seed()
     grid = None
     if args.grid:
-        axes = [_parse_axis(g) for g in args.grid]
-        names = [n for n, _ in axes]
-        grid = [
-            {**params, **dict(zip(names, combo))}
-            for combo in itertools.product(*(vals for _, vals in axes))
-        ]
+        axes = dict(map(_parse_axis, args.grid))
+        if len(axes) < len(args.grid):
+            raise ParameterError("--grid names an axis more than once")
+        grid = [{**params, **dict(zip(axes, combo))}
+                for combo in itertools.product(*axes.values())]
     elif params:
         grid = [params]
     if args.n_probe < 1:
         raise ParameterError(f"--n-probe must be >= 1, got {args.n_probe}")
     report = scan_safety(
         args.dist, param_grid=grid, probe_schedule=_parse_probe(args.probe),
-        method=args.method, n_probe=args.n_probe, seed=seed,
+        method=args.method, n_probe=args.n_probe, seed=args.seed,
     )
-    text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
+    text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -234,9 +226,9 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _ztest_rows(args, desc, lowers, seed):
+def _ztest_rows(args, desc, lowers):
     rows = []
-    streams = RngStream(seed).spawn(len(lowers))
+    streams = RngStream(args.seed).spawn(len(lowers))
     for a, stream in zip(lowers, streams):
         row = {
             "test": "ztest", "family": args.dist,
@@ -271,7 +263,6 @@ _ZTEST_COLUMNS = ["test", "family", "params", "lower", "n", "n_imputed",
 
 def cmd_validate(args) -> int:
     desc = build_descriptor(args.dist, _parse_params(args.param))
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.test == "ztest":
         if args.lower_grid:
             parts = args.lower_grid.split(":")
@@ -282,11 +273,11 @@ def cmd_validate(args) -> int:
             lowers = [args.lower]
         else:
             raise ParameterError("ztest requires --lower or --lower-grid")
-        rows = _ztest_rows(args, desc, lowers, seed)
-        _emit_rows(rows, _ZTEST_COLUMNS, args.format, meta={
-            "test": "ztest", "family": args.dist, "seed": seed,
+        rows = _ztest_rows(args, desc, lowers)
+        sys.stdout.write(format_table(args.format, _ZTEST_COLUMNS, rows, meta={
+            "test": "ztest", "family": args.dist, "seed": args.seed,
             "z_threshold": args.z_threshold,
-        })
+        }))
         n_fail = sum(r["verdict"] == "fail" for r in rows)
         n_excl = sum(r["verdict"] in ("oracle_unavailable", "degenerate_target")
                      for r in rows)
@@ -297,13 +288,13 @@ def cmd_validate(args) -> int:
         if args.lower is None:
             raise ParameterError("qq requires --lower")
         target = truncate(desc, lower=args.lower)
-        batch = ds_sample_batch(target, args.n, RngStream(seed))
+        batch = ds_sample_batch(target, args.n, RngStream(args.seed))
         qq = exp_tail_qq(batch, args.lower)
         rows = [{"test": "qq", "p": p, "empirical": e, "theoretical": t}
                 for p, e, t in zip(qq.percentiles, qq.empirical, qq.theoretical)]
-        _emit_rows(rows, ["test", "p", "empirical", "theoretical"], args.format,
-                   meta={"test": "qq", "family": args.dist, "lower": args.lower,
-                         "n": qq.n, "seed": seed, "ks_statistic": qq.ks_statistic})
+        sys.stdout.write(format_table(args.format, list(rows[0]), rows, meta={
+            "test": "qq", "family": args.dist, "lower": args.lower,
+            "n": qq.n, "seed": args.seed, "ks_statistic": qq.ks_statistic}))
         if args.format == "csv":
             print(f"# ks_statistic={_fmt(qq.ks_statistic)} n={qq.n}")
         return 0
@@ -313,7 +304,7 @@ def cmd_validate(args) -> int:
     if args.dist != "geometric":
         raise ParameterError("memoryless test is defined for the geometric family")
     res = memorylessness_check(desc.params["p"], int(args.lower), args.n,
-                               RngStream(seed))
+                               RngStream(args.seed))
     rows = [{
         "test": "memoryless", "family": args.dist,
         "params": f"p={_fmt(desc.params['p'])}", "lower": args.lower,
@@ -321,32 +312,17 @@ def cmd_validate(args) -> int:
         "critical": res.critical, "alpha": res.alpha,
         "verdict": "pass" if res.passed else "fail",
     }]
-    _emit_rows(rows, ["test", "family", "params", "lower", "n", "statistic",
-                      "df", "critical", "alpha", "verdict"], args.format,
-               meta={"test": "memoryless", "seed": seed})
+    sys.stdout.write(format_table(args.format, list(rows[0]), rows,
+                                  meta={"test": "memoryless", "seed": args.seed}))
     return 0 if res.passed else 1
-
-
-def _emit_rows(rows, columns, fmt, meta):
-    if fmt == "json":
-        print(json.dumps({"meta": meta, "rows": rows}, indent=2, default=float))
-        return
-    print(",".join(columns))
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row.get(col, "")
-            if isinstance(v, float):
-                cells.append(_fmt(v))
-            else:
-                cells.append(str(v))
-        print(",".join(cells))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _number("TRUNCLC_SEED", os.environ.get("TRUNCLC_SEED", "0"), int)
         if args.command == "sample":
             return cmd_sample(args)
         if args.command == "scan":

@@ -40,7 +40,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import families
 from .core import (
     DegenerateTargetError,
     SamplingBreakdownError,
@@ -275,7 +274,7 @@ def _hit_proposer(base, interval, max_rounds: int, fmap=None):
 
 def _proposer(t: TruncatedTarget, gen: np.random.Generator, max_rounds: int):
     """The proposer for ``t``: a transform route, or the envelope of its kind."""
-    route = families.exception_route(t.base)
+    route = t.base.transform
     if route is not None:
         base, fmap = route
         return _hit_proposer(_proposer(truncate(base), gen, max_rounds), t.interval,

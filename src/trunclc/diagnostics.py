@@ -16,8 +16,6 @@ geometric law.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -317,7 +315,40 @@ def memorylessness_check(
 
 
 # ---------------------------------------------------------------------------
+# tables
+
+def format_table(fmt: str, columns: Optional[Sequence[str]], rows: list[dict],
+                 meta: Optional[dict] = None) -> str:
+    """``rows`` (dicts) in the package's one table format, ``fmt`` "csv" or "json".
+
+    CSV: a header row of ``columns``, then one line per row; a bool prints
+    as ``true``/``false``, a float as its ``repr`` (shortest round trip), a
+    missing key as an empty cell, anything else through ``str``.  JSON:
+    ``{"meta": meta, "rows": rows}``, rows as given and other numbers through
+    ``float``; ``columns`` is not read.  Both end in a newline.
+
+    ``trunclc sample`` writes its plain and CSV variates with one join
+    instead: routing a 1e5-value CSV batch through row dicts here made that
+    call 2.1-2.2x slower, with the same bytes (min of 7 in-process calls).
+    """
+    if fmt == "json":
+        return json.dumps({"meta": meta, "rows": rows}, indent=2, default=float) + "\n"
+
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(float(v)) if isinstance(v, float) else str(v)
+
+    lines = [",".join(columns)]
+    lines += [",".join(cell(row.get(c, "")) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # safety scanner
+
+_SCAN_COLUMNS = ("a_bar", "a_bar_prime", "a_bar_dprime", "eta", "eta_prime")
+
 
 @dataclass
 class ScanCell:
@@ -355,79 +386,24 @@ class SafetyReport:
                 out.append(cell)
         return out
 
-    def _param_names(self) -> list[str]:
-        names: list[str] = []
-        for cell in self.rows:
-            for k in cell.params:
-                if k not in names:
-                    names.append(k)
-        return names
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        names = self._param_names()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["family", *names, "a_bar", "a_bar_prime", "a_bar_dprime",
-             "eta", "eta_prime", "n_probe", "seed"]
-        )
-        for cell in self.rows:
-            writer.writerow(
-                [self.family]
-                + [repr(float(cell.params[k])) for k in names]
-                + [repr(float(v)) for v in (cell.a_bar, cell.a_bar_prime,
-                                            cell.a_bar_dprime, cell.eta, cell.eta_prime)]
-                + [self.n_probe, self.seed]
-            )
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SafetyReport":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        fixed = ["a_bar", "a_bar_prime", "a_bar_dprime", "eta", "eta_prime",
-                 "n_probe", "seed"]
-        names = header[1:len(header) - len(fixed)]
-        rows = []
-        family = ""
-        n_probe = 0
-        seed = 0
-        for rec in reader:
-            family = rec[0]
-            vals = rec[1:]
-            params = {k: float(v) for k, v in zip(names, vals[: len(names)])}
-            rest = vals[len(names):]
-            rows.append(ScanCell(
-                params=params,
-                a_bar=float(rest[0]), a_bar_prime=float(rest[1]),
-                a_bar_dprime=float(rest[2]), eta=float(rest[3]),
-                eta_prime=float(rest[4]),
-            ))
-            n_probe = int(rest[5])
-            seed = int(rest[6])
-        return cls(family=family, rows=rows, n_probe=n_probe, seed=seed)
+        names = list(dict.fromkeys(k for cell in self.rows for k in cell.params))
+        rows = [{"family": self.family, **{k: float(v) for k, v in cell.params.items()},
+                 **{c: getattr(cell, c) for c in _SCAN_COLUMNS},
+                 "n_probe": self.n_probe, "seed": self.seed}
+                for cell in self.rows]
+        return format_table("csv", ["family", *names, *_SCAN_COLUMNS, "n_probe", "seed"],
+                            rows)
 
     def to_json(self) -> str:
-        rows = []
-        for cell in self.rows:
-            rows.append({
-                "params": {k: float(v) for k, v in cell.params.items()},
-                "a_bar": cell.a_bar,
-                "a_bar_prime": cell.a_bar_prime,
-                "a_bar_dprime": cell.a_bar_dprime,
-                "eta": cell.eta,
-                "eta_prime": cell.eta_prime,
-                "its_censored": cell.its_censored,
-                "ds_censored": cell.ds_censored,
-                "its_anomalies": cell.its_anomalies,
-                "ds_anomalies": cell.ds_anomalies,
-            })
-        return json.dumps(
-            {"meta": {"family": self.family, "n_probe": self.n_probe,
-                      "seed": self.seed, **self.metadata},
-             "rows": rows},
-            indent=2,
-        )
+        rows = [{"params": {k: float(v) for k, v in cell.params.items()},
+                 **{c: getattr(cell, c) for c in _SCAN_COLUMNS},
+                 "its_censored": cell.its_censored, "ds_censored": cell.ds_censored,
+                 "its_anomalies": cell.its_anomalies, "ds_anomalies": cell.ds_anomalies}
+                for cell in self.rows]
+        return format_table("json", None, rows, meta={
+            "family": self.family, "n_probe": self.n_probe, "seed": self.seed,
+            **self.metadata})
 
 
 REFINE_TOL = 0.01  # the bisection of a breakdown depth stops at this width
@@ -495,10 +471,16 @@ def _breakdown(
 def _dprime(desc, schedule: np.ndarray) -> float:
     """Largest probed depth at which the density is still linearly representable.
 
-    A discrete density is probed at the first support point above each depth.
+    The density is probed at the first support point above each depth (see
+    :func:`~trunclc.core.support_bounds`); a depth with none above it fails.
     """
-    lp = desc.log_pdf(np.floor(schedule) + 1.0 if desc.is_discrete else schedule)
-    ok = np.exp(lp) > 0.0
+    firsts = []
+    for a in schedule:
+        try:
+            firsts.append(support_bounds(desc, TruncationInterval(float(a), math.inf))[0])
+        except ValueError:
+            firsts.append(math.nan)
+    ok = np.exp(desc.log_pdf(np.array(firsts))) > 0.0
     if not ok.any():
         return math.nan
     return float(schedule[np.nonzero(ok)[0].max()])

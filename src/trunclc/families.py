@@ -260,7 +260,7 @@ def build_descriptor(family: str, params: dict | None = None, **kwargs) -> Distr
 
 
 def exception_route(desc: DistributionDescriptor):
-    """The descriptor's ``(log-concave base, map)`` transform route, or None."""
+    """``desc.transform``, the route or None; kept for ``perfbench/workloads.py``."""
     return desc.transform
 
 

@@ -1,10 +1,11 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
 
-from trunclc import SafetyReport
 from trunclc.cli import main
 
 
@@ -99,6 +100,12 @@ class TestSample:
                              "--seed", "99")
         assert out_env == out_flag
 
+    def test_malformed_env_var_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRUNCLC_SEED", "abc")
+        code, out, err = run(capsys, "sample", "--dist", "normal", "--n", "5")
+        assert code == 64 and out == ""
+        assert "usage error: TRUNCLC_SEED" in err
+
     def test_hitormiss_method(self, capsys):
         code, out, _ = run(capsys, "sample", "--dist", "normal", "--lower", "0",
                            "--n", "6", "--method", "hitormiss", "--seed", "2")
@@ -112,19 +119,18 @@ class TestScan:
                            "--probe", "0:50:1:linear", "--method", "both",
                            "--seed", "3")
         assert code == 0
-        report = SafetyReport.from_csv(out)
-        cell = report.rows[0]
-        assert cell.eta <= 10.0
-        assert 37.0 <= cell.eta_prime <= 39.0
+        cell = next(csv.DictReader(io.StringIO(out)))
+        assert float(cell["eta"]) <= 10.0
+        assert 37.0 <= float(cell["eta_prime"]) <= 39.0
 
     def test_grid_produces_rows(self, capsys):
         code, out, _ = run(capsys, "scan", "--dist", "poisson",
                            "--grid", "lambda=0.5:50:4:log", "--probe", "auto",
                            "--method", "devroye", "--n-probe", "200", "--seed", "1")
         assert code == 0
-        report = SafetyReport.from_csv(out)
-        assert len(report.rows) == 4
-        lam_values = [cell.params["lambda"] for cell in report.rows]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4
+        lam_values = [float(row["lambda"]) for row in rows]
         assert lam_values == sorted(lam_values)
 
     def test_out_file_and_json(self, capsys, tmp_path):
@@ -160,6 +166,25 @@ class TestScan:
         assert code == 64 and out == ""
         assert f"usage error: {flag}" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--dist", "poisson", "--grid", "lambda=0:20:3:log", "--probe", "0:3:1"], "--grid"),
+        (["--dist", "binomial", "--param", "n=10", "--grid", "p=0.1:2:3:logit",
+          "--probe", "0:3:1"], "--grid"),
+        (["--dist", "poisson", "--grid", "lambda=2:20:3:log",
+          "--grid", "lambda=1:2:2:linear", "--probe", "0:3:1"], "--grid"),
+        (["--dist", "normal", "--probe", "5:1:1"], "--probe"),
+    ])
+    def test_out_of_domain_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, "scan", "--n-probe", "20", *argv)
+        assert code == 64 and out == ""
+        assert f"usage error: {flag}" in err
+
+    def test_grid_values_reported_as_floats(self, capsys):
+        code, _, err = run(capsys, "scan", "--dist", "poisson", "--n-probe", "20",
+                           "--grid", "lambda=-1:20:3:linear", "--probe", "0:3:1")
+        assert code == 64
+        assert "lambda=-1.0 " in err
+
     def test_n_probe_below_one_usage_error(self, capsys):
         code, out, err = run(capsys, "scan", "--dist", "normal", "--n-probe", "0",
                              "--probe", "0:3:1")
@@ -180,6 +205,15 @@ class TestValidate:
                              "--lower-grid", "0:b:1", "--n", "100")
         assert code == 64 and out == ""
         assert "usage error: --lower-grid" in err
+
+    def test_empty_lower_grid_usage_error(self, capsys):
+        code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",
+                             "--lower-grid", "5:1:1", "--n", "100")
+        assert code == 64 and out == ""
+        assert "usage error: --lower-grid" in err
+        code, out, _ = run(capsys, "validate", "ztest", "--dist", "normal",
+                           "--lower-grid", "1:1:1", "--n", "200", "--seed", "3")
+        assert code == 0 and len(out.strip().splitlines()) == 2
 
     def test_ztest_single_cell(self, capsys):
         code, out, _ = run(capsys, "validate", "ztest", "--dist", "poisson",

@@ -1,5 +1,7 @@
 """Oracles, validation statistics, and the safety scanner."""
 
+import csv
+import io
 import json
 import math
 
@@ -11,7 +13,6 @@ from scipy import stats as st
 from trunclc import (
     OracleUnavailable,
     RngStream,
-    SafetyReport,
     TruncationInterval,
     brute_force_truncated_moments,
     build_descriptor,
@@ -26,6 +27,7 @@ from trunclc import (
     z_test_mean,
 )
 from trunclc.devroye import SampleBatch
+from trunclc.diagnostics import format_table
 
 
 class TestNormalMeanOracle:
@@ -192,6 +194,28 @@ class TestMemorylessness:
         assert res.passed
 
 
+class TestFormatTable:
+    COLUMNS = ["flag", "count", "x", "nan", "inf"]
+    ROWS = [{"flag": True, "count": 3, "x": 0.1, "nan": math.nan, "inf": -math.inf},
+            {"flag": False, "count": 7, "x": np.float64(1e-300)}]
+
+    def test_csv_cells(self):
+        assert format_table("csv", self.COLUMNS, self.ROWS) == (
+            "flag,count,x,nan,inf\n"
+            "true,3,0.1,nan,-inf\n"
+            "false,7,1e-300,,\n")
+
+    def test_json_document(self):
+        text = format_table("json", self.COLUMNS, self.ROWS, meta={"seed": 4})
+        assert text.endswith("}\n")
+        doc = json.loads(text)
+        assert doc["meta"] == {"seed": 4}
+        first, second = doc["rows"]
+        assert first["flag"] is True and first["count"] == 3 and first["x"] == 0.1
+        assert math.isnan(first["nan"]) and first["inf"] == -math.inf
+        assert second == {"flag": False, "count": 7, "x": 1e-300}
+
+
 @pytest.fixture(scope="module")
 def normal_report():
     return scan_safety("normal", probe_schedule=np.arange(0.0, 51.0),
@@ -210,12 +234,14 @@ class TestScanner:
         assert normal_report.endpoint_violations() == []
 
     def test_csv_roundtrip(self, normal_report):
-        text = normal_report.to_csv()
-        back = SafetyReport.from_csv(text)
-        assert back.family == "normal"
-        assert back.rows[0].a_bar == normal_report.rows[0].a_bar
-        assert back.rows[0].eta_prime == normal_report.rows[0].eta_prime
-        assert back.to_csv() == text
+        # every float of the report parses back from its CSV bit for bit
+        rows = list(csv.DictReader(io.StringIO(normal_report.to_csv())))
+        assert len(rows) == len(normal_report.rows)
+        for row, cell in zip(rows, normal_report.rows):
+            assert row["family"] == "normal"
+            assert {k: float(row[k]) for k in cell.params} == cell.params
+            for col in ("a_bar", "a_bar_prime", "a_bar_dprime", "eta", "eta_prime"):
+                assert float(row[col]) == getattr(cell, col)
 
     def test_json_structure(self, normal_report):
         doc = json.loads(normal_report.to_json())
