@@ -48,8 +48,6 @@ from .families import (
     UnknownFamilyError,
     build_descriptor,
     check_log_concavity,
-    epd_log_pdf,
-    epd_to_gamma,
     list_families,
     register_family,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "check_log_concavity",
     "chi_square_gof",
     "ds_sample_batch",
-    "epd_log_pdf",
-    "epd_to_gamma",
     "exp_tail_qq",
     "hit_or_miss_batch",
     "its_sample_batch",

@@ -82,6 +82,8 @@ def _parse_axis(spec: str):
     start, stop, count = (_number("--grid", f, k) for f, k in zip(parts, (float, float, int)))
     if count < 1:
         raise ParameterError(f"--grid count must be >= 1, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParameterError(f"--grid axis ends must be finite, got {spec!r}")
     scale = parts[3]
     if scale == "linear":
         vals = np.linspace(start, stop, count)
@@ -114,6 +116,8 @@ def _lattice(flag: str, fields) -> np.ndarray:
     start, stop, step = (_number(flag, f) for f in fields)
     if not step > 0.0:
         raise ParameterError(f"{flag} step must be > 0, got {step!r}")
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise ParameterError(f"{flag} values must be finite, got {':'.join(fields)!r}")
     if not start <= stop:
         raise ParameterError(f"{flag} stop must be >= start, got {':'.join(fields)!r}")
     return np.arange(start, stop + 0.5 * step, step)

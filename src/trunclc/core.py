@@ -49,12 +49,14 @@ class DistributionDescriptor:
     """A parameterized family member exposing log-space descriptors.
 
     ``log_pdf``, ``log_cdf``, ``log_sf`` and ``quantile`` follow the
-    convention of :func:`~trunclc.logspace.elementwise` (the built-in
-    families build each with it): a scalar or 0-d argument returns a Python
-    ``float``, an array a float array of its shape.  For discrete kinds the
-    first three are step functions of a real argument (internally
-    floored).  ``mu`` and ``sigma`` are the standardization indices used
-    for safety ratios, not necessarily the mean and standard deviation.
+    convention of :func:`~trunclc.logspace.elementwise`: a scalar or 0-d
+    argument returns a Python ``float``, an array a float array of its
+    shape.  :func:`~trunclc.families.build_descriptor` gives every
+    registered family's callables this convention; a descriptor built by
+    hand must follow it itself.  For discrete kinds the first three are
+    step functions of a real argument (internally floored).  ``mu`` and
+    ``sigma`` are the standardization indices used for safety ratios, not
+    necessarily the mean and standard deviation.
 
     ``transform``, when set, is ``(base, fmap)``: a log-concave descriptor
     and a map whose image of a ``base`` variate follows this law.  It is how

@@ -9,15 +9,18 @@ precision.
 
 New families are added with :func:`register_family`, supplying the same
 ingredients: parameter schema, log-density, log-CDF/survival, and a mode
-function.  A family member outside the log-concave class declares on its
-descriptor how to reach it from one inside (``transform``): gamma with
-shape below one is the image of the exponential power distribution.
+function.  A builder returns plain array functions (a float array in, a
+float array of its shape out); :func:`build_descriptor` alone gives them the
+package's scalar/array convention.  A family member outside the log-concave
+class declares on its descriptor how to reach it from one inside
+(``transform``): gamma with shape below one is the image of the exponential
+power distribution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,6 +40,7 @@ from .logspace import (
 )
 
 _LOG_SQRT_2PI = 0.5 * LOG_2PI
+_MAX_TAIL_TERMS = 200_000  # cap on the terms of one log-space tail sum
 
 
 class UnknownFamilyError(ValueError):
@@ -127,15 +131,15 @@ def _log_poisson_raw(k, lam):
     return out
 
 
-def _log_tail_sum(log_pmf, start, step, lo, hi, max_terms=200_000):
+def _log_tail_sum(log_pmf, start, step, lo, hi):
     """Log-space sum of a monotone pmf tail from ``start`` in direction ``step``."""
     j = float(start)
     anchor = None
     acc = 0.0
-    for _ in range(max_terms):
+    for _ in range(_MAX_TAIL_TERMS):
         if j < lo or j > hi:
             break
-        lj = log_pmf(j)
+        lj = float(log_pmf(np.array([j]))[0])
         if anchor is None:
             if lj > -math.inf:
                 anchor = lj
@@ -164,7 +168,6 @@ def _discrete_tail_functions(lin_cdf, lin_sf, log_pmf, lo, hi):
     def tail(lin, start, step, below, above):
         # the fallback sums the pmf from k + start in direction step;
         # below/above fill points left of lo and at or right of hi
-        @elementwise
         def log_tail(x):
             k = np.floor(x)
             out = np.full(k.shape, -np.inf)
@@ -208,6 +211,9 @@ class ParamSpec:
 class FamilySpec:
     """Recipe for building descriptors of one family.
 
+    ``builder`` maps validated float parameters to a descriptor whose
+    callables are plain array functions (a float array of at least one
+    dimension in, a float array of its shape out).
     A family whose log-concavity fails on part of its parameter space sets
     the descriptor's ``transform`` there; the recipe itself carries no
     sampling route.
@@ -240,7 +246,9 @@ def list_families() -> list[str]:
 
 
 def build_descriptor(family: str, params: dict | None = None, **kwargs) -> DistributionDescriptor:
-    """Build a descriptor, validating parameters against the family schema."""
+    """Build a descriptor, validating parameters against the family schema,
+    with each callable wrapped in the scalar/array convention
+    (:func:`~trunclc.logspace.elementwise`)."""
     spec = get_family(family)
     given = dict(spec.defaults)
     given.update(params or {})
@@ -256,7 +264,10 @@ def build_descriptor(family: str, params: dict | None = None, **kwargs) -> Distr
         v = given[ps.name]
         if not np.isfinite(v) or not ps.check(float(v)):
             raise ParameterError(f"{family}: parameter {ps.name}={v!r} violates: {ps.constraint}")
-    return spec.builder({k: float(v) for k, v in given.items()})
+    desc = spec.builder({k: float(v) for k, v in given.items()})
+    return replace(desc, **{name: elementwise(fn)
+                            for name in ("log_pdf", "log_cdf", "log_sf", "quantile")
+                            if (fn := getattr(desc, name)) is not None})
 
 
 def exception_route(desc: DistributionDescriptor):
@@ -265,45 +276,21 @@ def exception_route(desc: DistributionDescriptor):
 
 
 # ---------------------------------------------------------------------------
-# exponential power distribution (ancillary; the gamma alpha < 1 transform base)
-
-@elementwise
-def epd_log_pdf(x, beta: float):
-    """log density of the exponential power law: -|x|^beta - log(2 Gamma(1/beta + 1))."""
-    if beta < 1.0:
-        raise ParameterError(f"epd: beta={beta} violates: beta >= 1 (log-concave regime)")
-    with np.errstate(over="ignore"):
-        return -np.abs(x) ** beta - math.log(2.0) - sc.gammaln(1.0 / beta + 1.0)
-
-
-@elementwise
-def epd_to_gamma(x, beta: float):
-    """Map an EPD(beta) variate to |x|^beta, which is gamma(1/beta, rate 1)."""
-    if beta < 1.0:
-        raise ParameterError(f"epd_to_gamma: beta={beta} violates: beta >= 1")
-    return np.abs(x) ** beta
-
-
-# ---------------------------------------------------------------------------
 # builders
 
 def _build_normal(params):
     mu, sigma = params["mu"], params["sigma"]
 
-    @elementwise
     def log_pdf(x):
         z = (x - mu) / sigma
         return -0.5 * z * z - math.log(sigma) - _LOG_SQRT_2PI
 
-    @elementwise
     def log_cdf(x):
         return sc.log_ndtr((x - mu) / sigma)
 
-    @elementwise
     def log_sf(x):
         return sc.log_ndtr(-(x - mu) / sigma)
 
-    @elementwise
     def quantile(p):
         return mu + sigma * sc.ndtri(p)
 
@@ -317,7 +304,6 @@ def _build_normal(params):
 def _build_poisson(params):
     lam = params["lambda"]
 
-    @elementwise
     def log_pmf(x):
         return _masked(x, _integer_mask(x) & (x >= 0.0), -np.inf,
                        lambda k: _log_poisson_raw(k, lam))
@@ -328,7 +314,6 @@ def _build_poisson(params):
         log_pmf, 0.0, math.inf,
     )
 
-    @elementwise
     def quantile(p):
         return st.poisson.ppf(p, lam)
 
@@ -343,7 +328,6 @@ def _build_poisson(params):
 def _build_binomial(params):
     n, p = params["n"], params["p"]
 
-    @elementwise
     def log_pmf(x):
         return _masked(x, _integer_mask(x) & (x >= 0.0) & (x <= n), -np.inf,
                        lambda k: _log_binom_raw(k, n, p))
@@ -354,7 +338,6 @@ def _build_binomial(params):
         log_pmf, 0.0, n,
     )
 
-    @elementwise
     def quantile(q):
         return st.binom.ppf(q, int(n), p)
 
@@ -371,7 +354,6 @@ def _build_nbinom(params):
     # per-trial probability of the counted outcome (mean np/(1-p))
     n, p = params["n"], params["p"]
 
-    @elementwise
     def log_pmf(x):
         return _masked(x, _integer_mask(x) & (x >= 0.0), -np.inf, lambda k: (
             np.log(n) - np.log(n + k) + _log_binom_raw(np.full(k.shape, n), n + k, 1.0 - p)))
@@ -382,7 +364,6 @@ def _build_nbinom(params):
         log_pmf, 0.0, math.inf,
     )
 
-    @elementwise
     def quantile(q):
         return st.nbinom.ppf(q, n, 1.0 - p)
 
@@ -400,22 +381,18 @@ def _build_geometric(params):
     p = params["p"]
     lq = math.log1p(-p)
 
-    @elementwise
     def log_pmf(x):
         ok = _integer_mask(x) & (x >= 0.0)
         return np.where(ok, math.log(p) + x * lq, -np.inf)
 
-    @elementwise
     def log_sf(x):
         k = np.floor(x)
         return np.where(k < 0.0, 0.0, (k + 1.0) * lq)
 
-    @elementwise
     def log_cdf(x):
         k = np.floor(x)
         return np.where(k < 0.0, -np.inf, log1mexp(np.minimum((k + 1.0) * lq, 0.0)))
 
-    @elementwise
     def quantile(q):
         return st.geom.ppf(q, p) - 1.0
 
@@ -432,32 +409,25 @@ def _build_gamma(params):
 
     if alpha == 1.0:
         # exponential closed forms: exact log-space tails at any depth
-        @elementwise
         def log_pdf(x):
             return np.where(x >= 0.0, math.log(lam) - lam * x, -np.inf)
 
-        @elementwise
         def log_cdf(x):
             return np.where(x > 0.0, log1mexp(np.minimum(-lam * x, 0.0)), -np.inf)
 
-        @elementwise
         def log_sf(x):
             return np.where(x > 0.0, -lam * x, 0.0)
     else:
-        @elementwise
         def log_pdf(x):
             return _masked(x, x > 0.0, -np.inf, lambda xp: (
                 alpha * math.log(lam) + (alpha - 1.0) * np.log(xp) - lam * xp - sc.gammaln(alpha)))
 
-        @elementwise
         def log_cdf(x):
             return log_gamma_lower_reg(alpha, lam * x)
 
-        @elementwise
         def log_sf(x):
             return log_gamma_upper_reg(alpha, lam * x)
 
-    @elementwise
     def quantile(q):
         return st.gamma.ppf(q, alpha, scale=1.0 / lam)
 
@@ -466,7 +436,7 @@ def _build_gamma(params):
     if alpha < 1.0:
         # not log-concave: sample |Y|^(1/alpha) / lambda with Y ~ EPD(1/alpha)
         beta = 1.0 / alpha
-        transform = (_build_epd({"beta": beta}), lambda y: epd_to_gamma(y, beta) / lam)
+        transform = (build_descriptor("epd", beta=beta), lambda y: np.abs(y) ** beta / lam)
     return DistributionDescriptor(
         family_name="gamma", params=params, kind="continuous",
         support=(0.0, math.inf), log_pdf=log_pdf, log_cdf=log_cdf, log_sf=log_sf,
@@ -482,7 +452,6 @@ def _build_invgauss(params):
     # check_log_concavity over the interval of interest to quantify.
     mu, lam = params["mu"], params["lambda"]
 
-    @elementwise
     def log_pdf(x):
         return _masked(x, x > 0.0, -np.inf, lambda xp: (
             0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(xp))
@@ -494,7 +463,6 @@ def _build_invgauss(params):
         u2 = rx * (x / mu + 1.0)
         return sc.log_ndtr(u1), sc.log_ndtr(-u1), 2.0 * lam / mu + sc.log_ndtr(-u2)
 
-    @elementwise
     def log_cdf(x):
         out = np.full(x.shape, -np.inf)
         pos = x > 0.0
@@ -503,7 +471,6 @@ def _build_invgauss(params):
             out[pos] = np.minimum(np.logaddexp(t1, t2), 0.0)
         return out
 
-    @elementwise
     def log_sf(x):
         out = np.zeros(x.shape)
         pos = x > 0.0
@@ -512,7 +479,6 @@ def _build_invgauss(params):
             out[pos] = log_diff_exp(s1, np.minimum(t2, s1))
         return out
 
-    @elementwise
     def quantile(q):
         return st.invgauss.ppf(q, mu / lam, scale=lam)
 
@@ -529,9 +495,9 @@ def _build_epd(params):
     a = 1.0 / beta
 
     def log_pdf(x):
-        return epd_log_pdf(x, beta)
+        with np.errstate(over="ignore"):
+            return -np.abs(x) ** beta - math.log(2.0) - sc.gammaln(1.0 / beta + 1.0)
 
-    @elementwise
     def log_sf(x):
         # P(X > x) = Q(a, x^beta) / 2 on the right; its complement on the left
         out = LOG_HALF + log_gamma_upper_reg(a, np.abs(x) ** beta)
@@ -539,11 +505,9 @@ def _build_epd(params):
         out[neg] = log1mexp(out[neg])
         return out
 
-    @elementwise
     def log_cdf(x):
         return log_sf(-x)  # the law is symmetric
 
-    @elementwise
     def quantile(q):
         u = 2.0 * q - 1.0
         return np.sign(u) * sc.gammaincinv(a, np.abs(u)) ** a

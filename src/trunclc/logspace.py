@@ -17,6 +17,7 @@ from scipy import special as sc
 LOG_HALF = math.log(0.5)
 LOG_2PI = math.log(2.0 * math.pi)
 LINEAR_FLOOR = 1e-280  # below this a linear-space tail value has lost precision
+_MAX_GAMMA_ITER = 200_000  # cap on the incomplete-gamma series and continued fraction
 
 
 def elementwise(fn=None, *, at: int = 0):
@@ -36,9 +37,10 @@ def elementwise(fn=None, *, at: int = 0):
         return out if x.ndim else float(out[0])
 
     # no ``__wrapped__``: the decorated function is not a wrapper of another
-    # callable to code that unwraps, or skips what is already wrapped
-    wrapper.__name__, wrapper.__qualname__, wrapper.__doc__ = (
-        fn.__name__, fn.__qualname__, fn.__doc__)
+    # callable to code that unwraps, or skips what is already wrapped; a
+    # callable without a name (a ``functools.partial``) keeps the wrapper's
+    for attr in ("__name__", "__qualname__", "__doc__"):
+        setattr(wrapper, attr, getattr(fn, attr, getattr(wrapper, attr)))
     return wrapper
 
 
@@ -83,7 +85,7 @@ def log_or_fallback(lin, fallback):
     return out
 
 
-def _log_gamma_q_cf(a: float, z: float, max_iter: int = 200_000) -> float:
+def _log_gamma_q_cf(a: float, z: float) -> float:
     """log Q(a, z) via the Legendre continued fraction (modified Lentz).
 
     Valid for z > a + 1; converges in a handful of iterations once z is
@@ -94,7 +96,7 @@ def _log_gamma_q_cf(a: float, z: float, max_iter: int = 200_000) -> float:
     c = 1.0 / fpmin
     d = 1.0 / b
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, _MAX_GAMMA_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -113,12 +115,12 @@ def _log_gamma_q_cf(a: float, z: float, max_iter: int = 200_000) -> float:
     return a * math.log(z) - z - sc.gammaln(a) + math.log(h)
 
 
-def _log_gamma_p_series(a: float, z: float, max_iter: int = 200_000) -> float:
+def _log_gamma_p_series(a: float, z: float) -> float:
     """log P(a, z) via the ascending series, for 0 < z below a + 1."""
     term = 1.0
     total = 1.0
     ap = a
-    for _ in range(max_iter):
+    for _ in range(_MAX_GAMMA_ITER):
         ap += 1.0
         term *= z / ap
         total += term

@@ -179,6 +179,20 @@ class TestScan:
         assert code == 64 and out == ""
         assert f"usage error: {flag}" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--dist", "normal", "--probe", "0:inf:1"], "--probe"),
+        (["--dist", "normal", "--probe", "0:3:inf"], "--probe"),
+        (["--dist", "normal", "--probe=-inf:3:1"], "--probe"),
+        (["--dist", "poisson", "--grid", "lambda=1:inf:3:log", "--probe", "0:3:1"], "--grid"),
+        (["--dist", "poisson", "--grid=lambda=-inf:3:2:linear", "--probe", "0:3:1"],
+         "--grid"),
+    ])
+    def test_non_finite_end_usage_error(self, capsys, recwarn, argv, flag):
+        code, out, err = run(capsys, "scan", "--n-probe", "20", *argv)
+        assert code == 64 and out == ""
+        assert f"usage error: {flag}" in err
+        assert len(recwarn) == 0
+
     def test_grid_values_reported_as_floats(self, capsys):
         code, _, err = run(capsys, "scan", "--dist", "poisson", "--n-probe", "20",
                            "--grid", "lambda=-1:20:3:linear", "--probe", "0:3:1")
@@ -205,6 +219,14 @@ class TestValidate:
                              "--lower-grid", "0:b:1", "--n", "100")
         assert code == 64 and out == ""
         assert "usage error: --lower-grid" in err
+
+    @pytest.mark.parametrize("grid", ["-inf:3:1", "0:inf:1", "0:3:inf"])
+    def test_non_finite_lower_grid_usage_error(self, capsys, recwarn, grid):
+        code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",
+                             f"--lower-grid={grid}", "--n", "100")
+        assert code == 64 and out == ""
+        assert "usage error: --lower-grid" in err
+        assert len(recwarn) == 0
 
     def test_empty_lower_grid_usage_error(self, capsys):
         code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",

@@ -17,8 +17,6 @@ from trunclc import (
     build_descriptor,
     check_log_concavity,
     ds_sample_batch,
-    epd_log_pdf,
-    epd_to_gamma,
     list_families,
     register_family,
     truncate,
@@ -284,71 +282,84 @@ class TestLogConcavity:
         assert not bad and violation is not None
 
 
+def _epd_log_pdf(x, beta):
+    return build_descriptor("epd", beta=beta).log_pdf(x)
+
+
+def _to_gamma(alpha):
+    """The gamma(alpha) transform map, |y|^(1/alpha) at rate 1."""
+    return build_descriptor("gamma", alpha=alpha).transform[1]
+
+
 class TestExponentialPower:
     def test_log_pdf_values(self):
-        assert epd_log_pdf(0.0, 1.0) == pytest.approx(math.log(0.5), abs=1e-14)
+        assert _epd_log_pdf(0.0, 1.0) == pytest.approx(math.log(0.5), abs=1e-14)
         # Gamma(1.5) = sqrt(pi)/2, so f(0; 2) = 1/sqrt(pi)
-        assert epd_log_pdf(0.0, 2.0) == pytest.approx(-0.5723649429247001, abs=1e-13)
-        assert epd_log_pdf(1.0, 1.0) == pytest.approx(-1.0 - math.log(2.0), abs=1e-14)
+        assert _epd_log_pdf(0.0, 2.0) == pytest.approx(-0.5723649429247001, abs=1e-13)
+        assert _epd_log_pdf(1.0, 1.0) == pytest.approx(-1.0 - math.log(2.0), abs=1e-14)
 
     def test_beta_below_one_rejected(self):
         with pytest.raises(ParameterError):
-            epd_log_pdf(0.0, 0.5)
+            _epd_log_pdf(0.0, 0.5)
 
     def test_to_gamma_mapping(self):
-        assert epd_to_gamma(-1.5, 2.0) == 2.25
-        assert epd_to_gamma(0.0, 3.0) == 0.0
+        assert _to_gamma(0.5)(-1.5) == 2.25
+        assert _to_gamma(1.0 / 3.0)(0.0) == 0.0
 
     def test_epd2_stream_maps_to_gamma_half(self):
         # EPD(2) is normal with variance 1/2; |X|^2 is chi^2_1 / 2, i.e.
         # gamma(1/2, 1) with mean 1/2
         target = truncate(build_descriptor("epd", beta=2.0))
         batch = ds_sample_batch(target, 100_000, rng=31)
-        mapped = epd_to_gamma(batch.values, 2.0)
+        mapped = _to_gamma(0.5)(batch.values)
         # SE of the mean of gamma(0.5, 1) is sqrt(0.5)/sqrt(n)
         se = math.sqrt(0.5) / math.sqrt(mapped.size)
         assert abs(mapped.mean() - 0.5) < 4.0 * se
 
 
+def _build_laplace(params):
+    m, b = params["m"], params["b"]
+
+    def log_pdf(x):
+        return -np.abs(np.asarray(x, dtype=float) - m) / b - math.log(2.0 * b)
+
+    def log_cdf(x):
+        x = np.asarray(x, dtype=float)
+        lo = math.log(0.5) - (m - x) / b
+        return np.where(x <= m, lo, log1mexp(np.minimum(
+            math.log(0.5) - (x - m) / b, 0.0)))
+
+    def log_sf(x):
+        x = np.asarray(x, dtype=float)
+        hi = math.log(0.5) - (x - m) / b
+        return np.where(x >= m, hi, log1mexp(np.minimum(
+            math.log(0.5) - (m - x) / b, 0.0)))
+
+    def quantile(p):
+        p = np.asarray(p, dtype=float)
+        return np.where(p < 0.5, m + b * np.log(2.0 * p),
+                        m - b * np.log1p(-np.minimum(p, 1.0)) - b * math.log(2.0))
+
+    return DistributionDescriptor(
+        family_name="laplace", params=params, kind="continuous",
+        support=(-math.inf, math.inf), log_pdf=log_pdf, log_cdf=log_cdf,
+        log_sf=log_sf, mode=m, mu=m, sigma=b, quantile=quantile,
+    )
+
+
+# a family is added by supplying its name, schema, and log-space descriptor
+# functions; the builder's functions need not handle scalars themselves
+LAPLACE = FamilySpec(
+    name="laplace",
+    params=(ParamSpec("m", lambda v: True, "real"),
+            ParamSpec("b", lambda v: v > 0, "b > 0")),
+    builder=_build_laplace,
+)
+
+
 class TestRegistrationApi:
     def test_user_family_end_to_end(self):
-        # a family is added by supplying its name, schema, and log-space
-        # descriptor functions
-        def build_laplace(params):
-            m, b = params["m"], params["b"]
-
-            def log_pdf(x):
-                return -np.abs(np.asarray(x, dtype=float) - m) / b - math.log(2.0 * b)
-
-            def log_cdf(x):
-                x = np.asarray(x, dtype=float)
-                lo = math.log(0.5) - (m - x) / b
-                return np.where(x <= m, lo, log1mexp(np.minimum(
-                    math.log(0.5) - (x - m) / b, 0.0)))
-
-            def log_sf(x):
-                x = np.asarray(x, dtype=float)
-                hi = math.log(0.5) - (x - m) / b
-                return np.where(x >= m, hi, log1mexp(np.minimum(
-                    math.log(0.5) - (m - x) / b, 0.0)))
-
-            def quantile(p):
-                p = np.asarray(p, dtype=float)
-                return np.where(p < 0.5, m + b * np.log(2.0 * p),
-                                m - b * np.log1p(-np.minimum(p, 1.0)) - b * math.log(2.0))
-
-            return DistributionDescriptor(
-                family_name="laplace", params=params, kind="continuous",
-                support=(-math.inf, math.inf), log_pdf=log_pdf, log_cdf=log_cdf,
-                log_sf=log_sf, mode=m, mu=m, sigma=b, quantile=quantile,
-            )
-
-        register_family(FamilySpec(
-            name="laplace",
-            params=(ParamSpec("m", lambda v: True, "real"),
-                    ParamSpec("b", lambda v: v > 0, "b > 0")),
-            builder=build_laplace,
-        ))
+        register_family(LAPLACE)
         d = build_descriptor("laplace", m=0.0, b=1.0)
         ok, _ = check_log_concavity(d, (-10.0, 10.0))
         assert ok
@@ -358,6 +369,14 @@ class TestRegistrationApi:
         assert batch.is_clean(target)
         ks = st.kstest(batch.values - 20.0, st.expon.cdf)
         assert ks.pvalue > 0.001
+
+    def test_user_family_follows_the_convention(self):
+        register_family(LAPLACE)
+        d = build_descriptor("laplace", m=0.5, b=2.0)
+        xs = np.array([-80.0, -6.0, -0.5, 0.0, 0.5, 1.9, 12.0, 80.0])
+        for fn in (d.log_pdf, d.log_cdf, d.log_sf):
+            _assert_convention(fn, xs)
+        _assert_convention(d.quantile, np.array([1e-12, 0.1, 0.25, 0.5, 0.9, 1.0 - 1e-9]))
 
 
 # a member of each registered family: the family's defaults, completed here

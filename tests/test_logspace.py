@@ -1,5 +1,6 @@
 """Log-space primitive tests against arbitrary-precision oracles."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -100,6 +101,12 @@ class TestElementwise:
         assert wrapped.__doc__ == "Twice x."
         assert not hasattr(wrapped, "__wrapped__")
         assert not hasattr(log1mexp, "__wrapped__")
+
+    def test_wraps_a_callable_without_a_name(self):
+        # a family builder may hand build_descriptor any callable
+        halve = elementwise(functools.partial(np.multiply, 0.5))
+        assert type(halve(3.0)) is float and halve(3.0) == 1.5
+        assert halve(np.array([2.0, 4.0])).tolist() == [1.0, 2.0]
 
     def test_scalar_and_array_convention(self):
         @elementwise(at=1)
