@@ -8,28 +8,38 @@ happen on the log scale, which is what carries the sampler to the
 representability limit of the interval mass rather than the much earlier
 breakdown of linear-space tail arithmetic.
 
+Every sampler in the package fills its batch through one round driver,
+``_fill``.  With ``k`` slots open and an acceptance rate ``rho`` it draws
+``ceil(k/rho + 3 sqrt(k/rho)) + 1`` proposals in one round (Devroye 1986,
+*Non-Uniform Random Variate Generation*, II.3), so a batch usually fills in
+one or two rounds.  Accepted proposals fill the open slots in proposal
+order and the surplus is dropped: a proposal is kept or dropped by its
+position, never by its value, so every kept value is still an independent
+draw from the target.  A batch counts its proposals up to the last accepted
+one it kept, and may spend at most ``n * ImputationPolicy.max_iterations``
+of them; each round is clipped to what is left of that budget and to
+``MAX_ROUND`` proposals, which bounds the memory of a round.
+
+The samplers differ only in the proposer they hand the driver, and
+``_proposer`` is the one place that picks it from the target: the envelope
+proposer of the target's kind, or, for a descriptor that declares a
+``transform``, the hit-test proposer ``_hit_proposer`` (envelope proposals
+of the log-concave base, mapped, kept where the envelope test passes and
+the image lands in the interval).  Hit-or-miss uses the same hit-test
+proposer over the untruncated law.  Slots left open, and every slot of a
+target whose interval mass underflowed (``log_mass == -inf``, a degenerate
+target), go to the one policy helper, ``_finish``: depending on the
+:class:`ImputationPolicy` it substitutes the projected mode flagged as
+imputed, raises, or imputes ``+inf`` (provided only to mirror the
+behavior of quantile-based packages; it is not a sound choice for
+log-concave tails).
+
 A discrete round's proposals sit on a narrow lattice around the projected
 mode, so a round whose offsets span fewer lattice points than it has
 proposals evaluates the log-pmf once per point of that span, into a table
 it then indexes (Devroye 1987, "A simple generator for discrete
 log-concave distributions").  The table is never larger than the round,
 and its values are the per-proposal values bit for bit.
-
-Every sampler in the package fills its batch through one round driver,
-``_fill``, which keeps proposing for the open slots until each is
-accepted or the round cap is reached; the samplers differ only in the
-proposer they hand it, and ``_proposer`` is the one place that picks it
-from the target: the envelope proposer of the target's kind, or, for a
-descriptor that declares a ``transform``, the hit-test proposer
-``_hit_proposer`` over the log-concave base (draw, map, keep the draws
-that land in the interval).  Hit-or-miss uses the same hit-test proposer
-over the untruncated base.  Slots left open, and every slot of a target
-whose interval mass underflowed (``log_mass == -inf``, a degenerate
-target), go to the one policy helper, ``_finish``: depending on the
-:class:`ImputationPolicy` it substitutes the projected mode flagged as
-imputed, raises, or imputes ``+inf`` (provided only to mirror the
-behavior of quantile-based packages; it is not a sound choice for
-log-concave tails).
 """
 
 from __future__ import annotations
@@ -48,18 +58,22 @@ from .core import (
 )
 
 DEFAULT_MAX_ITERATIONS = 10_000
+# Largest round, in proposals.  A round's arrays take a few dozen bytes per
+# proposal, so this keeps a round of a large batch to a few megabytes.
+MAX_ROUND = 1 << 16
 
 
 class RngStream:
-    """Deterministic, spawnable random stream (counter-based Philox core).
+    """Deterministic, spawnable random stream (SFC64 core).
 
     Identical seeds yield identical variate sequences; ``spawn`` derives
-    statistically independent child streams for parallel grid cells.
+    statistically independent child streams (``SeedSequence.spawn``) for
+    parallel grid cells.
     """
 
     def __init__(self, seed: Optional[int] = 0, *, _seq: Optional[np.random.SeedSequence] = None):
         self.seed_sequence = _seq if _seq is not None else np.random.SeedSequence(seed)
-        self.generator = np.random.Generator(np.random.Philox(self.seed_sequence))
+        self.generator = np.random.Generator(np.random.SFC64(self.seed_sequence))
 
     def spawn(self, n: int) -> list["RngStream"]:
         return [RngStream(_seq=s) for s in self.seed_sequence.spawn(n)]
@@ -82,7 +96,9 @@ class ImputationPolicy:
 
     ``impute_mode`` substitutes the projected mode (the concentration
     point of the truncated law); ``error`` aborts; ``impute_infinite``
-    substitutes +inf.
+    substitutes +inf.  A batch of ``n`` variates may spend at most
+    ``n * max_iterations`` proposals; the slots still open then go to the
+    policy.
     """
 
     mode: str = "impute_mode"
@@ -156,57 +172,73 @@ def _degenerate_batch(t: TruncatedTarget, n: int, policy: ImputationPolicy, meth
     return _finish(t, np.empty(n), np.arange(n), 0, policy, method, lambda i: error)
 
 
-def _cap_error(policy: ImputationPolicy):
-    return lambda i: SamplingBreakdownError(
-        f"variate {i} exceeded {policy.max_iterations} proposals"
-    )
+def _round_size(k: int, rate: float, left: int) -> int:
+    """Proposals for a round with ``k`` open slots: ``k/rate`` plus three of
+    its square roots, plus one, clipped to ``left`` and ``MAX_ROUND``.  A
+    rate that underflowed to 0 (a transform route whose interval mass is
+    near the representability limit) asks for the most allowed."""
+    mean = k / rate if rate > 0.0 else math.inf
+    return min(math.ceil(min(mean + 3.0 * math.sqrt(mean), MAX_ROUND)) + 1, left, MAX_ROUND)
 
 
-def _fill(n: int, max_rounds: int, propose):
-    """Fill ``n`` slots in rounds; returns (values, open slot indices, proposals).
+def _fill(n: int, budget: int, propose, rate: float):
+    """Fill ``n`` slots in rounds; returns (values, filled, proposals).
 
-    ``propose(idx)`` draws one candidate for each open slot in ``idx`` and
-    returns ``(x, accepted, proposals)``; accepted candidates close their
-    slots.  Slots still open after ``max_rounds`` rounds are returned for
-    the imputation policy.
+    ``propose(size)`` draws ``size`` proposals and returns ``(x, accepted)``
+    for its candidates (at most ``size`` of them); ``rate`` is the expected
+    share of proposals accepted.  Accepted candidates fill slots
+    ``0, 1, ...`` in the order drawn and the surplus of a round is dropped.
+    ``proposals`` counts the candidates up to the last one kept, and the
+    rounds stop once it reaches ``budget``; slots ``filled`` to ``n - 1``
+    are then still open, for the imputation policy.
     """
     values = np.empty(n)
-    idx = np.arange(n)
-    proposals = 0
-    for _ in range(max_rounds):
-        if idx.size == 0:
-            break
-        x, acc, props = propose(idx)
-        proposals += props
-        values[idx[acc]] = x[acc]
-        idx = idx[~acc]
-    return values, idx, proposals
+    filled = proposals = 0
+    while filled < n and proposals < budget:
+        k = n - filled
+        x, acc = propose(_round_size(k, rate, budget - proposals))
+        hits = np.flatnonzero(acc)[:k]
+        values[filled:filled + hits.size] = x[hits]
+        filled += hits.size
+        proposals += int(hits[-1]) + 1 if filled == n else x.size
+    return values, filled, proposals
 
 
 def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
-    """One envelope proposal and log-space accept test per open slot."""
+    """Envelope proposals and their log-space accept test; rate 1/4.
+
+    One uniform ``v`` on [-2, 2) gives the side of the mode (its sign) and
+    the envelope component (``|v|``, uniform on [0, 2]); a second
+    exponential is drawn only for the proposals that fall in the
+    exponential tails.
+    """
     m = t.proj_mode
     c = math.exp(t.log_peak)
 
-    def propose(idx):
-        k = idx.size
-        u = gen.uniform(0.0, 2.0, size=k)
-        e = gen.standard_exponential(size=k)
-        e_star = gen.standard_exponential(size=k)
-        sign = np.where(gen.random(size=k) < 0.5, -1.0, 1.0)
-        tail = u > 1.0
-        offset = np.where(tail, 1.0 + e_star, u)
-        z = np.where(tail, -e - e_star, -e)
-        x = m + sign * offset / c
-        lf = t.log_pdf(x)
-        return x, z <= lf - t.log_peak, k
+    def propose(size):
+        v = gen.uniform(-2.0, 2.0, size=size)
+        offset = np.abs(v)
+        z = -gen.standard_exponential(size=size)
+        tail = np.flatnonzero(offset > 1.0)
+        e_star = gen.standard_exponential(size=tail.size)
+        offset[tail] = 1.0 + e_star
+        z[tail] -= e_star
+        offset /= c
+        x = np.copysign(offset, v, out=offset)
+        x += m
+        return x, z <= t.log_pdf(x) - t.log_peak
 
-    return propose
+    return propose, 0.25
 
 
 def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
-    """One envelope proposal on the lattice ``m + Z`` and log-space accept
-    test per open slot.
+    """Envelope proposals on the lattice ``m + Z`` and their log-space accept
+    test; rate ``1/(4 + f_I(m))``.
+
+    One uniform ``v`` on [-1, 1) gives the side of the mode (its sign), the
+    envelope component and, within the flat part, the position (``|v|``,
+    uniform on [0, 1]); an exponential is drawn only for the proposals that
+    fall in the exponential tails.
 
     A round whose integer offsets span fewer lattice points than it has
     proposals evaluates the log-pmf once per point of that span, into a
@@ -218,20 +250,19 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     log_c = min(t.log_peak, 0.0)
     c = math.exp(log_c)
     w = 1.0 + c / 2.0
+    flat = w / (1.0 + w)  # the flat part's share of the envelope
 
-    def propose(idx):
-        k = idx.size
-        u = gen.random(size=k)
-        w_u = gen.random(size=k)
-        v = gen.random(size=k)
-        e = gen.standard_exponential(size=k)
-        sign = np.where(gen.random(size=k) < 0.5, -1.0, 1.0)
-        tail = u > w / (1.0 + w)
-        y = np.where(tail, (w + e) / c, w * v / c)
-        offs = sign * np.floor(y + 0.5)
+    def propose(size):
+        v = gen.uniform(-1.0, 1.0, size=size)
+        y = np.abs(v)
+        tail = np.flatnonzero(y > flat)
+        # in the flat part |v| / flat is uniform on [0, 1): y = w (|v| / flat) / c
+        y *= (1.0 + w) / c
+        y[tail] = (w + gen.standard_exponential(size=tail.size)) / c
+        offs = np.copysign(np.floor(y + 0.5), v)
         x = m + offs
         lo, hi = offs.min(), offs.max()
-        if hi - lo < k:
+        if hi - lo < size:
             # Each log-pmf value depends only on its own point, never on the
             # rest of the array, so a table entry equals the value at that
             # point in ``x``.  That includes the series loop in
@@ -246,40 +277,46 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
             lf = table[(offs - lo).astype(np.intp)]
         else:
             lf = t.log_pdf(x)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(w_u)
-        acc = (log_w + np.minimum(0.0, w - c * y) <= lf - log_c) & (lf > -np.inf)
-        return x, acc, k
+        z = np.minimum(0.0, w - c * y) - gen.standard_exponential(size=size)
+        return x, (z <= lf - log_c) & (lf > -np.inf)
 
-    return propose
+    return propose, 1.0 / (4.0 + c)
 
 
-def _hit_proposer(base, interval, max_rounds: int, fmap=None):
-    """Hit-or-miss against ``interval``: one draw per open slot from the
-    proposer ``base`` (an inner ``_fill``), mapped through ``fmap``, is
-    accepted if it lands in the interval; an inner slot left open misses.
-    """
-
-    def propose(idx):
-        k = idx.size
-        draws, pending, props = _fill(k, max_rounds, base)
-        ok = np.ones(k, dtype=bool)
-        ok[pending] = False
-        if fmap is not None:
-            draws = fmap(draws)
-        return draws, ok & interval.contains(draws), props
-
-    return propose
-
-
-def _proposer(t: TruncatedTarget, gen: np.random.Generator, max_rounds: int):
-    """The proposer for ``t``: a transform route, or the envelope of its kind."""
-    route = t.base.transform
-    if route is not None:
-        base, fmap = route
-        return _hit_proposer(_proposer(truncate(base), gen, max_rounds), t.interval,
-                             max_rounds, fmap)
+def _envelope_proposer(t: TruncatedTarget, gen: np.random.Generator):
     return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
+
+
+def _hit_proposer(t: TruncatedTarget, gen: np.random.Generator, per_draw: bool = False):
+    """Draws of the untruncated law of ``t``, hit-tested against its interval.
+
+    The proposals are those of the envelope of the law's log-concave root:
+    ``t.base`` itself or, when it declares a ``transform``, the transform's
+    base, whose proposals are mapped.  A proposal that passes the envelope
+    test is a draw of the law; it is accepted when it lands in the
+    interval.  The candidates are the proposals, or with ``per_draw`` the
+    draws alone (hit-or-miss counts base draws, not proposals).
+    """
+    root, fmap = t.base.transform or (t.base, None)
+    envelope, rate = _envelope_proposer(truncate(root), gen)
+
+    def propose(size):
+        x, drawn = envelope(size)
+        if per_draw:
+            x = x[drawn]
+        if fmap is not None:
+            x = fmap(x)
+        hit = t.interval.contains(x)
+        return x, hit if per_draw else drawn & hit
+
+    return propose, rate * math.exp(t.log_mass)
+
+
+def _proposer(t: TruncatedTarget, gen: np.random.Generator):
+    """``(propose, rate)`` for ``t``: a transform route, or the envelope of its kind."""
+    if t.base.transform is not None:
+        return _hit_proposer(t, gen)
+    return _envelope_proposer(t, gen)
 
 
 def ds_sample_batch(
@@ -291,16 +328,22 @@ def ds_sample_batch(
     """Draw ``n`` variates from the truncated target.
 
     A degenerate target is handed to the imputation policy whole.
-    Otherwise the rejection loop runs on the proposer ``_proposer`` picks:
+    Otherwise the rejection rounds run on the proposer ``_proposer`` picks:
     the envelope of the target's kind, or, when the descriptor declares a
-    ``transform`` (gamma with shape below one), draws of its log-concave
-    base mapped and hit-tested against the interval.
+    ``transform`` (gamma with shape below one), proposals of its
+    log-concave base mapped and hit-tested against the interval.  At most
+    ``n * policy.max_iterations`` proposals are spent.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
     gen = as_generator(rng)
     if t.degenerate:
         return _degenerate_batch(t, n, policy, "devroye")
-    propose = _proposer(t, gen, policy.max_iterations)
-    values, pending, proposals = _fill(n, policy.max_iterations, propose)
-    return _finish(t, values, pending, proposals, policy, "devroye", _cap_error(policy))
+    budget = n * policy.max_iterations
+    values, filled, proposals = _fill(n, budget, *_proposer(t, gen))
+
+    def error(i):
+        return SamplingBreakdownError(
+            f"variate {i} still open after the batch's budget of {budget} proposals")
+
+    return _finish(t, values, np.arange(filled, n), proposals, policy, "devroye", error)

@@ -427,14 +427,32 @@ def auto_probes(desc: DistributionDescriptor) -> np.ndarray:
     return desc.mu + desc.sigma * np.arange(0, Z_MAX + 1, dtype=float)
 
 
-def _classify(sample, desc, a: float, rng: RngLike) -> bool:
-    """Whether ``sample(target, rng)`` gives a clean batch on ]a, inf[.
+def _targets(desc) -> Callable[[float], Optional[TruncatedTarget]]:
+    """``a -> truncate(desc, lower=a)``, built once per depth; ``None`` for a
+    depth that cannot be truncated to.  Targets are frozen, so the ITS and
+    the devroye pass of a scan cell share them."""
+    built: dict[float, Optional[TruncatedTarget]] = {}
 
-    A depth that cannot be truncated to, or a sampler that raises, is a
-    failure.
+    def target(a: float) -> Optional[TruncatedTarget]:
+        if a not in built:
+            try:
+                built[a] = truncate(desc, lower=a)
+            except (TruncationOverflow, ValueError):
+                built[a] = None
+        return built[a]
+
+    return target
+
+
+def _classify(sample, target: Optional[TruncatedTarget], rng: RngLike) -> bool:
+    """Whether ``sample(target, rng)`` gives a clean batch.
+
+    A depth that cannot be truncated to (``target`` is ``None``), or a
+    sampler that raises, is a failure.
     """
+    if target is None:
+        return False
     try:
-        target = truncate(desc, lower=float(a))
         batch = sample(target, rng)
     except (TruncationOverflow, DegenerateTargetError, ValueError):
         return False
@@ -536,15 +554,16 @@ def scan_safety(
         if schedule.size == 0 or np.any(np.diff(schedule) <= 0):
             raise ValueError("probe schedule must be strictly increasing and nonempty")
         cell_stream = root.spawn(1)[0]
+        target = _targets(desc)
         cell = ScanCell(params=dict(params))
         cell.a_bar_dprime = _dprime(desc, schedule)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
-                lambda a, r: _classify(its, desc, a, r), schedule, cell_stream)
+                lambda a, r: _classify(its, target(a), r), schedule, cell_stream)
             cell.eta = (cell.a_bar - desc.mu) / desc.sigma
         if method in ("devroye", "both"):
             cell.a_bar_prime, cell.ds_censored, cell.ds_anomalies = _breakdown(
-                lambda a, r: _classify(ds, desc, a, r), schedule, cell_stream)
+                lambda a, r: _classify(ds, target(a), r), schedule, cell_stream)
             cell.eta_prime = (cell.a_bar_prime - desc.mu) / desc.sigma
         rows.append(cell)
     return SafetyReport(

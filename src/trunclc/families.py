@@ -555,7 +555,9 @@ register_family(FamilySpec(
 ))
 register_family(FamilySpec(
     name="gamma",
-    params=(ParamSpec("alpha", lambda v: v > 0, "alpha > 0"),
+    # the alpha < 1 route samples EPD(1/alpha), so 1/alpha must be finite
+    params=(ParamSpec("alpha", lambda v: v > 0 and math.isfinite(1.0 / v),
+                      "alpha > 0 with 1/alpha finite"),
             ParamSpec("lambda", lambda v: v > 0, "lambda > 0")),
     builder=_build_gamma,
     defaults={"lambda": 1.0},

@@ -8,17 +8,18 @@ failed inversion surfaces as :class:`TruncationOverflow` rather than
 being silently repaired.
 
 Both samplers share the rejection sampler's machinery: hit-or-miss runs
-the round loop ``devroye._fill`` with the hit-test proposer
-``devroye._hit_proposer`` over the untruncated base's proposer (the one
-the rejection sampler would pick), and both hand their failed variates to
-the one policy helper ``devroye._finish``.
+the round driver ``devroye._fill`` with the hit-test proposer
+``devroye._hit_proposer`` (draws of the untruncated law, kept where they
+land in the interval), and both hand their failed variates to the one
+policy helper ``devroye._finish``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import TruncatedTarget, TruncationOverflow, truncate
+# ``truncate`` is a module attribute that perfbench's tracer swaps
+from .core import TruncatedTarget, TruncationOverflow, truncate  # noqa: F401
 from .devroye import (
     DEFAULT_POLICY,
     ImputationPolicy,
@@ -29,7 +30,6 @@ from .devroye import (
     _fill,
     _finish,
     _hit_proposer,
-    _proposer,
     as_generator,
 )
 
@@ -67,11 +67,14 @@ def hit_or_miss_batch(
 ) -> SampleBatch:
     """Draw from the base law until each draw lands in the interval.
 
-    The base sampler is the untruncated rejection sampler, so failures
+    The base draws come from the untruncated rejection sampler, so failures
     here isolate the 1/P(I) cost of re-drawing rather than any quantile
-    fragility.  ``trials`` records the base draws spent on each variate.  A
-    degenerate target is handed to the imputation policy whole, with no
-    draws.
+    fragility.  ``trials`` records, for each variate, the base draws since
+    the previous hit (for the first open slot, the draws after the last
+    hit), so ``proposals == trials.sum()``.  A batch may spend at most
+    ``n * max_trials`` base draws; ``policy`` decides what happens to the
+    slots still open then.  A degenerate target is handed to the imputation
+    policy whole, with no draws.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
@@ -80,18 +83,29 @@ def hit_or_miss_batch(
         batch = _degenerate_batch(t, n, policy, "hit_or_miss")
         batch.trials = trials
         return batch
-    base = _proposer(truncate(t.base), as_generator(rng), policy.max_iterations)
-    hit = _hit_proposer(base, t.interval, policy.max_iterations)
+    propose, rate = _hit_proposer(t, as_generator(rng), per_draw=True)
+    hits, drawn = [], 0
 
-    def propose(idx):
-        trials[idx] += 1
-        draws, ok, _ = hit(idx)
-        return draws, ok, idx.size
+    def recording(size):
+        nonlocal drawn
+        x, hit = propose(size)
+        hits.append(drawn + np.flatnonzero(hit))
+        drawn += x.size
+        return x, hit
+
+    budget = n * max_trials
+    values, filled, total = _fill(n, budget, recording, rate)
+    # every hit of a round is kept but the surplus of the last, so the kept
+    # hits are the first ``filled`` of them all
+    ends = np.concatenate(hits)[:filled] + 1
+    trials[:filled] = np.diff(ends, prepend=0)
+    if filled < n:
+        trials[filled] = total - (ends[-1] if filled else 0)
 
     def error(i):
-        return SamplingBreakdownError(f"variate {i} found no hit in {max_trials} base draws")
+        return SamplingBreakdownError(
+            f"variate {i} found no hit in the batch's budget of {budget} base draws")
 
-    values, pending, total = _fill(n, max_trials, propose)
-    batch = _finish(t, values, pending, total, policy, "hit_or_miss", error)
+    batch = _finish(t, values, np.arange(filled, n), total, policy, "hit_or_miss", error)
     batch.trials = trials
     return batch

@@ -48,6 +48,12 @@ class TestSample:
                            "--n", "1")
         assert code == 64
 
+    def test_tiny_gamma_shape_usage_error(self, capsys):
+        code, out, err = run(capsys, "sample", "--dist", "gamma", "--param", "alpha=1e-310",
+                             "--lower", "1", "--n", "1")
+        assert code == 64 and out == ""
+        assert "gamma" in err and "alpha" in err
+
     def test_degenerate_error_names_underflow(self, capsys):
         code, _, err = run(capsys, "sample", "--dist", "normal", "--lower", "800",
                            "--n", "2", "--impute", "error")

@@ -17,6 +17,7 @@ from trunclc import (
     ds_sample_batch,
     truncate,
 )
+from trunclc.devroye import MAX_ROUND
 
 
 def truncated_pmf(desc, lo, hi):
@@ -257,3 +258,89 @@ class TestGammaExceptionRoute:
         t = truncate(d, lower=40.0)
         b = ds_sample_batch(t, 50, RngStream(42), ImputationPolicy(max_iterations=50))
         assert b.imputed.all()
+
+
+class TestRounds:
+    """Each round overdraws and keeps accepted proposals by position only."""
+
+    TARGETS = {
+        "normal": lambda: truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0),
+        "poisson": lambda: truncate(build_descriptor("poisson", {"lambda": 50.0}), lower=50.0),
+        "gamma_half": lambda: truncate(build_descriptor("gamma", alpha=0.5), lower=0.5),
+    }
+
+    @staticmethod
+    def ks_pvalue(t, x):
+        """KS p-value of ``x`` against ``t.cdf``; for a lattice law the
+        statistic is taken at each observed point and the one below it,
+        where the two step functions differ most (conservative p-value)."""
+        x = np.sort(x)
+        n = x.size
+        if t.base.is_discrete:
+            pts = np.unique(np.concatenate([x, x - 1.0]))
+            d = np.max(np.abs(np.searchsorted(x, pts, side="right") / n - t.cdf(pts)))
+        else:
+            cdf = t.cdf(x)
+            i = np.arange(1, n + 1)
+            d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+        return st.kstwo.sf(d, n)
+
+    @pytest.mark.parametrize("name", ["normal", "poisson"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_small_batches_pool_to_the_target(self, name, n):
+        # a batch of n keeps the first n accepted of about 4n + 6 sqrt(n)
+        # proposals; keeping them by value instead would bias the pool
+        t = self.TARGETS[name]()
+        gen = RngStream(60 + n).generator
+        x = np.concatenate([ds_sample_batch(t, n, gen).values for _ in range(2_000)])
+        assert t.interval.contains(x).all()
+        assert self.ks_pvalue(t, x) > 0.001
+
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    def test_no_draw_exceeds_the_round_cap(self, name):
+        sizes = []
+
+        class Recording:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, attr):
+                draw = getattr(self.gen, attr)
+
+                def recorded(*args, size=None, **kwargs):
+                    sizes.append(size)
+                    return draw(*args, size=size, **kwargs)
+
+                return recorded
+
+        t = self.TARGETS[name]()
+        stream = RngStream(70)
+        stream.generator = Recording(stream.generator)
+        b = ds_sample_batch(t, 500_000, stream)
+        assert b.is_clean(t)
+        assert max(sizes) == MAX_ROUND
+
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    def test_budget_is_max_iterations_proposals_per_variate(self, name):
+        t = self.TARGETS[name]()
+        b = ds_sample_batch(t, 2_000, RngStream(80), ImputationPolicy(max_iterations=1))
+        assert b.proposals <= 2_000
+        assert 0 < b.n_imputed < 2_000
+        # the open slots are the last ones
+        assert b.imputed[-b.n_imputed:].all() and not b.imputed[:b.accepts].any()
+
+    def test_rate_underflow_spends_the_budget(self):
+        # P(I) ~ 1e-323, so the transform route's rate P(I)/4 rounds to 0
+        t = truncate(build_descriptor("gamma", alpha=0.5), lower=740.5)
+        assert not t.degenerate
+        b = ds_sample_batch(t, 3, RngStream(85), ImputationPolicy(max_iterations=5))
+        assert b.imputed.all() and b.proposals == 15
+
+    def test_proposals_stop_at_the_last_kept_acceptance(self):
+        # one slot: the round's first accepted proposal fills it, so the
+        # proposals counted are geometric with mean 1/rate = 4
+        t = self.TARGETS["normal"]()
+        gen = RngStream(90).generator
+        props = np.array([ds_sample_batch(t, 1, gen).proposals for _ in range(4_000)])
+        assert props.min() == 1
+        assert abs(props.mean() - 4.0) < 4.0 * math.sqrt(12.0 / props.size)

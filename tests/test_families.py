@@ -81,6 +81,12 @@ class TestParameterValidation:
         with pytest.raises(ParameterError, match="0 < p < 1"):
             build_descriptor("geometric", p=1.5)
 
+    def test_gamma_shape_whose_reciprocal_overflows(self):
+        # the alpha < 1 route samples EPD(1/alpha); 1/1e-310 is inf
+        with pytest.raises(ParameterError, match=r"gamma: parameter alpha=1e-310"):
+            build_descriptor("gamma", alpha=1e-310)
+        assert build_descriptor("gamma", alpha=1e-300).transform is not None
+
     def test_missing_and_extra(self):
         with pytest.raises(ParameterError, match="missing"):
             build_descriptor("binomial", n=10)

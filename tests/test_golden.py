@@ -73,45 +73,45 @@ CASES = {
 }
 
 GOLDEN = {
-    "binomial": (0, "66cd953296a9cb172d12acb5341d1055efc8578b8db301a853acef83ba128885"),
+    "binomial": (0, "83fa6534640dbfcc328899dfac63fc5e542ede78255693f03ba4a4454d4f2542"),
     "degenerate_error": (1, "9045d764fded9de2a95fd0e9d539e7ed69adc760ebdca3684736f8f7186749eb"),
     "degenerate_inf": (2, "12a507a93c14fb6aab3d79f04fd1144a4cf4614bc619ca7b4b131faacf9bbcc1"),
     "degenerate_mode": (2, "5020c20d1d1dd4d7dc5935b5dd23bf47373584ed424cabec71a1c974c1aa482b"),
-    "gamma_2": (0, "351e010d921ed5216110ed3a69113ee6697f5f0053eafa3a5e42536bfff6831e"),
-    "gamma_half_epd": (0, "710a8753fa23a924c8bfc11eaa398bcfa3598171b3321b2d93991da0e9bd1a8e"),
-    "geometric": (0, "28c17c7391cdce453bd7dbc9bebc56f75314fcd8b2b2e6cd545eeaf195757a40"),
-    "hitormiss": (0, "464db24a6aa9a706badf0d4d0ab6dc5464ba7a70a2f358e28527be84a024c3fa"),
-    "hitormiss_poisson": (0, "58e8c58fda9e4df6772697cf23ec14fcf78907226ce378e5027c234d5d711842"),
-    "its_clean": (0, "4323d4adad7f60266461fcb29426b7518c2f55f9b991cf6226976276f1265acc"),
+    "gamma_2": (0, "dda5d3547e298981cc810054e87e9684187c4bfda1f8114e04c30405b3d0f07f"),
+    "gamma_half_epd": (0, "5519f04ed90f2ac51c165da177095e83443d22a545979cf68f16f0260c9bc6fd"),
+    "geometric": (0, "17766513e0eeaa40db92cb2922b0b37f6f727c9da276e0d97814d5d936008004"),
+    "hitormiss": (0, "9be06eb45090c20df276f00a694a03b412ed7209997a8ecf1bf0ab635ef0e8d4"),
+    "hitormiss_poisson": (0, "91241a74f3aa79f0866c05997043a20d87ee05a42718807bb5a35db82948623c"),
+    "its_clean": (0, "8911d9b841d43b41605aff7fb09ef50e3751fed426f785843d0992a3e027cc3d"),
     "its_deep_error": (1, "f992af69a499bdcb6bb17b4a4268131df2d3a0fbe9a06aa5c9399d17a8fe5254"),
     "its_deep_mode": (2, "eb7618d4b77d03dae6c6b56538288154e100e46d5a794e64020649bd87cba2a6"),
-    "its_poisson": (0, "7292212d11f1b79215ea0d4226d9d363e23ca7356c077e36c2c0cdc0be393a03"),
-    "nbinom": (0, "33e2c06a9a16def642d35befc07cae10c4c4442ba72a15b276c82527706aead9"),
-    "normal_1": (0, "d09f2ca29845f58321ebc7cd6126feb6cc14581e333b9f260972a0c3b8181fd2"),
-    "normal_30_csv": (0, "b32888c670d970311195bc2a5fdb3a43984c9f4efe3232f6b33550112c68655a"),
-    "poisson": (0, "fb28aaa53019dfd5c21adec858163017d3e3cd6ac6191e4ed2eccf497a584564"),
-    "scan_csv": (0, "787a1f639c9fddc4d7e0357e0588e2ec0dfb10f1155a38277227e9aaf9852bdb"),
-    "scan_json": (0, "65af3119607033f6944232a9f9a929f6a6a429d40ada091ed1dee748995f77ca"),
-    "validate_memoryless": (0, "ec241c152cd9fbd0571032add5114ef523bb3ec13ae581939e0fd805496ee776"),
-    "validate_qq": (0, "15840b8e9ada0fa18333d14cdf9e875142bbd9ede8f44ce8f87fe505b07dc555"),
-    "validate_ztest": (0, "2deec019a43f2f229354e272fe28fb7c6a86514ff578b35146c22ba8ed70dff6"),
-    "devroye_binomial_20000": "9758362409d0efae839388abd4cb63c0623198ec92a88da714393be21c0468a5",
-    "devroye_cap_continuous": "f5b660f6862a2aa5a095698c675a9e2a543424f7e2e6026efc899c6fc3fd4cad",
-    "devroye_cap_discrete": "15ecdc83d723082a54a257d8787890c7421deda7db2fa698c2feabb1c6419415",
-    "devroye_cap_epd": "5edbd61e12fafbabb72eb72d7e7872709a9024bd3831ff73ecc3f4f43891b6d8",
-    "devroye_geometric_20000": "44b2b87f00ab5ac881aaa7daaa6ccb371d552066792b1d2bcf21009a9bb7bc2f",
-    "devroye_nbinom_20000": "36b81bb90a983ae39251d7182b5f3c133a2ec23f12ab1382b7d4d820c007cd56",
-    "devroye_poisson_20000": "71c74717c5d159302c878835ff39c8e51188f1c7fe0736490a34eb06189fd1f9",
-    "hit_or_miss_cap": "9cbd6b0a64cf9a02e50f910db80f2e4bf3e8e2f5c5994f2baee79cf1abd62e54",
-    "hit_or_miss_trials": "c3bf618e32ab1f38a0d4555a606b95735a3ed86cc3e6a5b440bf61ec0e7a5d45",
+    "its_poisson": (0, "4f0bc78b79610bab3696d3823029b378a30ccd3515e1d49cdfa4dfd3b2da9b0f"),
+    "nbinom": (0, "cb5d8e50afb35c07f1f28dde587f864b88b292897ac246f1e45f938d12fb4abb"),
+    "normal_1": (0, "e1a22717a704e9ddb528684559a87f0b34fc3e860a8572319041b97fce0bdda6"),
+    "normal_30_csv": (0, "df2a4fc5aa4e14cf42c2756c7ae5e9df910224f57139e464b1bf2f3718b9e2d4"),
+    "poisson": (0, "f8e8c0460469f49e2df049fd1bc1c279b9d232bbed05ec654b704700fea30c61"),
+    "scan_csv": (0, "167725d63de9ec66ba368bd2f32ec017384cadecad6009d2f64641c8650501b3"),
+    "scan_json": (0, "8fd0713754671407f150e331796ab8b6f6043c63c3692a2b62582f593074ed2a"),
+    "validate_memoryless": (0, "78adab951ee288bef84baa882651e6e48c72b4dfb50e401ee229e6a2cf1894bd"),
+    "validate_qq": (0, "7fbbd0cd01686e173df0584640965c15daee140a7835cdba42f3727a0bdd8361"),
+    "validate_ztest": (0, "ec6aa4d36ba56c15a7941ae6c37cdef5441d636ef5edfad9af018ad0c3f03ab0"),
+    "devroye_binomial_20000": "56e640701872b4a0753de93e8a5f9684b60bbdfa1bb6a97ae28208070cc2ee68",
+    "devroye_cap_continuous": "a049a763d3562d8dc152c5e8e336ae03094faa062fcbb23ef0cf555edb41bf16",
+    "devroye_cap_discrete": "46c9fae52688b74bbc8befd35fc6e71c9cedb5ac0f2981de8d4a084c9faf8816",
+    "devroye_cap_epd": "d1d5d3bf2d5dae9ae988ef14a0797be58c86cb6fb37ff76aded27ce6f0f0d60d",
+    "devroye_geometric_20000": "1ee91b8c8f49f5d9a6ec68e30963714bad1d6dd8545ac5cfd7b6d2ef926eb4d1",
+    "devroye_nbinom_20000": "3e06e84376cda297ba14c24a87334de8995e836ba8114bd9f6ef15121aa636d0",
+    "devroye_poisson_20000": "dc10c50a09e87ad3b226d777df854fc33a26d9f3d2c214614efbb0933a416d49",
+    "hit_or_miss_cap": "b16d127888d3390596c889760b763268509cc3d4f169aaa69f95abd91e193626",
+    "hit_or_miss_trials": "61f8810356b649c597d044850d974da6ccdb806e071ba3bf26d3c1cc4f9488ca",
 }
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 DEMO_GOLDEN = {
-    "01_deep_tail_sampling": "4c96f23000af9a0924d49d85350a1cd37e972a04c4416a85856a4dd872819f30",
-    "02_safety_scan": "6bceff87bcef7e70ad750b203e78770f4a6ea730f65c50cb4c7de10f8865acc8",
-    "03_validate_output": "f1624706f7aea25037c51f98c2466623bbb8319c8de02f6d77c27aa2edae39e1",
+    "01_deep_tail_sampling": "1b89effa366c6436b076b487ec1273625f6d7f97ef439979327430bc142f9db2",
+    "02_safety_scan": "55255f73892c8c9b12eddb1ec3b06a3b3879ef14a0334f2c3c749b726fbf97bf",
+    "03_validate_output": "84f638c0cb63fd2b283c0f8ff713437ce89017884f7f10cc4b1f9d3f767b9468",
 }
 
 

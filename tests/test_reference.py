@@ -137,6 +137,21 @@ class TestHitOrMiss:
         res = st.kstest(b.values, lambda x: 1.0 - law.sf(x) / law.sf(1.0))
         assert res.pvalue > 0.001
 
+    @pytest.mark.parametrize("family,params,lower,n,max_trials", [
+        ("normal", {}, 1.0, 500, 10_000),       # every slot filled
+        ("normal", {}, 2.5, 200, 20),           # budget runs out part way
+        ("poisson", {"lambda": 5.0}, 8.0, 300, 10_000),
+        ("gamma", {"alpha": 0.5}, 1.0, 300, 10_000),
+    ])
+    def test_trials_account_for_every_base_draw(self, family, params, lower, n, max_trials):
+        t = truncate(build_descriptor(family, params), lower=lower)
+        b = hit_or_miss_batch(t, n, RngStream(18), max_trials=max_trials)
+        assert b.proposals == b.trials.sum() <= n * max_trials
+        assert (b.trials[~b.imputed] >= 1).all()
+        # draws left after the last hit belong to the first open slot
+        assert (b.trials[b.imputed][1:] == 0).all()
+        assert t.interval.contains(b.values[~b.imputed]).all()
+
     def test_degenerate_target_goes_to_policy_without_draws(self):
         # log P(I) underflows on ]40, inf[: no base draw can be spent on it
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=40.0)
