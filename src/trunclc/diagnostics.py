@@ -16,6 +16,7 @@ geometric law.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -431,15 +432,13 @@ def _targets(desc) -> Callable[[float], Optional[TruncatedTarget]]:
     """``a -> truncate(desc, lower=a)``, built once per depth; ``None`` for a
     depth that cannot be truncated to.  Targets are frozen, so the ITS and
     the devroye pass of a scan cell share them."""
-    built: dict[float, Optional[TruncatedTarget]] = {}
 
+    @functools.cache
     def target(a: float) -> Optional[TruncatedTarget]:
-        if a not in built:
-            try:
-                built[a] = truncate(desc, lower=a)
-            except (TruncationOverflow, ValueError):
-                built[a] = None
-        return built[a]
+        try:
+            return truncate(desc, lower=a)
+        except (TruncationOverflow, ValueError):
+            return None
 
     return target
 
