@@ -64,6 +64,12 @@ CASES = {
     "scan_csv": ["scan", "--dist", "normal", "--n-probe", "20", "--seed", "3"],
     "scan_json": ["scan", "--dist", "poisson", "--grid", "lambda=2:20:2:log",
                   "--probe", "0:60:4", "--n-probe", "20", "--seed", "4", "--format", "json"],
+    # the benchmark's scan families: depths past n and into the tail-sum
+    # fallback; the -745 limit, with ITS saturated beyond a ~ 33
+    "scan_binomial_json": ["scan", "--dist", "binomial", "--param", "n=2048", "--param", "p=0.5",
+                           "--n-probe", "20", "--seed", "8", "--format", "json"],
+    "scan_exponential": ["scan", "--dist", "gamma", "--param", "alpha=1", "--probe", "1:1000:7",
+                         "--n-probe", "20", "--seed", "9"],
     "validate_ztest": ["validate", "ztest", "--dist", "normal", "--lower-grid", "0:30:10",
                        "--n", "400", "--seed", "5"],
     "validate_qq": ["validate", "qq", "--dist", "normal", "--lower", "3", "--n", "400",
@@ -92,6 +98,8 @@ GOLDEN = {
     "poisson": (0, "f8e8c0460469f49e2df049fd1bc1c279b9d232bbed05ec654b704700fea30c61"),
     "scan_csv": (0, "167725d63de9ec66ba368bd2f32ec017384cadecad6009d2f64641c8650501b3"),
     "scan_json": (0, "8fd0713754671407f150e331796ab8b6f6043c63c3692a2b62582f593074ed2a"),
+    "scan_binomial_json": (0, "818b6b252a345c48c8c0165c632e490d43b6e602c209b624e9ff0c342a5409cb"),
+    "scan_exponential": (0, "c0141709729a91b49e800081cd7dfcb9f9bc46c41a70a4ccdfbd73415f50e4b6"),
     "validate_memoryless": (0, "78adab951ee288bef84baa882651e6e48c72b4dfb50e401ee229e6a2cf1894bd"),
     "validate_qq": (0, "7fbbd0cd01686e173df0584640965c15daee140a7835cdba42f3727a0bdd8361"),
     "validate_ztest": (0, "ec6aa4d36ba56c15a7941ae6c37cdef5441d636ef5edfad9af018ad0c3f03ab0"),
