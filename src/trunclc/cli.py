@@ -36,6 +36,7 @@ from .families import ParameterError, UnknownFamilyError, build_descriptor
 from .reference import hit_or_miss_batch, its_sample_batch
 
 USAGE_EXIT = 64
+MAX_LATTICE = 1 << 20  # most points of a --probe or --lower-grid lattice
 
 _IMPUTE_MODES = {"mode": "impute_mode", "error": "error", "inf": "impute_infinite"}
 
@@ -120,7 +121,15 @@ def _lattice(flag: str, fields) -> np.ndarray:
         raise ParameterError(f"{flag} values must be finite, got {':'.join(fields)!r}")
     if not start <= stop:
         raise ParameterError(f"{flag} stop must be >= start, got {':'.join(fields)!r}")
-    return np.arange(start, stop + 0.5 * step, step)
+    # np.arange's point count, checked before it allocates
+    if not (stop + 0.5 * step - start) / step <= MAX_LATTICE:
+        raise ParameterError(
+            f"{flag} lattice {':'.join(fields)!r} has more than {MAX_LATTICE} points")
+    points = np.arange(start, stop + 0.5 * step, step)
+    if np.any(np.diff(points) <= 0.0):
+        raise ParameterError(
+            f"{flag} step {step!r} is below the spacing of doubles in {':'.join(fields)!r}")
+    return points
 
 
 def build_parser() -> _Parser:

@@ -24,7 +24,7 @@ degenerate target rather than silently produce garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,29 +137,46 @@ def project_mode(desc: DistributionDescriptor, interval: TruncationInterval) -> 
     return float(max(lo, min(hi, desc.mode)))
 
 
-def _log_masses(desc: DistributionDescriptor, a: float, b) -> np.ndarray:
-    """log P(a < X <= b) for a 1-d array of upper points ``b >= a``.
+def _log_masses(desc: DistributionDescriptor, a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """``(log P(a < X <= b), log F(a))`` for a 1-d array ``a`` of lower ends.
 
-    The CDF route ``log(F(b) - F(a))`` is used while ``F(a)`` sits in the
-    left tail (``log F(a) <= log 1/2``); otherwise the survival route
-    ``log(S(a) - S(b))``.  The route depends on ``a`` alone, so it is
-    picked once for every upper point.  No representability collapse is
-    applied here.
+    ``b >= a`` holds the upper ends, of ``a``'s shape or, for one lower end,
+    of any 1-d shape.  Each lower end picks its route: the CDF route
+    ``log(F(b) - F(a))`` while ``F(a)`` sits in the left tail
+    (``log F(a) <= log 1/2``), otherwise the survival route
+    ``log(S(a) - S(b))``.  ``log_cdf`` is called once over the finite lower
+    ends, ``log_sf`` once over the lower ends on the survival route, and each
+    once over the finite upper ends of its route; every value depends on its
+    own point alone.  No representability collapse is applied here.
     """
+    la = np.full(a.shape, -np.inf)
+    finite = a != -math.inf
+    if finite.any():
+        la[finite] = desc.log_cdf(a[finite])
+    survival = ~(la <= LOG_HALF)
+    lsa = np.zeros(a.shape)
+    if survival.any():
+        lsa[survival] = desc.log_sf(a[survival])
+    la_b, lsa_b, survival_b, b = np.broadcast_arrays(la, lsa, survival, b)
+    # log F(b) on the CDF route, log S(b) on the survival route
+    lb = np.where(survival_b, -np.inf, 0.0)
     finite = b != math.inf
-    la = desc.log_cdf(a) if a != -math.inf else -math.inf
-    if la <= LOG_HALF:
-        lb = np.zeros(b.shape)
-        if finite.any():
-            lb[finite] = desc.log_cdf(b[finite])
-        lm = log_diff_exp(lb, np.minimum(la, lb))
-    else:
-        la = desc.log_sf(a)
-        lb = np.full(b.shape, -np.inf)
-        if finite.any():
-            lb[finite] = desc.log_sf(b[finite])
-        lm = log_diff_exp(la, np.minimum(lb, la))
-    return np.minimum(lm, 0.0)
+    for route, log_tail in ((~survival_b, desc.log_cdf), (survival_b, desc.log_sf)):
+        at = finite & route
+        if at.any():
+            lb[at] = log_tail(b[at])
+    hi = np.where(survival_b, lsa_b, lb)
+    lo = np.where(survival_b, lb, la_b)
+    return np.minimum(log_diff_exp(hi, np.minimum(lo, hi)), 0.0), la
+
+
+def _representable(lm: float) -> float:
+    """``lm``, or ``-inf`` for a mass whose double value rounds to zero.
+
+    This is the representability limit: such a mass is treated as total
+    underflow.
+    """
+    return -math.inf if math.exp(lm) == 0.0 else lm
 
 
 def log_interval_mass(desc: DistributionDescriptor, interval: TruncationInterval) -> float:
@@ -167,34 +184,56 @@ def log_interval_mass(desc: DistributionDescriptor, interval: TruncationInterval
 
     Masses that underflow linear double precision collapse to ``-inf``.
     """
-    lm = float(_log_masses(desc, interval.lower, np.array([interval.upper]))[0])
-    # representability limit: a mass whose double value rounds to zero is
-    # treated as total underflow
-    if math.exp(lm) == 0.0:
-        return -math.inf
-    return lm
+    lm, _ = _log_masses(desc, np.array([interval.lower]), np.array([interval.upper]))
+    return _representable(float(lm[0]))
+
+
+def _target_fields(desc: DistributionDescriptor, intervals: list, modes: list) -> list:
+    """``(proj_mode, log_mass, log_peak, log F(a))`` of each interval, ``modes``
+    its projected modes.
+
+    One :func:`_log_masses` call covers every interval and one ``log_pdf``
+    call every projected mode of a non-degenerate target.
+    """
+    lms, las = _log_masses(desc, np.array([iv.lower for iv in intervals]),
+                           np.array([iv.upper for iv in intervals]))
+    lms = [_representable(lm) for lm in lms.tolist()]
+    live = [i for i, lm in enumerate(lms) if lm > -math.inf]
+    peaks = [math.inf] * len(lms)
+    if live:
+        # peak of the truncated density at the projected mode; the interval
+        # indicator is not applied (the projected mode may sit on the open
+        # lower endpoint, where the density value is the relevant limit)
+        lfs = desc.log_pdf(np.array([modes[i] for i in live]))
+        for i, lf in zip(live, lfs.tolist()):
+            peaks[i] = lf - lms[i]
+    return list(zip(modes, lms, peaks, las.tolist()))
 
 
 @dataclass(frozen=True)
 class TruncatedTarget:
-    """A descriptor truncated to ``]a, b]`` with cached normalization."""
+    """A descriptor truncated to ``]a, b]`` with cached normalization.
+
+    ``log_cdf_lower`` is log F(a), which picking the mass route evaluates
+    anyway and the inverse transform reads.  ``fields``, when given, are
+    the ``(proj_mode, log_mass, log_peak, log_cdf_lower)`` that :func:`tail_targets`
+    computed for many targets at once.
+    """
 
     base: DistributionDescriptor
     interval: TruncationInterval
     log_mass: float = field(init=False)
     proj_mode: float = field(init=False)
     log_peak: float = field(init=False)
+    log_cdf_lower: float = field(init=False, repr=False)
+    fields: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
-        pm = project_mode(self.base, self.interval)
-        lm = log_interval_mass(self.base, self.interval)
-        # peak of the truncated density at the projected mode; the interval
-        # indicator is not applied (the projected mode may sit on the open
-        # lower endpoint, where the density value is the relevant limit)
-        lp = self.base.log_pdf(pm) - lm if lm > -math.inf else math.inf
-        object.__setattr__(self, "proj_mode", pm)
-        object.__setattr__(self, "log_mass", lm)
-        object.__setattr__(self, "log_peak", lp)
+    def __post_init__(self, fields):
+        if fields is None:
+            (fields,) = _target_fields(self.base, [self.interval],
+                                       [project_mode(self.base, self.interval)])
+        for name, value in zip(("proj_mode", "log_mass", "log_peak", "log_cdf_lower"), fields):
+            object.__setattr__(self, name, value)
 
     @property
     def degenerate(self) -> bool:
@@ -217,33 +256,45 @@ class TruncatedTarget:
         out = np.full(x.shape, np.nan)
         out[x <= a] = 0.0
         out[x >= b] = 1.0
-        out[inside] = np.exp(_log_masses(self.base, a, x[inside]) - self.log_mass)
+        out[inside] = np.exp(_log_masses(self.base, np.array([a]), x[inside])[0]
+                             - self.log_mass)
         return np.minimum(out, 1.0)
+
+    def argument(self, u):
+        """``(p', saturated)``: the inverse-transform argument ``F(a) + u P(I)``
+        at uniforms ``u``, and the mask where it saturates (``u < 1`` but
+        ``p' >= 1``).
+
+        The argument is deliberately assembled in linear space: this is the
+        fragile pipeline whose breakdown the diagnostics measure.  At a
+        saturated argument the base quantile silently returns sup X (the
+        paper's imputation-as-supremum failure).
+        """
+        u = np.asarray(u, dtype=float)
+        pp = math.exp(self.log_cdf_lower) + u * math.exp(self.log_mass)
+        return pp, (u < 1.0) & (pp >= 1.0)
+
+    def failed(self, saturated, x):
+        """The mask of failed inversions, ``x`` the base quantiles at the
+        arguments: a saturated argument, a non-finite value, or a value
+        outside the truncated support of :func:`support_bounds`."""
+        lo, hi = support_bounds(self.base, self.interval)
+        return saturated | ~np.isfinite(x) | (x < lo) | (x > hi)
 
     def invert(self, u):
         """The inverse-transform pipeline at uniforms ``u``: ``q(F(a) + u P(I))``.
 
-        The probability argument is deliberately assembled in linear
-        space (this is the fragile pipeline whose breakdown the
-        diagnostics measure).  Returns ``(p', x, bad)``: the assembled
-        arguments, the base quantiles at them, and the mask of failed
-        inversions (a saturated argument, a non-finite value, or a value
-        outside the truncated support of :func:`support_bounds`).
+        Returns ``(p', x, bad)``: the arguments of :meth:`argument`, the
+        base quantiles at them, and the mask of :meth:`failed`.  A caller
+        that inverts many targets of one base runs the same three steps with
+        one quantile call over all their arguments.
         """
         if self.base.quantile is None:
             raise ValueError(f"{self.base.family_name} descriptor has no quantile function")
-        u = np.asarray(u, dtype=float)
-        a = self.interval.lower
-        fa = math.exp(self.base.log_cdf(a)) if a != -math.inf else 0.0
-        mass = math.exp(self.log_mass) if self.log_mass > -math.inf else 0.0
-        pp = fa + u * mass
-        # a saturated argument makes the base quantile silently return
-        # sup X (the paper's imputation-as-supremum failure)
-        saturated = (u < 1.0) & (pp >= 1.0)
+        pp, saturated = self.argument(u)
         with np.errstate(invalid="ignore"):
             x = self.base.quantile(pp)
-        lo, hi = support_bounds(self.base, self.interval)
-        return pp, x, saturated | ~np.isfinite(x) | (x < lo) | (x > hi)
+        return pp, x, self.failed(saturated, x)
 
     def quantile(self, p: float) -> float:
         """Truncated quantile q(F(a) + p * P(I)) via :meth:`invert`.
@@ -277,3 +328,25 @@ def truncate(
 ) -> TruncatedTarget:
     """Build a truncated target for ``desc`` restricted to ``]lower, upper]``."""
     return TruncatedTarget(desc, TruncationInterval(lower, upper))
+
+
+def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[TruncatedTarget]]:
+    """``truncate(desc, lower=a)`` for each ``a`` of ``lowers``, built in array calls.
+
+    One ``log_cdf`` call covers every depth, one ``log_sf`` call the depths
+    on the survival route and one ``log_pdf`` call the projected modes; each
+    target equals the one :func:`truncate` builds, field for field.  A depth
+    that :func:`truncate` refuses gives ``None``.
+    """
+    intervals, modes = [], []
+    for a in lowers:
+        try:
+            iv = TruncationInterval(float(a), math.inf)
+            modes.append(project_mode(desc, iv))
+        except ValueError:
+            iv = None
+        intervals.append(iv)
+    valid = [iv for iv in intervals if iv is not None]
+    fields = iter(_target_fields(desc, valid, modes) if valid else [])
+    return [None if iv is None else TruncatedTarget(desc, iv, next(fields))
+            for iv in intervals]

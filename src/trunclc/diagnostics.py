@@ -34,12 +34,21 @@ from .core import (
     TruncationInterval,
     TruncationOverflow,
     support_bounds,
+    tail_targets,
     truncate,
 )
-from .devroye import ImputationPolicy, RngLike, RngStream, SampleBatch, ds_sample_batch
+from .devroye import (
+    MAX_ROUND,
+    ImputationPolicy,
+    RngLike,
+    RngStream,
+    SampleBatch,
+    as_generator,
+    ds_sample_batch,
+)
 from .families import build_descriptor, get_family
 from .logspace import LOG_2PI
-from .reference import its_sample_batch
+from .reference import its_batch, its_sample_batch
 
 
 class OracleUnavailable(ValueError):
@@ -428,17 +437,24 @@ def auto_probes(desc: DistributionDescriptor) -> np.ndarray:
     return desc.mu + desc.sigma * np.arange(0, Z_MAX + 1, dtype=float)
 
 
-def _targets(desc) -> Callable[[float], Optional[TruncatedTarget]]:
+def _targets(desc, schedule: np.ndarray) -> Callable[[float], Optional[TruncatedTarget]]:
     """``a -> truncate(desc, lower=a)``, built once per depth; ``None`` for a
-    depth that cannot be truncated to.  Targets are frozen, so the ITS and
-    the devroye pass of a scan cell share them."""
+    depth that cannot be truncated to.
 
-    @functools.cache
+    The schedule's targets are built up front, in array calls
+    (:func:`~trunclc.core.tail_targets`); a bisection depth is built with
+    ``truncate`` when first asked for.  Targets are frozen, so the ITS and
+    the devroye pass of a scan cell share them.
+    """
+    cache = dict(zip(schedule.tolist(), tail_targets(desc, schedule)))
+
     def target(a: float) -> Optional[TruncatedTarget]:
-        try:
-            return truncate(desc, lower=a)
-        except (TruncationOverflow, ValueError):
-            return None
+        if a not in cache:
+            try:
+                cache[a] = truncate(desc, lower=a)
+            except (TruncationOverflow, ValueError):
+                cache[a] = None
+        return cache[a]
 
     return target
 
@@ -458,14 +474,62 @@ def _classify(sample, target: Optional[TruncatedTarget], rng: RngLike) -> bool:
     return batch.is_clean(target)
 
 
+_ITS_POLICY = ImputationPolicy("error")
+
+
+def _its_schedule(desc, targets: list, streams: list, n: int) -> list[bool]:
+    """``_classify`` of the error-policy ITS batch of ``n`` variates on each
+    of ``targets``, probe ``i`` drawing from ``streams[i]``, in few quantile
+    calls.
+
+    Each probe draws its uniforms as :func:`~trunclc.reference.its_sample_batch`
+    does and goes through the steps of
+    :meth:`~trunclc.core.TruncatedTarget.invert`.  A probe whose argument
+    saturates is unclean with no quantile call: the error policy would
+    raise at its first bad variate.  The other probes' arguments are
+    stacked, ``max(1, MAX_ROUND // n)`` probes to a ``desc.quantile`` call,
+    and each probe's batch is then judged as ``_classify`` judges it.
+    """
+    clean = [False] * len(targets)
+    if desc.quantile is None:
+        return clean  # ``invert`` refuses every probe
+    rows = []
+
+    def judge():
+        with np.errstate(invalid="ignore"):
+            xs = desc.quantile(np.concatenate([pp for _, _, pp in rows]))
+        for (i, t, pp), x in zip(rows, xs.reshape(len(rows), n)):
+            clean[i] = _classify(
+                lambda t, _: its_batch(t, pp, x, t.failed(False, x), _ITS_POLICY), t, None)
+        rows.clear()
+
+    for i, (t, r) in enumerate(zip(targets, streams)):
+        if t is None:
+            continue
+        pp, saturated = t.argument(as_generator(r).random(size=n))
+        if saturated.any():
+            continue
+        rows.append((i, t, pp))
+        if (len(rows) + 1) * n > MAX_ROUND:
+            judge()
+    if rows:
+        judge()
+    return clean
+
+
 def _breakdown(
+    judge_schedule: Callable[[list], Sequence[bool]],
     classify: Callable[[float, RngLike], bool],
     schedule: np.ndarray,
     stream: RngStream,
 ) -> tuple[float, bool, list]:
-    """Largest clean depth on the schedule, one bisection refinement stage, anomalies."""
-    probes = [s for s in stream.spawn(len(schedule))]
-    clean = np.array([classify(float(a), r) for a, r in zip(schedule, probes)])
+    """Largest clean depth on the schedule, one bisection refinement stage, anomalies.
+
+    ``judge_schedule(streams)`` says which probes of the schedule are clean,
+    probe ``i`` drawing from ``streams[i]``; ``classify(a, r)`` judges one
+    bisection depth.
+    """
+    clean = np.array(judge_schedule(stream.spawn(len(schedule))))
     if not clean.any():
         return math.nan, False, []
     last_clean = int(np.nonzero(clean)[0].max())
@@ -534,7 +598,7 @@ def scan_safety(
 
     # the sampler functions are module attributes read at each call
     def its(t, r):
-        return its_sample_batch(t, n_probe, r, policy=ImputationPolicy("error"))
+        return its_sample_batch(t, n_probe, r, policy=_ITS_POLICY)
 
     def ds(t, r):
         return ds_sample_batch(t, n_probe, r)
@@ -553,15 +617,18 @@ def scan_safety(
         if schedule.size == 0 or np.any(np.diff(schedule) <= 0):
             raise ValueError("probe schedule must be strictly increasing and nonempty")
         cell_stream = root.spawn(1)[0]
-        target = _targets(desc)
+        target = _targets(desc, schedule)
+        targets = [target(a) for a in schedule.tolist()]
         cell = ScanCell(params=dict(params))
         cell.a_bar_dprime = _dprime(desc, schedule)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
+                lambda rs: _its_schedule(desc, targets, rs, n_probe),
                 lambda a, r: _classify(its, target(a), r), schedule, cell_stream)
             cell.eta = (cell.a_bar - desc.mu) / desc.sigma
         if method in ("devroye", "both"):
             cell.a_bar_prime, cell.ds_censored, cell.ds_anomalies = _breakdown(
+                lambda rs: [_classify(ds, t, r) for t, r in zip(targets, rs)],
                 lambda a, r: _classify(ds, target(a), r), schedule, cell_stream)
             cell.eta_prime = (cell.a_bar_prime - desc.mu) / desc.sigma
         rows.append(cell)

@@ -19,6 +19,7 @@ power distribution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -131,27 +132,48 @@ def _log_poisson_raw(k, lam):
     return out
 
 
-def _log_tail_sum(log_pmf, start, step, lo, hi):
-    """Log-space sum of a monotone pmf tail from ``start`` in direction ``step``."""
+def _tail_points(start, step, lo, hi):
+    """The points ``start, start + step, ...`` of a tail sum, in order: each
+    the float sum of the one before and ``step``, within ``[lo, hi]``, at
+    most ``_MAX_TAIL_TERMS`` of them, and none after a point that ``step``
+    no longer moves (beyond the integer resolution of doubles)."""
     j = float(start)
-    anchor = None
-    acc = 0.0
     for _ in range(_MAX_TAIL_TERMS):
         if j < lo or j > hi:
-            break
-        lj = float(log_pmf(np.array([j]))[0])
-        if anchor is None:
-            if lj > -math.inf:
-                anchor = lj
-                acc = 1.0
-        else:
-            r = math.exp(lj - anchor)
-            acc += r
-            if r < acc * 1e-18:
-                break
+            return
+        yield j
         if j + step == j:
-            break  # beyond integer resolution of doubles
+            return
         j += step
+
+
+def _log_tail_sum(log_pmf, start, step, lo, hi):
+    """Log-space sum of a monotone pmf tail from ``start`` in direction ``step``.
+
+    The terms are scaled by the first finite one and summed in order; the
+    sum stops at the first term below 1e-18 of the running total.
+    ``log_pmf`` is evaluated on blocks of consecutive points, 16 at first
+    and twice as many each block, and the scalar accumulation then runs
+    over the block's values in order.  Each log-pmf value depends on its own
+    point alone (the discrete proposer's lattice table relies on the same
+    property), so the sum is bit for bit the one of a call per term.
+    """
+    points = _tail_points(start, step, lo, hi)
+    anchor = None
+    acc = 0.0
+    size = 16
+    while block := list(itertools.islice(points, size)):
+        for lj in log_pmf(np.array(block)).tolist():
+            if anchor is None:
+                if lj > -math.inf:
+                    anchor = lj
+                    acc = 1.0
+            else:
+                r = math.exp(lj - anchor)
+                acc += r
+                if r < acc * 1e-18:
+                    return anchor + math.log(acc)
+        size *= 2
     if anchor is None:
         return -math.inf
     return anchor + math.log(acc)

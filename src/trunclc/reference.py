@@ -48,14 +48,20 @@ def its_sample_batch(
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    pp, x, bad = t.invert(as_generator(rng).random(size=n))
+    return its_batch(t, *t.invert(as_generator(rng).random(size=n)), policy)
+
+
+def its_batch(t: TruncatedTarget, pp, x, bad, policy: ImputationPolicy) -> SampleBatch:
+    """The inverse-transform batch of the inversions ``(p', x, bad)`` on ``t``
+    (see :meth:`~trunclc.core.TruncatedTarget.invert`), its bad variates
+    handed to ``policy``."""
 
     def error(i):
         return TruncationOverflow(
             f"quantile route failed at variate {i}: p' = {float(pp[i])!r} -> {float(x[i])!r}"
         )
 
-    return _finish(t, x, np.flatnonzero(bad), n, policy, "its", error)
+    return _finish(t, x, np.flatnonzero(bad), x.size, policy, "its", error)
 
 
 def hit_or_miss_batch(

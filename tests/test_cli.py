@@ -4,9 +4,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from trunclc.cli import main
+from trunclc.cli import MAX_LATTICE, _lattice, main
+from trunclc.families import ParameterError
 
 
 def run(capsys, *argv):
@@ -198,6 +200,34 @@ class TestScan:
         assert code == 64 and out == ""
         assert f"usage error: {flag}" in err
         assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["scan", "--dist", "normal", "--n-probe", "20", "--probe"],
+        ["validate", "ztest", "--dist", "normal", "--n", "100", "--lower-grid"],
+    ])
+    @pytest.mark.parametrize("spec,why", [
+        ("0:1e12:1", "more than 1048576 points"),
+        ("1e17:1.0000000000000002e17:1", "below the spacing of doubles"),
+        ("9007199254740990:9007199254740996:1", "below the spacing of doubles"),
+    ])
+    def test_lattice_usage_error(self, capsys, monkeypatch, command, spec, why):
+        # the count is checked before numpy allocates: no test builds the
+        # huge lattice
+        arange = np.arange
+
+        def bounded_arange(start, stop, step):
+            assert (stop - start) / step <= MAX_LATTICE
+            return arange(start, stop, step)
+
+        monkeypatch.setattr(np, "arange", bounded_arange)
+        code, out, err = run(capsys, *command, spec)
+        assert code == 64 and out == ""
+        assert f"usage error: {command[-1]}" in err and why in err
+
+    def test_lattice_point_limit(self):
+        assert _lattice("--probe", ["0", str(MAX_LATTICE - 1), "1"]).size == MAX_LATTICE
+        with pytest.raises(ParameterError, match="more than"):
+            _lattice("--probe", ["0", str(MAX_LATTICE), "1"])
 
     def test_grid_values_reported_as_floats(self, capsys):
         code, _, err = run(capsys, "scan", "--dist", "poisson", "--n-probe", "20",

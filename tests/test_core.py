@@ -1,6 +1,7 @@
 """Truncated-target construction: interval mass, mode projection, density,
 CDF and quantile contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from trunclc import (
     support_bounds,
     truncate,
 )
+from trunclc.core import tail_targets
+from trunclc.diagnostics import auto_probes
 from trunclc.logspace import log_diff_exp
 
 from test_families import CONTRACT_CASES
@@ -310,3 +313,66 @@ class TestDescriptorConsistency:
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=800.0)
         assert t.degenerate
         assert t.proj_mode == 800.0
+
+
+class TestTailTargets:
+    """``tail_targets`` builds a schedule's targets ]a, inf[ in array calls,
+    each equal to the one ``truncate`` builds, field for field."""
+
+    FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower")
+    # the auto schedule of every registered family, deep members whose
+    # schedules reach the tail-sum fallback and the -745 limit, and binomial
+    # members whose schedules run past n
+    CASES = CONTRACT_CASES + [
+        ("normal", {"mu": 3.0, "sigma": 0.1}),
+        ("poisson", {"lambda": 500.0}),
+        ("nbinom", {"n": 10.0, "p": 0.5}),
+        ("binomial", {"n": 16.0, "p": 0.05}),
+        ("binomial", {"n": 2048.0, "p": 0.05}),
+        ("binomial", {"n": 2048.0, "p": 0.5}),
+    ]
+
+    @staticmethod
+    def _one(desc, a):
+        try:
+            return truncate(desc, lower=a)
+        except ValueError:
+            return None
+
+    @pytest.mark.parametrize("family,params", CASES, ids=[f"{f}{p}" for f, p in CASES])
+    def test_equals_truncate_field_for_field(self, family, params):
+        desc = build_descriptor(family, params)
+        # from below the support, through the auto schedule, to far past it
+        lowers = np.concatenate([desc.mu - desc.sigma * np.arange(6.0, 0.0, -1.0),
+                                 auto_probes(desc), desc.mu + desc.sigma * np.array([1e3, 1e6])])
+        got = tail_targets(desc, lowers)
+        assert len(got) == lowers.size
+        refused = 0
+        for a, t in zip(lowers.tolist(), got):
+            want = self._one(desc, a)
+            if want is None:
+                refused += 1
+                assert t is None, a
+                continue
+            assert t.interval == want.interval and t.base is desc
+            for name in self.FIELDS:
+                assert getattr(t, name) == getattr(want, name), (a, name)
+        if family == "binomial":
+            assert refused > 0  # depths past n
+        else:
+            assert refused == 0
+
+    def test_a_refused_depth_gives_none(self):
+        desc = build_descriptor("binomial", n=10.0, p=0.5)
+        assert tail_targets(desc, [3.0, 10.0, math.inf, 2.0])[1:3] == [None, None]
+        assert tail_targets(desc, [10.0]) == [None]
+
+    def test_invert_reads_log_f_a_from_the_target(self):
+        calls = []
+        d = build_descriptor("normal", mu=0, sigma=1)
+        counting = dataclasses.replace(d, log_cdf=lambda x: calls.append(x) or d.log_cdf(x))
+        t = truncate(counting, lower=1.0)
+        assert len(calls) == 1 and t.log_cdf_lower == d.log_cdf(1.0)
+        pp, _, _ = t.invert(np.array([0.0, 0.5]))
+        assert len(calls) == 1
+        assert pp[0] == math.exp(d.log_cdf(1.0))

@@ -1,6 +1,7 @@
 """Oracles, validation statistics, and the safety scanner."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from scipy import stats as st
 
 from trunclc import (
+    ImputationPolicy,
     OracleUnavailable,
     RngStream,
     TruncationInterval,
@@ -18,6 +20,7 @@ from trunclc import (
     build_descriptor,
     ds_sample_batch,
     exp_tail_qq,
+    its_sample_batch,
     memorylessness_check,
     scan_safety,
     truncate,
@@ -26,8 +29,9 @@ from trunclc import (
     truncated_mean_oracle_poisson,
     z_test_mean,
 )
-from trunclc.devroye import SampleBatch
-from trunclc.diagnostics import format_table
+from trunclc.core import tail_targets
+from trunclc.devroye import MAX_ROUND, SampleBatch
+from trunclc.diagnostics import _classify, _its_schedule, auto_probes, format_table
 
 
 class TestNormalMeanOracle:
@@ -274,6 +278,55 @@ class TestScanner:
         # batch size is checked before any probe runs
         with pytest.raises(ValueError, match="n_probe must be >= 1"):
             scan_safety("normal", probe_schedule=np.arange(0.0, 3.0), n_probe=0)
+
+
+class TestItsSchedule:
+    """The scan's ITS pass judges every probe of a schedule as ``_classify``
+    judges ``its_sample_batch`` on the same spawned stream, with few
+    quantile calls of at most ``MAX_ROUND`` values and none for a probe
+    whose argument saturates."""
+
+    CASES = [
+        ("normal", {}, np.arange(0.0, 51.0), 200),
+        # the exponential saturates beyond a ~ 33
+        ("gamma", {"alpha": 1.0}, np.arange(1.0, 1001.0, 7.0), 100),
+        ("poisson", {"lambda": 50.0}, "auto", 300),
+        ("binomial", {"n": 16.0, "p": 0.5}, "auto", 300),
+        # depths past n
+        ("binomial", {"n": 2048.0, "p": 0.05}, "auto", 300),
+        # about 910 unsaturated probes of 80: more than MAX_ROUND stacked values
+        ("normal", {}, np.linspace(-30.0, 12.0, 1000), 80),
+    ]
+
+    @pytest.mark.parametrize("family,params,schedule,n", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_matches_per_probe_classify(self, family, params, schedule, n):
+        desc = build_descriptor(family, params)
+        if isinstance(schedule, str):
+            schedule = auto_probes(desc)
+        targets = tail_targets(desc, schedule)
+
+        def its(t, r):
+            return its_sample_batch(t, n, r, ImputationPolicy("error"))
+
+        want = [_classify(its, t, r)
+                for t, r in zip(targets, RngStream(4).spawn(len(targets)))]
+        sizes = []
+
+        def quantile(p):
+            sizes.append(p.size)
+            return desc.quantile(p)
+
+        got = _its_schedule(dataclasses.replace(desc, quantile=quantile), targets,
+                            RngStream(4).spawn(len(targets)), n)
+        assert got == want
+        assert True in want and False in want
+        assert sizes and max(sizes) <= MAX_ROUND
+        if schedule.size == 1000:
+            assert len(sizes) == 2 and sum(sizes) > MAX_ROUND
+        if family == "gamma":
+            # only the unsaturated probes reach the quantile
+            assert sum(sizes) < n * schedule.size // 2
 
 
 class TestZGridProperty:

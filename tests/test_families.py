@@ -21,7 +21,7 @@ from trunclc import (
     register_family,
     truncate,
 )
-from trunclc.families import exception_route
+from trunclc.families import _log_tail_sum, exception_route
 from trunclc.logspace import log1mexp
 
 mp.mp.dps = 50
@@ -484,3 +484,72 @@ class TestLogPmfBatchIndependence:
         assert [_bits(v) for v in got] == [want[x] for x in mixed]
         # each point alone stops the near-branch series at its own term
         assert [_bits(t.log_pdf(x)) for x in lattice] == [want[x] for x in lattice]
+
+
+def _log_tail_sum_one_term(log_pmf, start, step, lo, hi):
+    """The tail sum with one ``log_pmf`` call per term: the oracle that the
+    blocked ``families._log_tail_sum`` must match bit for bit."""
+    j = float(start)
+    anchor = None
+    acc = 0.0
+    for _ in range(200_000):
+        if j < lo or j > hi:
+            break
+        lj = float(log_pmf(np.array([j]))[0])
+        if anchor is None:
+            if lj > -math.inf:
+                anchor = lj
+                acc = 1.0
+        else:
+            r = math.exp(lj - anchor)
+            acc += r
+            if r < acc * 1e-18:
+                break
+        if j + step == j:
+            break
+        j += step
+    if anchor is None:
+        return -math.inf
+    return anchor + math.log(acc)
+
+
+class TestBlockedTailSum:
+    """``_log_tail_sum`` evaluates the log-pmf on blocks of terms and sums
+    them in the one-term loop's order, so it returns that loop's value bit
+    for bit."""
+
+    # survival sums from start + 1 for start in ]lo, hi]
+    PANELS = [
+        ("nbinom", {"n": 10.0, "p": 0.5}, 900, 1400),
+        ("poisson", {"lambda": 500.0}, 1399, 2400),
+        ("binomial", {"n": 2048.0, "p": 0.05}, 849, 1500),
+    ]
+
+    @pytest.mark.parametrize("family,params,lo,hi", PANELS, ids=[p[0] for p in PANELS])
+    def test_survival_panel(self, family, params, lo, hi):
+        d = build_descriptor(family, params)
+        upper = d.support[1]
+        for k in range(lo + 1, hi + 1, 7):
+            want = _log_tail_sum_one_term(d.log_pdf, k + 1, 1.0, 0.0, upper)
+            got = _log_tail_sum(d.log_pdf, k + 1, 1.0, 0.0, upper)
+            assert _bits(got) == _bits(want), k
+        # the deep end of the panel goes through the fallback
+        assert _bits(d.log_sf(float(hi))) == _bits(
+            _log_tail_sum_one_term(d.log_pdf, hi + 1, 1.0, 0.0, upper))
+
+    @pytest.mark.parametrize("start,step", [(2045.0, 1.0), (5.0, -1.0)])
+    def test_stops_at_the_support_edge(self, start, step):
+        # binomial(2048, 0.5) terms near n or 0 are still far above 1e-18
+        # of the sum when the edge stops it
+        d = build_descriptor("binomial", n=2048.0, p=0.5)
+        want = _log_tail_sum_one_term(d.log_pdf, start, step, 0.0, 2048.0)
+        assert _bits(_log_tail_sum(d.log_pdf, start, step, 0.0, 2048.0)) == _bits(want)
+
+    @pytest.mark.parametrize("start", [2.0**53 - 40.0, 2.0**53 + 2.0])
+    def test_stops_beyond_integer_resolution(self, start):
+        # a geometric law this flat never meets the 1e-18 stop; the sum ends
+        # where ``j + 1 == j``
+        d = build_descriptor("geometric", p=1e-20)
+        want = _log_tail_sum_one_term(d.log_pdf, start, 1.0, 0.0, math.inf)
+        assert _bits(_log_tail_sum(d.log_pdf, start, 1.0, 0.0, math.inf)) == _bits(want)
+        assert math.isfinite(want)
