@@ -13,6 +13,10 @@ Its edges are worked out only in :func:`support_bounds`, which the
 projected mode, the quantile at 0, the inverse-transform failure mask and
 the validation oracles all read.
 
+Many targets ``]a, inf[`` of one descriptor, such as a scan's schedule of
+depths, are built together by :func:`tail_targets`, in one call of each
+descriptor function; each equals the target :func:`truncate` builds.
+
 Interval masses are computed entirely in log space, but a mass whose
 linear value is not representable as a nonzero double (log mass below
 roughly -745) is deliberately collapsed to ``-inf`` and the target is
@@ -216,8 +220,8 @@ class TruncatedTarget:
 
     ``log_cdf_lower`` is log F(a), which picking the mass route evaluates
     anyway and the inverse transform reads.  ``fields``, when given, are
-    the ``(proj_mode, log_mass, log_peak, log_cdf_lower)`` that :func:`tail_targets`
-    computed for many targets at once.
+    the ``(proj_mode, log_mass, log_peak, log_cdf_lower)`` that
+    :func:`tail_targets` computed for many targets at once.
     """
 
     base: DistributionDescriptor

@@ -6,7 +6,11 @@ produces a clean batch: the quantile-based sampler's endpoint is an
 execution error, an infinite value, or an out-of-interval value; the
 rejection sampler's endpoint is a nonzero imputation rate.  Depths are
 standardized to safety ratios through each family's central tendency and
-dispersion indices.
+dispersion indices.  A cell's schedule is built in array calls
+(:func:`~trunclc.core.tail_targets`), and its ITS pass stacks the
+quantile arguments of many probes into one call; the rejection pass runs
+per probe on the same targets, and the bisection between two probes builds
+and samples each depth one at a time.
 
 Validation tools check the samples themselves: a Z statistic on the
 truncated mean against independent oracles, an exponential tail Q-Q
@@ -16,7 +20,6 @@ geometric law.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -580,6 +583,13 @@ def scan_safety(
     ``probe_schedule`` is one of ``"auto"`` (integer-sigma lattice),
     ``"geometric"`` (geometric progression of depths), or an explicit
     increasing array of lower truncation bounds applied to every cell.
+
+    Each cell builds its schedule's targets in array calls and judges the
+    ITS batch of every probe with few quantile calls (``_its_schedule``);
+    each probe still draws from its own spawned stream, so the outcome is
+    the one of a batch per probe.  The rejection sampler runs per probe,
+    and the bisection of each breakdown depth builds its depths one at a
+    time.
     """
     if method not in ("its", "devroye", "both"):
         raise ValueError(f"unknown method {method!r}")
