@@ -350,7 +350,6 @@ def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[Truncate
         except ValueError:
             iv = None
         intervals.append(iv)
-    valid = [iv for iv in intervals if iv is not None]
-    fields = iter(_target_fields(desc, valid, modes) if valid else [])
+    fields = iter(_target_fields(desc, [iv for iv in intervals if iv is not None], modes))
     return [None if iv is None else TruncatedTarget(desc, iv, next(fields))
             for iv in intervals]
