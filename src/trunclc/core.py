@@ -16,6 +16,9 @@ the validation oracles all read.
 Many targets ``]a, inf[`` of one descriptor, such as a scan's schedule of
 depths, are built together by :func:`tail_targets`, in one call of each
 descriptor function; each equals the target :func:`truncate` builds.
+:func:`invert_targets` runs the inverse transform on many targets of one
+descriptor with one quantile call; :meth:`TruncatedTarget.invert` is its
+one-target case.
 
 Interval masses are computed entirely in log space, but a mass whose
 linear value is not representable as a nonzero double (log mass below
@@ -28,7 +31,7 @@ degenerate target rather than silently produce garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -214,14 +217,32 @@ def _target_fields(desc: DistributionDescriptor, intervals: list, modes: list) -
     return list(zip(modes, lms, peaks, las.tolist()))
 
 
+_FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower")
+
+
+def _set_fields(t: "TruncatedTarget", fields: tuple) -> None:
+    """Set the frozen ``_FIELDS`` of ``t`` from a :func:`_target_fields` entry."""
+    for name, value in zip(_FIELDS, fields):
+        object.__setattr__(t, name, value)
+
+
+def _prebuilt(desc: DistributionDescriptor, interval: TruncationInterval,
+              fields: tuple) -> "TruncatedTarget":
+    """The target of ``desc`` on ``interval`` with ``fields`` already computed,
+    set as ``TruncatedTarget.__post_init__`` would set them."""
+    t = object.__new__(TruncatedTarget)
+    object.__setattr__(t, "base", desc)
+    object.__setattr__(t, "interval", interval)
+    _set_fields(t, fields)
+    return t
+
+
 @dataclass(frozen=True)
 class TruncatedTarget:
     """A descriptor truncated to ``]a, b]`` with cached normalization.
 
     ``log_cdf_lower`` is log F(a), which picking the mass route evaluates
-    anyway and the inverse transform reads.  ``fields``, when given, are
-    the ``(proj_mode, log_mass, log_peak, log_cdf_lower)`` that
-    :func:`tail_targets` computed for many targets at once.
+    anyway and the inverse transform reads.
     """
 
     base: DistributionDescriptor
@@ -230,14 +251,11 @@ class TruncatedTarget:
     proj_mode: float = field(init=False)
     log_peak: float = field(init=False)
     log_cdf_lower: float = field(init=False, repr=False)
-    fields: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self, fields):
-        if fields is None:
-            (fields,) = _target_fields(self.base, [self.interval],
-                                       [project_mode(self.base, self.interval)])
-        for name, value in zip(("proj_mode", "log_mass", "log_peak", "log_cdf_lower"), fields):
-            object.__setattr__(self, name, value)
+    def __post_init__(self):
+        (fields,) = _target_fields(self.base, [self.interval],
+                                   [project_mode(self.base, self.interval)])
+        _set_fields(self, fields)
 
     @property
     def degenerate(self) -> bool:
@@ -264,41 +282,14 @@ class TruncatedTarget:
                              - self.log_mass)
         return np.minimum(out, 1.0)
 
-    def argument(self, u):
-        """``(p', saturated)``: the inverse-transform argument ``F(a) + u P(I)``
-        at uniforms ``u``, and the mask where it saturates (``u < 1`` but
-        ``p' >= 1``).
-
-        The argument is deliberately assembled in linear space: this is the
-        fragile pipeline whose breakdown the diagnostics measure.  At a
-        saturated argument the base quantile silently returns sup X (the
-        paper's imputation-as-supremum failure).
-        """
-        u = np.asarray(u, dtype=float)
-        pp = math.exp(self.log_cdf_lower) + u * math.exp(self.log_mass)
-        return pp, (u < 1.0) & (pp >= 1.0)
-
-    def failed(self, saturated, x):
-        """The mask of failed inversions, ``x`` the base quantiles at the
-        arguments: a saturated argument, a non-finite value, or a value
-        outside the truncated support of :func:`support_bounds`."""
-        lo, hi = support_bounds(self.base, self.interval)
-        return saturated | ~np.isfinite(x) | (x < lo) | (x > hi)
-
     def invert(self, u):
         """The inverse-transform pipeline at uniforms ``u``: ``q(F(a) + u P(I))``.
 
-        Returns ``(p', x, bad)``: the arguments of :meth:`argument`, the
-        base quantiles at them, and the mask of :meth:`failed`.  A caller
-        that inverts many targets of one base runs the same three steps with
-        one quantile call over all their arguments.
+        The one-target case of :func:`invert_targets`; returns ``(p', x,
+        bad)``, each of ``u``'s shape.
         """
-        if self.base.quantile is None:
-            raise ValueError(f"{self.base.family_name} descriptor has no quantile function")
-        pp, saturated = self.argument(u)
-        with np.errstate(invalid="ignore"):
-            x = self.base.quantile(pp)
-        return pp, x, self.failed(saturated, x)
+        u = np.asarray(u, dtype=float)
+        return tuple(v.reshape(u.shape) for v in invert_targets([self], u.reshape(1, -1)))
 
     def quantile(self, p: float) -> float:
         """Truncated quantile q(F(a) + p * P(I)) via :meth:`invert`.
@@ -334,6 +325,39 @@ def truncate(
     return TruncatedTarget(desc, TruncationInterval(lower, upper))
 
 
+def invert_targets(targets: list, u, skip_saturated: bool = False):
+    """The inverse-transform pipeline ``q(F(a) + u P(I))`` of targets of one
+    base, row ``i`` of the 2-d uniforms ``u`` on ``targets[i]``, in one
+    quantile call.
+
+    The probability argument is deliberately assembled in linear space
+    (this is the fragile pipeline whose breakdown the diagnostics measure).
+    Returns ``(p', x, bad)``, each of ``u``'s shape: the assembled
+    arguments, the base quantiles at them, and the mask of failed inversions
+    (a saturated argument, ``u < 1`` but ``p' >= 1``, a non-finite value, or
+    a value outside the truncated support of :func:`support_bounds`).  At a
+    saturated argument the base quantile silently returns sup X (the
+    paper's imputation-as-supremum failure).  With ``skip_saturated`` a row
+    holding a saturated argument is left out of the quantile call; its
+    ``x`` is nan, so every variate of it is bad.
+    """
+    base = targets[0].base
+    if base.quantile is None:
+        raise ValueError(f"{base.family_name} descriptor has no quantile function")
+    u = np.asarray(u, dtype=float)
+    fa = np.array([[math.exp(t.log_cdf_lower)] for t in targets])
+    mass = np.array([[math.exp(t.log_mass)] for t in targets])
+    pp = fa + u * mass
+    saturated = (u < 1.0) & (pp >= 1.0)
+    rows = ~saturated.any(axis=1) if skip_saturated else np.ones(len(targets), dtype=bool)
+    x = np.full(u.shape, np.nan)
+    if rows.any():
+        with np.errstate(invalid="ignore"):
+            x[rows] = base.quantile(pp[rows].ravel()).reshape(-1, u.shape[1])
+    lo, hi = np.array([support_bounds(t.base, t.interval) for t in targets]).T[:, :, None]
+    return pp, x, saturated | ~np.isfinite(x) | (x < lo) | (x > hi)
+
+
 def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[TruncatedTarget]]:
     """``truncate(desc, lower=a)`` for each ``a`` of ``lowers``, built in array calls.
 
@@ -351,5 +375,4 @@ def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[Truncate
             iv = None
         intervals.append(iv)
     fields = iter(_target_fields(desc, [iv for iv in intervals if iv is not None], modes))
-    return [None if iv is None else TruncatedTarget(desc, iv, next(fields))
-            for iv in intervals]
+    return [None if iv is None else _prebuilt(desc, iv, next(fields)) for iv in intervals]

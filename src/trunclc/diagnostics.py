@@ -36,6 +36,7 @@ from .core import (
     TruncatedTarget,
     TruncationInterval,
     TruncationOverflow,
+    invert_targets,
     support_bounds,
     tail_targets,
     truncate,
@@ -51,7 +52,8 @@ from .devroye import (
 )
 from .families import build_descriptor, get_family
 from .logspace import LOG_2PI
-from .reference import its_batch, its_sample_batch
+# ``its_sample_batch`` is a module attribute that perfbench's tracer swaps
+from .reference import its_batch, its_sample_batch  # noqa: F401
 
 
 class OracleUnavailable(ValueError):
@@ -480,59 +482,47 @@ def _classify(sample, target: Optional[TruncatedTarget], rng: RngLike) -> bool:
 _ITS_POLICY = ImputationPolicy("error")
 
 
-def _its_schedule(desc, targets: list, streams: list, n: int) -> list[bool]:
+def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     """``_classify`` of the error-policy ITS batch of ``n`` variates on each
     of ``targets``, probe ``i`` drawing from ``streams[i]``, in few quantile
     calls.
 
     Each probe draws its uniforms as :func:`~trunclc.reference.its_sample_batch`
-    does and goes through the steps of
-    :meth:`~trunclc.core.TruncatedTarget.invert`.  A probe whose argument
-    saturates is unclean with no quantile call: the error policy would
-    raise at its first bad variate.  The other probes' arguments are
-    stacked, ``max(1, MAX_ROUND // n)`` probes to a ``desc.quantile`` call,
-    and each probe's batch is then judged as ``_classify`` judges it.
+    does.  ``max(1, MAX_ROUND // n)`` probes at a time go through
+    :func:`~trunclc.core.invert_targets`, which leaves a probe whose argument
+    saturates out of the quantile call (the error policy would raise at its
+    first bad variate), and each probe's batch is then judged as
+    ``_classify`` judges it.
     """
     clean = [False] * len(targets)
-    if desc.quantile is None:
+    live = [i for i, t in enumerate(targets) if t is not None]
+    if not live or targets[live[0]].base.quantile is None:
         return clean  # ``invert`` refuses every probe
-    rows = []
-
-    def judge():
-        with np.errstate(invalid="ignore"):
-            xs = desc.quantile(np.concatenate([pp for _, _, pp in rows]))
-        for (i, t, pp), x in zip(rows, xs.reshape(len(rows), n)):
-            clean[i] = _classify(
-                lambda t, _: its_batch(t, pp, x, t.failed(False, x), _ITS_POLICY), t, None)
-        rows.clear()
-
-    for i, (t, r) in enumerate(zip(targets, streams)):
-        if t is None:
-            continue
-        pp, saturated = t.argument(as_generator(r).random(size=n))
-        if saturated.any():
-            continue
-        rows.append((i, t, pp))
-        if (len(rows) + 1) * n > MAX_ROUND:
-            judge()
-    if rows:
-        judge()
+    step = max(1, MAX_ROUND // n)
+    for k in range(0, len(live), step):
+        rows = live[k:k + step]
+        u = np.stack([as_generator(streams[i]).random(size=n) for i in rows])
+        inversions = invert_targets([targets[i] for i in rows], u, skip_saturated=True)
+        for i, pp, x, bad in zip(rows, *inversions):
+            clean[i] = _classify(lambda t, _: its_batch(t, pp, x, bad, _ITS_POLICY),
+                                 targets[i], None)
     return clean
 
 
 def _breakdown(
-    judge_schedule: Callable[[list], Sequence[bool]],
-    classify: Callable[[float, RngLike], bool],
+    judge: Callable[[list, list], Sequence[bool]],
+    target: Callable[[float], Optional[TruncatedTarget]],
     schedule: np.ndarray,
     stream: RngStream,
 ) -> tuple[float, bool, list]:
     """Largest clean depth on the schedule, one bisection refinement stage, anomalies.
 
-    ``judge_schedule(streams)`` says which probes of the schedule are clean,
-    probe ``i`` drawing from ``streams[i]``; ``classify(a, r)`` judges one
-    bisection depth.
+    ``judge(targets, streams)`` says which of ``targets`` give a clean
+    batch, target ``i`` drawing from ``streams[i]``; the schedule is judged
+    in one call and each bisection depth in a call of its own.
     """
-    clean = np.array(judge_schedule(stream.spawn(len(schedule))))
+    clean = np.array(judge([target(a) for a in schedule.tolist()],
+                           stream.spawn(len(schedule))))
     if not clean.any():
         return math.nan, False, []
     last_clean = int(np.nonzero(clean)[0].max())
@@ -545,7 +535,7 @@ def _breakdown(
     while a_hi - a_lo > REFINE_TOL:
         mid = 0.5 * (a_lo + a_hi)
         r = stream.spawn(1)[0]
-        if classify(mid, r):
+        if judge([target(mid)], [r])[0]:
             a_lo = mid
         else:
             a_hi = mid
@@ -606,12 +596,10 @@ def scan_safety(
     root = RngStream(seed)
     rows: list[ScanCell] = []
 
-    # the sampler functions are module attributes read at each call
-    def its(t, r):
-        return its_sample_batch(t, n_probe, r, policy=_ITS_POLICY)
-
-    def ds(t, r):
-        return ds_sample_batch(t, n_probe, r)
+    # ``ds_sample_batch`` is a module attribute read at each call
+    def ds(ts, rs):
+        return [_classify(lambda t, r: ds_sample_batch(t, n_probe, r), t, r)
+                for t, r in zip(ts, rs)]
 
     for params in param_grid:
         desc = build_descriptor(family, params)
@@ -628,18 +616,15 @@ def scan_safety(
             raise ValueError("probe schedule must be strictly increasing and nonempty")
         cell_stream = root.spawn(1)[0]
         target = _targets(desc, schedule)
-        targets = [target(a) for a in schedule.tolist()]
         cell = ScanCell(params=dict(params))
         cell.a_bar_dprime = _dprime(desc, schedule)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
-                lambda rs: _its_schedule(desc, targets, rs, n_probe),
-                lambda a, r: _classify(its, target(a), r), schedule, cell_stream)
+                lambda ts, rs: _its_schedule(ts, rs, n_probe), target, schedule, cell_stream)
             cell.eta = (cell.a_bar - desc.mu) / desc.sigma
         if method in ("devroye", "both"):
             cell.a_bar_prime, cell.ds_censored, cell.ds_anomalies = _breakdown(
-                lambda rs: [_classify(ds, t, r) for t, r in zip(targets, rs)],
-                lambda a, r: _classify(ds, target(a), r), schedule, cell_stream)
+                ds, target, schedule, cell_stream)
             cell.eta_prime = (cell.a_bar_prime - desc.mu) / desc.sigma
         rows.append(cell)
     return SafetyReport(

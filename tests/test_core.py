@@ -17,7 +17,7 @@ from trunclc import (
     support_bounds,
     truncate,
 )
-from trunclc.core import tail_targets
+from trunclc.core import invert_targets, tail_targets
 from trunclc.diagnostics import auto_probes
 from trunclc.logspace import log_diff_exp
 
@@ -376,3 +376,36 @@ class TestTailTargets:
         pp, _, _ = t.invert(np.array([0.0, 0.5]))
         assert len(calls) == 1
         assert pp[0] == math.exp(d.log_cdf(1.0))
+
+
+class TestInvertTargets:
+    """``invert_targets`` runs the inverse transform of many targets of one
+    base in one quantile call; ``invert`` is its one-target case."""
+
+    def test_rows_equal_invert(self):
+        desc = build_descriptor("normal", mu=0, sigma=1)
+        targets = tail_targets(desc, [-1.0, 2.0, 9.0])
+        u = np.random.default_rng(1).random((3, 50))
+        pp, x, bad = invert_targets(targets, u)
+        for t, row in zip(targets, range(3)):
+            want = t.invert(u[row])
+            for got, w in zip((pp[row], x[row], bad[row]), want):
+                np.testing.assert_array_equal(got, w)
+        assert bad[2].any() and not bad[0].any()
+
+    def test_skip_saturated_leaves_the_row_out(self):
+        calls = []
+        d = build_descriptor("normal", mu=0, sigma=1)
+        counting = dataclasses.replace(d, quantile=lambda p: calls.append(p.size) or d.quantile(p))
+        targets = tail_targets(counting, [0.0, 9.0])
+        u = np.random.default_rng(2).random((2, 40))
+        _, x, bad = invert_targets(targets, u, skip_saturated=True)
+        assert calls == [40]
+        assert np.isnan(x[1]).all() and bad[1].all()
+        np.testing.assert_array_equal(x[0], targets[0].invert(u[0])[1])
+
+    def test_scalar_invert_keeps_its_shape(self):
+        t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0)
+        pp, x, bad = t.invert(0.5)
+        assert np.shape(pp) == np.shape(x) == np.shape(bad) == ()
+        assert float(x) == t.quantile(0.5)

@@ -304,21 +304,21 @@ class TestItsSchedule:
         desc = build_descriptor(family, params)
         if isinstance(schedule, str):
             schedule = auto_probes(desc)
-        targets = tail_targets(desc, schedule)
-
-        def its(t, r):
-            return its_sample_batch(t, n, r, ImputationPolicy("error"))
-
-        want = [_classify(its, t, r)
-                for t, r in zip(targets, RngStream(4).spawn(len(targets)))]
         sizes = []
 
         def quantile(p):
             sizes.append(p.size)
             return desc.quantile(p)
 
-        got = _its_schedule(dataclasses.replace(desc, quantile=quantile), targets,
-                            RngStream(4).spawn(len(targets)), n)
+        targets = tail_targets(dataclasses.replace(desc, quantile=quantile), schedule)
+
+        def its(t, r):
+            return its_sample_batch(t, n, r, ImputationPolicy("error"))
+
+        want = [_classify(its, t, r)
+                for t, r in zip(targets, RngStream(4).spawn(len(targets)))]
+        sizes.clear()
+        got = _its_schedule(targets, RngStream(4).spawn(len(targets)), n)
         assert got == want
         assert True in want and False in want
         assert sizes and max(sizes) <= MAX_ROUND
