@@ -7,10 +7,10 @@ execution error, an infinite value, or an out-of-interval value; the
 rejection sampler's endpoint is a nonzero imputation rate.  Depths are
 standardized to safety ratios through each family's central tendency and
 dispersion indices.  A cell's schedule is built in array calls
-(:func:`~trunclc.core.tail_targets`), and its ITS pass stacks the
-quantile arguments of many probes into one call; the rejection pass runs
-per probe on the same targets, and the bisection between two probes builds
-and samples each depth one at a time.
+(:func:`~trunclc.core.tail_targets`), and its ITS pass inverts many
+probes in one quantile call (:func:`~trunclc.core.invert_targets`); the
+rejection pass runs per probe on the same targets, and the bisection
+between two probes builds and samples each depth one at a time.
 
 Validation tools check the samples themselves: a Z statistic on the
 truncated mean against independent oracles, an exponential tail Q-Q
@@ -494,18 +494,20 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     first bad variate), and each probe's batch is then judged as
     ``_classify`` judges it.
     """
+    step = max(1, MAX_ROUND // n)
+    if len(targets) > step:
+        # one chunk at a time, so that no two chunks' arrays are alive at once
+        return [ok for k in range(0, len(targets), step)
+                for ok in _its_schedule(targets[k:k + step], streams[k:k + step], n)]
     clean = [False] * len(targets)
     live = [i for i, t in enumerate(targets) if t is not None]
     if not live or targets[live[0]].base.quantile is None:
         return clean  # ``invert`` refuses every probe
-    step = max(1, MAX_ROUND // n)
-    for k in range(0, len(live), step):
-        rows = live[k:k + step]
-        u = np.stack([as_generator(streams[i]).random(size=n) for i in rows])
-        inversions = invert_targets([targets[i] for i in rows], u, skip_saturated=True)
-        for i, pp, x, bad in zip(rows, *inversions):
-            clean[i] = _classify(lambda t, _: its_batch(t, pp, x, bad, _ITS_POLICY),
-                                 targets[i], None)
+    u = np.stack([as_generator(streams[i]).random(size=n) for i in live])
+    for i, pp, x, bad in zip(live, *invert_targets([targets[i] for i in live], u,
+                                                   skip_saturated=True)):
+        clean[i] = _classify(lambda t, _: its_batch(t, pp, x, bad, _ITS_POLICY),
+                             targets[i], None)
     return clean
 
 
@@ -577,9 +579,9 @@ def scan_safety(
     Each cell builds its schedule's targets in array calls and judges the
     ITS batch of every probe with few quantile calls (``_its_schedule``);
     each probe still draws from its own spawned stream, so the outcome is
-    the one of a batch per probe.  The rejection sampler runs per probe,
-    and the bisection of each breakdown depth builds its depths one at a
-    time.
+    the one of a batch per probe.  The rejection sampler runs per probe.
+    The bisection of each breakdown depth builds its depths one at a time
+    and judges each with the same function as the schedule.
     """
     if method not in ("its", "devroye", "both"):
         raise ValueError(f"unknown method {method!r}")
