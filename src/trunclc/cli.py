@@ -54,6 +54,22 @@ def _fmt(v: float, discrete: bool = False) -> str:
     return repr(float(v))
 
 
+def _fmt_all(values: np.ndarray, discrete: bool) -> list[str]:
+    """``_fmt`` of each of ``values``.
+
+    A discrete batch's finite integral values below 2^63 in magnitude go
+    through one int64 cast and ``str``, which writes the same bytes in
+    about a third of the time; every other value goes through ``_fmt``.
+    """
+    if not discrete:
+        return [_fmt(v) for v in values.tolist()]
+    bulk = np.isfinite(values) & (values == np.floor(values)) & (np.abs(values) < 2.0**63)
+    out = list(map(str, np.where(bulk, values, 0.0).astype(np.int64).tolist()))
+    for i in np.flatnonzero(~bulk).tolist():
+        out[i] = _fmt(float(values[i]), True)
+    return out
+
+
 def _number(flag: str, text: str, kind=float):
     """``kind(text)``; a malformed field is a usage error naming ``flag``."""
     try:
@@ -194,11 +210,11 @@ def cmd_sample(args) -> int:
     if args.format == "plain":
         # one write for the whole batch: a print per value costs more than
         # formatting it
-        sys.stdout.write("".join(f"{_fmt(v, disc)}\n" for v in batch.values.tolist()))
+        sys.stdout.write("\n".join(_fmt_all(batch.values, disc)) + "\n")
         print(stats, file=sys.stderr)
     elif args.format == "csv":
-        rows = "".join(f"{_fmt(v, disc)},{'true' if f else 'false'}\n"
-                       for v, f in zip(batch.values.tolist(), batch.imputed.tolist()))
+        rows = "".join(f"{v},{'true' if f else 'false'}\n"
+                       for v, f in zip(_fmt_all(batch.values, disc), batch.imputed.tolist()))
         sys.stdout.write(f"value,imputed\n{rows}# {stats}\n")
     else:
         rows = [{"value": (int(v) if disc and math.isfinite(v) else v), "imputed": f}

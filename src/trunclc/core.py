@@ -144,17 +144,13 @@ def project_mode(desc: DistributionDescriptor, interval: TruncationInterval) -> 
     return float(max(lo, min(hi, desc.mode)))
 
 
-def _log_masses(desc: DistributionDescriptor, a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
-    """``(log P(a < X <= b), log F(a))`` for a 1-d array ``a`` of lower ends.
+def _log_lower(desc: DistributionDescriptor, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log F(a), log S(a))`` for a 1-d array ``a`` of lower ends.
 
-    ``b >= a`` holds the upper ends, of ``a``'s shape or, for one lower end,
-    of any 1-d shape.  Each lower end picks its route: the CDF route
-    ``log(F(b) - F(a))`` while ``F(a)`` sits in the left tail
-    (``log F(a) <= log 1/2``), otherwise the survival route
-    ``log(S(a) - S(b))``.  ``log_cdf`` is called once over the finite lower
-    ends, ``log_sf`` once over the lower ends on the survival route, and each
-    once over the finite upper ends of its route; every value depends on its
-    own point alone.  No representability collapse is applied here.
+    ``log_cdf`` is called once over the finite lower ends and ``log_sf``
+    once over those on the survival route (``log F(a) > log 1/2``).  On the
+    CDF route log S(a) is ``log1p(-F(a))``, well conditioned there since
+    ``F(a) <= 1/2``.
     """
     la = np.full(a.shape, -np.inf)
     finite = a != -math.inf
@@ -164,6 +160,23 @@ def _log_masses(desc: DistributionDescriptor, a: np.ndarray, b) -> tuple[np.ndar
     lsa = np.zeros(a.shape)
     if survival.any():
         lsa[survival] = desc.log_sf(a[survival])
+    lsa[~survival] = np.log1p(-np.exp(la[~survival]))
+    return la, lsa
+
+
+def _log_masses(desc: DistributionDescriptor, la: np.ndarray, lsa: np.ndarray, b) -> np.ndarray:
+    """log P(a < X <= b) of lower ends ``a`` given as ``(log F(a), log S(a))``
+    (see :func:`_log_lower`).
+
+    ``b >= a`` holds the upper ends, of ``la``'s shape or, for one lower
+    end, of any 1-d shape.  Each lower end picks its route: the CDF route
+    ``log(F(b) - F(a))`` while ``F(a)`` sits in the left tail
+    (``log F(a) <= log 1/2``), otherwise the survival route
+    ``log(S(a) - S(b))``.  ``log_cdf`` and ``log_sf`` are each called once,
+    over the finite upper ends of their route; every value depends on its
+    own point alone.  No representability collapse is applied here.
+    """
+    survival = ~(la <= LOG_HALF)
     la_b, lsa_b, survival_b, b = np.broadcast_arrays(la, lsa, survival, b)
     # log F(b) on the CDF route, log S(b) on the survival route
     lb = np.where(survival_b, -np.inf, 0.0)
@@ -174,7 +187,7 @@ def _log_masses(desc: DistributionDescriptor, a: np.ndarray, b) -> tuple[np.ndar
             lb[at] = log_tail(b[at])
     hi = np.where(survival_b, lsa_b, lb)
     lo = np.where(survival_b, lb, la_b)
-    return np.minimum(log_diff_exp(hi, np.minimum(lo, hi)), 0.0), la
+    return np.minimum(log_diff_exp(hi, np.minimum(lo, hi)), 0.0)
 
 
 def _representable(lm: float) -> float:
@@ -191,19 +204,21 @@ def log_interval_mass(desc: DistributionDescriptor, interval: TruncationInterval
 
     Masses that underflow linear double precision collapse to ``-inf``.
     """
-    lm, _ = _log_masses(desc, np.array([interval.lower]), np.array([interval.upper]))
+    lm = _log_masses(desc, *_log_lower(desc, np.array([interval.lower])),
+                     np.array([interval.upper]))
     return _representable(float(lm[0]))
 
 
 def _target_fields(desc: DistributionDescriptor, intervals: list, modes: list) -> list:
-    """``(proj_mode, log_mass, log_peak, log F(a))`` of each interval, ``modes``
-    its projected modes.
+    """``(proj_mode, log_mass, log_peak, log F(a), log S(a))`` of each
+    interval, ``modes`` its projected modes.
 
-    One :func:`_log_masses` call covers every interval and one ``log_pdf``
-    call every projected mode of a non-degenerate target.
+    One :func:`_log_lower` and one :func:`_log_masses` call cover every
+    interval, and one ``log_pdf`` call every projected mode of a
+    non-degenerate target.
     """
-    lms, las = _log_masses(desc, np.array([iv.lower for iv in intervals]),
-                           np.array([iv.upper for iv in intervals]))
+    las, lsas = _log_lower(desc, np.array([iv.lower for iv in intervals]))
+    lms = _log_masses(desc, las, lsas, np.array([iv.upper for iv in intervals]))
     lms = [_representable(lm) for lm in lms.tolist()]
     live = [i for i, lm in enumerate(lms) if lm > -math.inf]
     peaks = [math.inf] * len(lms)
@@ -214,10 +229,10 @@ def _target_fields(desc: DistributionDescriptor, intervals: list, modes: list) -
         lfs = desc.log_pdf(np.array([modes[i] for i in live]))
         for i, lf in zip(live, lfs.tolist()):
             peaks[i] = lf - lms[i]
-    return list(zip(modes, lms, peaks, las.tolist()))
+    return list(zip(modes, lms, peaks, las.tolist(), lsas.tolist()))
 
 
-_FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower")
+_FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower", "log_sf_lower")
 
 
 def _set_fields(t: "TruncatedTarget", fields: tuple) -> None:
@@ -241,8 +256,9 @@ def _prebuilt(desc: DistributionDescriptor, interval: TruncationInterval,
 class TruncatedTarget:
     """A descriptor truncated to ``]a, b]`` with cached normalization.
 
-    ``log_cdf_lower`` is log F(a), which picking the mass route evaluates
-    anyway and the inverse transform reads.
+    ``log_cdf_lower`` and ``log_sf_lower`` are log F(a) and log S(a), which
+    the mass evaluates anyway; the inverse transform reads the first, and
+    :meth:`cdf` reads both instead of evaluating them again.
     """
 
     base: DistributionDescriptor
@@ -251,6 +267,7 @@ class TruncatedTarget:
     proj_mode: float = field(init=False)
     log_peak: float = field(init=False)
     log_cdf_lower: float = field(init=False, repr=False)
+    log_sf_lower: float = field(init=False, repr=False)
 
     def __post_init__(self):
         (fields,) = _target_fields(self.base, [self.interval],
@@ -278,7 +295,8 @@ class TruncatedTarget:
         out = np.full(x.shape, np.nan)
         out[x <= a] = 0.0
         out[x >= b] = 1.0
-        out[inside] = np.exp(_log_masses(self.base, np.array([a]), x[inside])[0]
+        out[inside] = np.exp(_log_masses(self.base, np.array([self.log_cdf_lower]),
+                                         np.array([self.log_sf_lower]), x[inside])
                              - self.log_mass)
         return np.minimum(out, 1.0)
 

@@ -7,8 +7,9 @@ execution error, an infinite value, or an out-of-interval value; the
 rejection sampler's endpoint is a nonzero imputation rate.  Depths are
 standardized to safety ratios through each family's central tendency and
 dispersion indices.  A cell's schedule is built in array calls
-(:func:`~trunclc.core.tail_targets`), and its ITS pass inverts many
-probes in one quantile call (:func:`~trunclc.core.invert_targets`); the
+(:func:`~trunclc.core.tail_targets`), and its ITS pass inverts the two
+extreme uniforms of many probes in one quantile call
+(:func:`~trunclc.core.invert_targets`); the
 rejection pass runs per probe on the same targets, and the bisection
 between two probes builds and samples each depth one at a time.
 
@@ -487,14 +488,21 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     of ``targets``, probe ``i`` drawing from ``streams[i]``, in few quantile
     calls.
 
-    Each probe draws its uniforms as :func:`~trunclc.reference.its_sample_batch`
-    does.  ``max(1, MAX_ROUND // n)`` probes at a time go through
-    :func:`~trunclc.core.invert_targets`, which leaves a probe whose argument
-    saturates out of the quantile call (the error policy would raise at its
-    first bad variate), and each probe's batch is then judged as
-    ``_classify`` judges it.
+    Each probe draws its ``n`` uniforms as
+    :func:`~trunclc.reference.its_sample_batch` does, but only the smallest
+    and the largest are inverted: they decide the verdict (the order
+    statistics argument of Devroye 1986, ch. V).  The argument
+    ``F(a) + u P(I)`` is non-decreasing in ``u``, rounding included, and
+    each registered quantile is non-decreasing on sorted arguments and
+    non-finite only at its ends.  So each way a variate can fail
+    (saturating, a non-finite value, a value at or below ``a``, or above
+    ``b``) shows first at one of the two extremes.  ``MAX_ROUND // 2``
+    probes at a time go through :func:`~trunclc.core.invert_targets`,
+    which leaves a probe whose argument saturates out of the quantile call
+    (the error policy would raise at its first bad variate), and each
+    probe's two inversions are then judged as ``_classify`` judges a batch.
     """
-    step = max(1, MAX_ROUND // n)
+    step = MAX_ROUND // 2
     if len(targets) > step:
         # one chunk at a time, so that no two chunks' arrays are alive at once
         return [ok for k in range(0, len(targets), step)
@@ -503,7 +511,8 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     live = [i for i, t in enumerate(targets) if t is not None]
     if not live or targets[live[0]].base.quantile is None:
         return clean  # ``invert`` refuses every probe
-    u = np.stack([as_generator(streams[i]).random(size=n) for i in live])
+    u = np.array([(r.min(), r.max())
+                  for r in (as_generator(streams[i]).random(size=n) for i in live)])
     for i, pp, x, bad in zip(live, *invert_targets([targets[i] for i in live], u,
                                                    skip_saturated=True)):
         clean[i] = _classify(lambda t, _: its_batch(t, pp, x, bad, _ITS_POLICY),
@@ -578,8 +587,12 @@ def scan_safety(
 
     Each cell builds its schedule's targets in array calls and judges the
     ITS batch of every probe with few quantile calls (``_its_schedule``);
-    each probe still draws from its own spawned stream, so the outcome is
-    the one of a batch per probe.  The rejection sampler runs per probe.
+    each probe still draws its ``n_probe`` uniforms from its own spawned
+    stream, so the outcome is the one of a batch per probe.  Only the
+    smallest and largest uniform of a probe are inverted: the inverse
+    transform is non-decreasing in the uniform, so a batch holds a bad
+    variate exactly when one of its two extreme order statistics is bad
+    (Devroye 1986, ch. V).  The rejection sampler runs per probe.
     The bisection of each breakdown depth builds its depths one at a time
     and judges each with the same function as the schedule.
     """

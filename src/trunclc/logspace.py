@@ -18,6 +18,7 @@ LOG_HALF = math.log(0.5)
 LOG_2PI = math.log(2.0 * math.pi)
 LINEAR_FLOOR = 1e-280  # below this a linear-space tail value has lost precision
 _MAX_GAMMA_ITER = 200_000  # cap on the incomplete-gamma series and continued fraction
+_CF_EPS = float(np.finfo(float).eps)  # the continued fraction stops at a step this close to 1
 
 
 def elementwise(fn=None, *, at: int = 0):
@@ -89,7 +90,11 @@ def _log_gamma_q_cf(a: float, z: float) -> float:
     """log Q(a, z) via the Legendre continued fraction (modified Lentz).
 
     Valid for z > a + 1; converges in a handful of iterations once z is
-    well past a.
+    well past a.  It stops at a step within machine epsilon of 1, as
+    Numerical Recipes' ``gcf`` does (Press et al. 2007, sec. 6.2).  The
+    steps can settle one ulp below 1 (1 - 1.1e-16, the doubles being twice
+    as dense there), which a bound under 1.1e-16 never admits: the
+    fraction would run to the cap and raise.
     """
     fpmin = 1e-300
     b = z + 1.0 - a
@@ -108,7 +113,7 @@ def _log_gamma_q_cf(a: float, z: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) <= _CF_EPS:
             break
     else:
         raise ArithmeticError(f"incomplete-gamma CF did not converge (a={a}, z={z})")

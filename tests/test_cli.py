@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from trunclc.cli import MAX_LATTICE, _lattice, main
+from trunclc import cli
+from trunclc.cli import MAX_LATTICE, _fmt, _fmt_all, _lattice, main
+from trunclc.devroye import SampleBatch
 from trunclc.families import ParameterError
 
 
@@ -70,6 +73,35 @@ class TestSample:
         assert lines[0] == "value,imputed"
         assert lines[1] == "800.0,true"
         assert lines[-1].startswith("# proposals=")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_discrete_output_matches_per_value_format(self, capsys, monkeypatch, fmt):
+        # a discrete batch is formatted in bulk; the bytes are those of
+        # ``_fmt`` per value, for 0, an imputed inf, and values past 2^53 and
+        # 2^63 (past int64)
+        values = np.array([0.0, 7.0, 553.0, math.inf, 2.0**53 + 2.0, 2.0**63,
+                           2.0**64 + 2.0**12, 1e300, 12.0])
+        imputed = np.isinf(values)
+        batch = SampleBatch(values=values.copy(), imputed=imputed, proposals=40,
+                            accepts=8, method="devroye")
+        monkeypatch.setattr(cli, "ds_sample_batch", lambda *args: batch)
+        code, out, err = run(capsys, "sample", "--dist", "poisson", "--param", "lambda=4",
+                             "--lower", "2", "--n", str(values.size), "--impute", "inf",
+                             "--format", fmt)
+        assert code == 2
+        want = [_fmt(v, True) for v in values.tolist()]
+        assert want[:4] == ["0", "7", "553", "inf"] and want[5] == "9223372036854775808"
+        if fmt == "plain":
+            assert out == "".join(f"{w}\n" for w in want)
+        else:
+            flags = ["true" if f else "false" for f in imputed]
+            assert out.splitlines()[1:-1] == [f"{w},{f}" for w, f in zip(want, flags)]
+
+    def test_bulk_format_matches_per_value_format(self):
+        values = np.array([0.0, -0.0, -3.0, 1.0, 2.0**53 + 2.0, -(2.0**63), 2.0**63, 2.0**70,
+                           math.inf, -math.inf, math.nan, 7.5, 1e-300, 1e300])
+        for discrete in (True, False):
+            assert _fmt_all(values, discrete) == [_fmt(v, discrete) for v in values.tolist()]
 
     def test_csv_roundtrip(self, capsys):
         code, out, _ = run(capsys, "sample", "--dist", "poisson", "--param", "lambda=4",
@@ -228,6 +260,16 @@ class TestScan:
         assert _lattice("--probe", ["0", str(MAX_LATTICE - 1), "1"]).size == MAX_LATTICE
         with pytest.raises(ParameterError, match="more than"):
             _lattice("--probe", ["0", str(MAX_LATTICE), "1"])
+
+    @pytest.mark.parametrize("beta", ["1.5", "3"])
+    def test_epd_geometric_scan_exits_zero(self, capsys, beta):
+        # the geometric schedule takes log S(a) of the epd to a ~ 1e17, where
+        # the incomplete-gamma continued fraction settles one ulp below 1
+        code, out, err = run(capsys, "scan", "--dist", "epd", "--param", f"beta={beta}",
+                             "--probe", "geometric-progression", "--n-probe", "20")
+        assert code == 0, err
+        cell = next(csv.DictReader(io.StringIO(out)))
+        assert float(cell["a_bar_prime"]) > float(cell["a_bar"]) > 0.0
 
     def test_grid_values_reported_as_floats(self, capsys):
         code, _, err = run(capsys, "scan", "--dist", "poisson", "--n-probe", "20",

@@ -17,6 +17,7 @@ from trunclc import (
     support_bounds,
     truncate,
 )
+from trunclc import core
 from trunclc.core import invert_targets, tail_targets
 from trunclc.diagnostics import auto_probes
 from trunclc.logspace import log_diff_exp
@@ -291,6 +292,38 @@ class TestTruncCdf:
             assert t.cdf(xs) == pytest.approx(np.minimum(want, 1.0), rel=1e-14, abs=1e-15)
         assert isinstance(t.cdf(1002.0), float)
 
+    @pytest.mark.parametrize("family,params,a,b", [
+        ("nbinom", {"n": 10.0, "p": 0.5}, 1000.0, math.inf),  # survival route, tail sums
+        ("normal", {"mu": 0.0, "sigma": 1.0}, -1.0, 2.5),  # CDF route
+    ])
+    def test_reads_the_lower_end_from_the_target(self, family, params, a, b):
+        # ``cdf`` evaluates log F and log S at its points only: log F(a) and
+        # log S(a) are read from the target, and the values are those of
+        # evaluating them again
+        calls = []
+        d = build_descriptor(family, params)
+
+        def counting(fn):
+            return lambda x: calls.append(np.atleast_1d(x).copy()) or fn(x)
+
+        t = truncate(dataclasses.replace(d, log_cdf=counting(d.log_cdf),
+                                         log_sf=counting(d.log_sf)), lower=a, upper=b)
+        assert t.log_cdf_lower == d.log_cdf(a)
+        if family == "nbinom":
+            assert t.log_sf_lower == d.log_sf(a)
+        else:
+            assert t.log_sf_lower == pytest.approx(d.log_sf(a), rel=1e-15)
+        xs = a + np.array([-1.0, 0.0, 0.5, 1.0, 3.0, 10.0, 50.0])
+        for x in (xs, xs[3:4], float(xs[4])):
+            calls.clear()
+            got = t.cdf(x)
+            assert calls and not any((c == a).any() for c in calls)
+            x, got = np.atleast_1d(x), np.atleast_1d(got)
+            inside = (x > a) & (x < b)
+            la, lsa = core._log_lower(d, np.array([a]))
+            want = np.exp(core._log_masses(d, la, lsa, x[inside]) - t.log_mass)
+            np.testing.assert_array_equal(got[inside], np.minimum(want, 1.0))
+
 
 class TestDescriptorConsistency:
     def test_cdf_plus_sf_is_one(self):
@@ -319,7 +352,7 @@ class TestTailTargets:
     """``tail_targets`` builds a schedule's targets ]a, inf[ in array calls,
     each equal to the one ``truncate`` builds, field for field."""
 
-    FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower")
+    FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower", "log_sf_lower")
     # the auto schedule of every registered family, deep members whose
     # schedules reach the tail-sum fallback and the -745 limit, and binomial
     # members whose schedules run past n

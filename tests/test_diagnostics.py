@@ -29,9 +29,16 @@ from trunclc import (
     truncated_mean_oracle_poisson,
     z_test_mean,
 )
+from trunclc import diagnostics
 from trunclc.core import tail_targets
-from trunclc.devroye import MAX_ROUND, SampleBatch
-from trunclc.diagnostics import _classify, _its_schedule, auto_probes, format_table
+from trunclc.devroye import SampleBatch
+from trunclc.diagnostics import (
+    _classify,
+    _its_schedule,
+    auto_probes,
+    format_table,
+    geometric_probes,
+)
 
 
 class TestNormalMeanOracle:
@@ -284,26 +291,34 @@ class TestItsSchedule:
     """The scan's ITS pass judges every probe of a schedule as ``_classify``
     judges ``its_sample_batch`` on the same spawned stream, with few
     quantile calls of at most ``MAX_ROUND`` values and none for a probe
-    whose argument saturates."""
+    whose argument saturates.  A case with a ``cap`` runs under
+    ``MAX_ROUND = cap``, so that its probes fill many quantile calls."""
 
     CASES = [
-        ("normal", {}, np.arange(0.0, 51.0), 200),
+        ("normal", {}, np.arange(0.0, 51.0), 200, None),
         # the exponential saturates beyond a ~ 33
-        ("gamma", {"alpha": 1.0}, np.arange(1.0, 1001.0, 7.0), 100),
-        ("poisson", {"lambda": 50.0}, "auto", 300),
-        ("binomial", {"n": 16.0, "p": 0.5}, "auto", 300),
+        ("gamma", {"alpha": 1.0}, np.arange(1.0, 1001.0, 7.0), 100, None),
+        ("poisson", {"lambda": 50.0}, "auto", 300, None),
+        ("binomial", {"n": 16.0, "p": 0.5}, "auto", 300, None),
         # depths past n
-        ("binomial", {"n": 2048.0, "p": 0.05}, "auto", 300),
-        # about 910 unsaturated probes of 80: more than MAX_ROUND stacked values
-        ("normal", {}, np.linspace(-30.0, 12.0, 1000), 80),
+        ("binomial", {"n": 2048.0, "p": 0.05}, "auto", 300, None),
+        # about 910 unsaturated probes under a cap of 64 values a call: the
+        # stacked values overflow one quantile call many times over
+        ("normal", {}, np.linspace(-30.0, 12.0, 1000), 80, 64),
+        # a quantile assembled from 2q - 1 (epd), and a shape below one, on
+        # schedules deep into the tail
+        ("epd", {"beta": 1.5}, "geometric", 200, None),
+        ("gamma", {"alpha": 0.5}, "geometric", 200, None),
     ]
 
-    @pytest.mark.parametrize("family,params,schedule,n", CASES,
+    @pytest.mark.parametrize("family,params,schedule,n,cap", CASES,
                              ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
-    def test_matches_per_probe_classify(self, family, params, schedule, n):
+    def test_matches_per_probe_classify(self, family, params, schedule, n, cap, monkeypatch):
         desc = build_descriptor(family, params)
         if isinstance(schedule, str):
-            schedule = auto_probes(desc)
+            schedule = {"auto": auto_probes, "geometric": geometric_probes}[schedule](desc)
+        if cap is not None:
+            monkeypatch.setattr(diagnostics, "MAX_ROUND", cap)
         sizes = []
 
         def quantile(p):
@@ -321,12 +336,12 @@ class TestItsSchedule:
         got = _its_schedule(targets, RngStream(4).spawn(len(targets)), n)
         assert got == want
         assert True in want and False in want
-        assert sizes and max(sizes) <= MAX_ROUND
-        if schedule.size == 1000:
-            assert len(sizes) == 2 and sum(sizes) > MAX_ROUND
-        if family == "gamma":
-            # only the unsaturated probes reach the quantile
-            assert sum(sizes) < n * schedule.size // 2
+        assert sizes and max(sizes) <= diagnostics.MAX_ROUND
+        if cap is not None:
+            assert len(sizes) > 10 and sum(sizes) > 10 * cap
+        if family == "gamma" and params["alpha"] == 1.0:
+            # only the unsaturated probes reach the quantile, two values each
+            assert sum(sizes) < schedule.size
 
 
 class TestZGridProperty:

@@ -452,6 +452,36 @@ class TestScalarArrayContract:
         _assert_convention(t.cdf, xs)
 
 
+class TestQuantileIsMonotone:
+    """Each registered quantile is non-decreasing on sorted arguments, bit
+    for bit, and non-finite only at the two ends.  The scan's ITS pass
+    inverts only a probe's smallest and largest uniform, and relies on
+    this to judge the whole batch by them."""
+
+    # the deep members of the benchmark's scan grid not among CONTRACT_CASES
+    SCAN_MEMBERS = [("poisson", {"lambda": lam}) for lam in (0.5, 50.0, 500.0)] + [
+        ("binomial", {"n": n, "p": p}) for n in (16.0, 256.0, 2048.0) for p in (0.05, 0.5)]
+    CASES = CONTRACT_CASES + SCAN_MEMBERS
+
+    # sorted uniforms, every double within 2000 ulp of 1, a linear sweep of
+    # [0, 2e-16] and a log-spaced one down to 1e-300
+    ARGS = np.unique(np.concatenate([
+        np.random.default_rng(11).random(200_000),
+        1.0 - np.arange(2001) * np.finfo(float).epsneg,
+        np.linspace(0.0, 2e-16, 2001),
+        np.logspace(-300.0, -16.0, 2000),
+    ]))
+
+    @pytest.mark.parametrize("family,params", CASES, ids=[f"{f}{p}" for f, p in CASES])
+    def test_non_decreasing_and_finite_inside(self, family, params):
+        x = build_descriptor(family, params).quantile(self.ARGS)
+        assert not np.isnan(x).any()
+        assert (x[1:] >= x[:-1]).all()
+        finite = np.flatnonzero(np.isfinite(x))
+        # the finite values are one run; epd gives -inf below p ~ 2.8e-17
+        assert finite.size and finite[-1] - finite[0] + 1 == finite.size
+
+
 class TestLogPmfBatchIndependence:
     """A discrete log-pmf value depends only on its own point, never on the
     rest of the array it is evaluated in.  The discrete sampler's per-round

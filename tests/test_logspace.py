@@ -9,6 +9,7 @@ import pytest
 from scipy import special as sc
 
 from trunclc.logspace import (
+    _log_gamma_q_cf,
     elementwise,
     log1mexp,
     log_diff_exp,
@@ -84,6 +85,21 @@ class TestLogGammaRegularized:
     def test_exponential_special_case(self):
         assert log_gamma_upper_reg(1.0, 745.0) == -745.0
         assert log_gamma_upper_reg(1.0, 3.25) == -3.25
+
+
+class TestLogGammaQContinuedFraction:
+    """The Legendre continued fraction for log Q(a, z) against mpmath, from
+    z = 10 to 1e300, where its steps settle within an ulp of 1."""
+
+    # the epd scans' deepest survival arguments for beta = 3/2 and beta = 3
+    DEEP = {2.0 / 3.0: 4.3703136663624e16, 1.0 / 3.0: 1.0262052605931435e17}
+
+    @pytest.mark.parametrize("a", [1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0, 5.0])
+    def test_matches_mpmath(self, a):
+        zs = np.logspace(1.0, 300.0, 60).tolist() + [self.DEEP.get(a, 1e17)]
+        for z in zs:
+            want = float(mp.log(mp.gammainc(mp.mpf(a), mp.mpf(z), mp.inf, regularized=True)))
+            assert _log_gamma_q_cf(a, z) == pytest.approx(want, rel=1e-15), z
 
 
 class TestElementwise:
