@@ -59,7 +59,7 @@ def _fmt_all(values: np.ndarray, discrete: bool) -> list[str]:
 
     A discrete batch's finite integral values below 2^63 in magnitude go
     through one int64 cast and ``str``, which writes the same bytes in
-    about a third of the time; every other value goes through ``_fmt``.
+    under half the time; every other value goes through ``_fmt``.
     """
     if not discrete:
         return [_fmt(v) for v in values.tolist()]
