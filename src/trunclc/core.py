@@ -343,7 +343,7 @@ def truncate(
     return TruncatedTarget(desc, TruncationInterval(lower, upper))
 
 
-def invert_targets(targets: list, u, skip_saturated: bool = False):
+def invert_targets(targets: list, u):
     """The inverse-transform pipeline ``q(F(a) + u P(I))`` of targets of one
     base, row ``i`` of the 2-d uniforms ``u`` on ``targets[i]``, in one
     quantile call.
@@ -351,13 +351,12 @@ def invert_targets(targets: list, u, skip_saturated: bool = False):
     The probability argument is deliberately assembled in linear space
     (this is the fragile pipeline whose breakdown the diagnostics measure).
     Returns ``(p', x, bad)``, each of ``u``'s shape: the assembled
-    arguments, the base quantiles at them, and the mask of failed inversions
-    (a saturated argument, ``u < 1`` but ``p' >= 1``, a non-finite value, or
-    a value outside the truncated support of :func:`support_bounds`).  At a
-    saturated argument the base quantile silently returns sup X (the
-    paper's imputation-as-supremum failure).  With ``skip_saturated`` a row
-    holding a saturated argument is left out of the quantile call; its
-    ``x`` is nan, so every variate of it is bad.
+    arguments, the base quantiles at them, and the mask of values that are
+    not clean variates: a saturated argument (``u < 1`` but ``p' >= 1``), a
+    non-finite value, a value outside ``]a, b]`` (the open lower end
+    included) or outside the truncated support of :func:`support_bounds`.
+    At a saturated argument the base quantile silently returns sup X (the
+    paper's imputation-as-supremum failure).
     """
     base = targets[0].base
     if base.quantile is None:
@@ -366,14 +365,11 @@ def invert_targets(targets: list, u, skip_saturated: bool = False):
     fa = np.array([[math.exp(t.log_cdf_lower)] for t in targets])
     mass = np.array([[math.exp(t.log_mass)] for t in targets])
     pp = fa + u * mass
-    saturated = (u < 1.0) & (pp >= 1.0)
-    rows = ~saturated.any(axis=1) if skip_saturated else np.ones(len(targets), dtype=bool)
-    x = np.full(u.shape, np.nan)
-    if rows.any():
-        with np.errstate(invalid="ignore"):
-            x[rows] = base.quantile(pp[rows].ravel()).reshape(-1, u.shape[1])
+    with np.errstate(invalid="ignore"):
+        x = base.quantile(pp.ravel()).reshape(u.shape)
+    a = np.array([[t.interval.lower] for t in targets])
     lo, hi = np.array([support_bounds(t.base, t.interval) for t in targets]).T[:, :, None]
-    return pp, x, saturated | ~np.isfinite(x) | (x < lo) | (x > hi)
+    return pp, x, ((u < 1.0) & (pp >= 1.0)) | ~np.isfinite(x) | (x <= a) | (x < lo) | (x > hi)
 
 
 def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[TruncatedTarget]]:

@@ -44,7 +44,6 @@ from .core import (
 )
 from .devroye import (
     MAX_ROUND,
-    ImputationPolicy,
     RngLike,
     RngStream,
     SampleBatch,
@@ -54,7 +53,7 @@ from .devroye import (
 from .families import build_descriptor, get_family
 from .logspace import LOG_2PI
 # ``its_sample_batch`` is a module attribute that perfbench's tracer swaps
-from .reference import its_batch, its_sample_batch  # noqa: F401
+from .reference import its_sample_batch  # noqa: F401
 
 
 class OracleUnavailable(ValueError):
@@ -443,28 +442,6 @@ def auto_probes(desc: DistributionDescriptor) -> np.ndarray:
     return desc.mu + desc.sigma * np.arange(0, Z_MAX + 1, dtype=float)
 
 
-def _targets(desc, schedule: np.ndarray) -> Callable[[float], Optional[TruncatedTarget]]:
-    """``a -> truncate(desc, lower=a)``, built once per depth; ``None`` for a
-    depth that cannot be truncated to.
-
-    The schedule's targets are built up front, in array calls
-    (:func:`~trunclc.core.tail_targets`); a bisection depth is built with
-    ``truncate`` when first asked for.  Targets are frozen, so the ITS and
-    the devroye pass of a scan cell share them.
-    """
-    cache = dict(zip(schedule.tolist(), tail_targets(desc, schedule)))
-
-    def target(a: float) -> Optional[TruncatedTarget]:
-        if a not in cache:
-            try:
-                cache[a] = truncate(desc, lower=a)
-            except (TruncationOverflow, ValueError):
-                cache[a] = None
-        return cache[a]
-
-    return target
-
-
 def _classify(sample, target: Optional[TruncatedTarget], rng: RngLike) -> bool:
     """Whether ``sample(target, rng)`` gives a clean batch.
 
@@ -480,13 +457,9 @@ def _classify(sample, target: Optional[TruncatedTarget], rng: RngLike) -> bool:
     return batch.is_clean(target)
 
 
-_ITS_POLICY = ImputationPolicy("error")
-
-
 def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
-    """``_classify`` of the error-policy ITS batch of ``n`` variates on each
-    of ``targets``, probe ``i`` drawing from ``streams[i]``, in few quantile
-    calls.
+    """Whether the ITS batch of ``n`` variates on each of ``targets`` is
+    clean, probe ``i`` drawing from ``streams[i]``, in few quantile calls.
 
     Each probe draws its ``n`` uniforms as
     :func:`~trunclc.reference.its_sample_batch` does, but only the smallest
@@ -497,10 +470,10 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     non-finite only at its ends.  So each way a variate can fail
     (saturating, a non-finite value, a value at or below ``a``, or above
     ``b``) shows first at one of the two extremes.  ``MAX_ROUND // 2``
-    probes at a time go through :func:`~trunclc.core.invert_targets`,
-    which leaves a probe whose argument saturates out of the quantile call
-    (the error policy would raise at its first bad variate), and each
-    probe's two inversions are then judged as ``_classify`` judges a batch.
+    probes at a time go through :func:`~trunclc.core.invert_targets`, and a
+    probe is clean when neither of its two inversions is in the failure
+    mask, the mask by which ``its_sample_batch`` hands a variate to its
+    policy.  A depth that cannot be truncated to (``None``) is not clean.
     """
     step = MAX_ROUND // 2
     if len(targets) > step:
@@ -513,27 +486,28 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
         return clean  # ``invert`` refuses every probe
     u = np.array([(r.min(), r.max())
                   for r in (as_generator(streams[i]).random(size=n) for i in live)])
-    for i, pp, x, bad in zip(live, *invert_targets([targets[i] for i in live], u,
-                                                   skip_saturated=True)):
-        clean[i] = _classify(lambda t, _: its_batch(t, pp, x, bad, _ITS_POLICY),
-                             targets[i], None)
+    _, _, bad = invert_targets([targets[i] for i in live], u)
+    for i, b in zip(live, bad.any(axis=1).tolist()):
+        clean[i] = not b
     return clean
 
 
 def _breakdown(
     judge: Callable[[list, list], Sequence[bool]],
-    target: Callable[[float], Optional[TruncatedTarget]],
+    desc: DistributionDescriptor,
     schedule: np.ndarray,
+    targets: list,
     stream: RngStream,
 ) -> tuple[float, bool, list]:
     """Largest clean depth on the schedule, one bisection refinement stage, anomalies.
 
+    ``targets`` are the schedule's targets (:func:`~trunclc.core.tail_targets`).
     ``judge(targets, streams)`` says which of ``targets`` give a clean
     batch, target ``i`` drawing from ``streams[i]``; the schedule is judged
-    in one call and each bisection depth in a call of its own.
+    in one call and each bisection depth, built with ``tail_targets``, in a
+    call of its own.
     """
-    clean = np.array(judge([target(a) for a in schedule.tolist()],
-                           stream.spawn(len(schedule))))
+    clean = np.array(judge(targets, stream.spawn(len(schedule))))
     if not clean.any():
         return math.nan, False, []
     last_clean = int(np.nonzero(clean)[0].max())
@@ -546,7 +520,7 @@ def _breakdown(
     while a_hi - a_lo > REFINE_TOL:
         mid = 0.5 * (a_lo + a_hi)
         r = stream.spawn(1)[0]
-        if judge([target(mid)], [r])[0]:
+        if judge(tail_targets(desc, [mid]), [r])[0]:
             a_lo = mid
         else:
             a_hi = mid
@@ -593,8 +567,9 @@ def scan_safety(
     transform is non-decreasing in the uniform, so a batch holds a bad
     variate exactly when one of its two extreme order statistics is bad
     (Devroye 1986, ch. V).  The rejection sampler runs per probe.
-    The bisection of each breakdown depth builds its depths one at a time
-    and judges each with the same function as the schedule.
+    The bisection of each breakdown depth builds its depths one at a time,
+    with the same ``tail_targets``, and judges each with the same function
+    as the schedule.
     """
     if method not in ("its", "devroye", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -630,16 +605,18 @@ def scan_safety(
         if schedule.size == 0 or np.any(np.diff(schedule) <= 0):
             raise ValueError("probe schedule must be strictly increasing and nonempty")
         cell_stream = root.spawn(1)[0]
-        target = _targets(desc, schedule)
+        # frozen, so the ITS and the devroye pass share them
+        targets = tail_targets(desc, schedule)
         cell = ScanCell(params=dict(params))
         cell.a_bar_dprime = _dprime(desc, schedule)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
-                lambda ts, rs: _its_schedule(ts, rs, n_probe), target, schedule, cell_stream)
+                lambda ts, rs: _its_schedule(ts, rs, n_probe), desc, schedule, targets,
+                cell_stream)
             cell.eta = (cell.a_bar - desc.mu) / desc.sigma
         if method in ("devroye", "both"):
             cell.a_bar_prime, cell.ds_censored, cell.ds_anomalies = _breakdown(
-                ds, target, schedule, cell_stream)
+                ds, desc, schedule, targets, cell_stream)
             cell.eta_prime = (cell.a_bar_prime - desc.mu) / desc.sigma
         rows.append(cell)
     return SafetyReport(

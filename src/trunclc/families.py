@@ -531,8 +531,13 @@ def _build_epd(params):
         return log_sf(-x)  # the law is symmetric
 
     def quantile(q):
-        u = 2.0 * q - 1.0
-        return np.sign(u) * sc.gammaincinv(a, np.abs(u)) ** a
+        # the left half inverts Q(a, .) at 2q, not P(a, .) at 1 - 2q, which
+        # rounds to 1 below q ~ 1e-17
+        out = np.empty(q.shape)
+        left = q < 0.5
+        out[left] = -sc.gammainccinv(a, 2.0 * q[left]) ** a
+        out[~left] = sc.gammaincinv(a, 2.0 * q[~left] - 1.0) ** a
+        return out
 
     peak = -math.log(2.0) - sc.gammaln(a + 1.0)
     return DistributionDescriptor(

@@ -42,33 +42,28 @@ def its_sample_batch(
 ) -> SampleBatch:
     """Vectorized inverse-transform batch: the truncated quantile at ``n`` uniforms.
 
-    Under the ``error`` policy the first bad variate raises
-    :class:`TruncationOverflow`; otherwise bad variates are imputed and
-    flagged.
+    A variate is bad when :meth:`~trunclc.core.TruncatedTarget.invert`
+    masks it: a saturated argument, or a value that is non-finite or lies
+    outside ``]a, b]`` or the truncated support.  Under the ``error``
+    policy the first bad variate raises :class:`TruncationOverflow`;
+    otherwise bad variates are imputed and flagged.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    return its_batch(t, *t.invert(as_generator(rng).random(size=n)), policy)
-
-
-def its_batch(t: TruncatedTarget, pp, x, bad, policy: ImputationPolicy) -> SampleBatch:
-    """The inverse-transform batch of the inversions ``(p', x, bad)`` on ``t``
-    (see :meth:`~trunclc.core.TruncatedTarget.invert`), its bad variates
-    handed to ``policy``."""
+    pp, x, bad = t.invert(as_generator(rng).random(size=n))
 
     def error(i):
         return TruncationOverflow(
             f"quantile route failed at variate {i}: p' = {float(pp[i])!r} -> {float(x[i])!r}"
         )
 
-    return _finish(t, x, np.flatnonzero(bad), x.size, policy, "its", error)
+    return _finish(t, x, np.flatnonzero(bad), n, policy, "its", error)
 
 
 def hit_or_miss_batch(
     t: TruncatedTarget,
     n: int,
     rng: RngLike = None,
-    max_trials: int = 10_000,
     policy: ImputationPolicy = DEFAULT_POLICY,
 ) -> SampleBatch:
     """Draw from the base law until each draw lands in the interval.
@@ -78,8 +73,9 @@ def hit_or_miss_batch(
     fragility.  ``trials`` records, for each variate, the base draws since
     the previous hit (for the first open slot, the draws after the last
     hit), so ``proposals == trials.sum()``.  A batch may spend at most
-    ``n * max_trials`` base draws; ``policy`` decides what happens to the
-    slots still open then.  A degenerate target is handed to the imputation
+    ``n * policy.max_iterations`` base draws, as the other samplers may
+    spend proposals; ``policy`` decides what happens to the slots still
+    open then.  A degenerate target is handed to the imputation
     policy whole, with no draws.
     """
     if n < 1:
@@ -99,7 +95,7 @@ def hit_or_miss_batch(
         drawn += x.size
         return x, hit
 
-    budget = n * max_trials
+    budget = n * policy.max_iterations
     values, filled, total = _fill(n, budget, recording, rate)
     # every hit of a round is kept but the surplus of the last, so the kept
     # hits are the first ``filled`` of them all

@@ -426,17 +426,6 @@ class TestInvertTargets:
                 np.testing.assert_array_equal(got, w)
         assert bad[2].any() and not bad[0].any()
 
-    def test_skip_saturated_leaves_the_row_out(self):
-        calls = []
-        d = build_descriptor("normal", mu=0, sigma=1)
-        counting = dataclasses.replace(d, quantile=lambda p: calls.append(p.size) or d.quantile(p))
-        targets = tail_targets(counting, [0.0, 9.0])
-        u = np.random.default_rng(2).random((2, 40))
-        _, x, bad = invert_targets(targets, u, skip_saturated=True)
-        assert calls == [40]
-        assert np.isnan(x[1]).all() and bad[1].all()
-        np.testing.assert_array_equal(x[0], targets[0].invert(u[0])[1])
-
     def test_scalar_invert_keeps_its_shape(self):
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0)
         pp, x, bad = t.invert(0.5)

@@ -290,9 +290,9 @@ class TestScanner:
 class TestItsSchedule:
     """The scan's ITS pass judges every probe of a schedule as ``_classify``
     judges ``its_sample_batch`` on the same spawned stream, with few
-    quantile calls of at most ``MAX_ROUND`` values and none for a probe
-    whose argument saturates.  A case with a ``cap`` runs under
-    ``MAX_ROUND = cap``, so that its probes fill many quantile calls."""
+    quantile calls of at most ``MAX_ROUND`` values.  A case with a ``cap``
+    runs under ``MAX_ROUND = cap``, so that its probes fill many quantile
+    calls."""
 
     CASES = [
         ("normal", {}, np.arange(0.0, 51.0), 200, None),
@@ -339,9 +339,6 @@ class TestItsSchedule:
         assert sizes and max(sizes) <= diagnostics.MAX_ROUND
         if cap is not None:
             assert len(sizes) > 10 and sum(sizes) > 10 * cap
-        if family == "gamma" and params["alpha"] == 1.0:
-            # only the unsaturated probes reach the quantile, two values each
-            assert sum(sizes) < schedule.size
 
 
 class TestZGridProperty:

@@ -322,6 +322,18 @@ class TestExponentialPower:
         se = math.sqrt(0.5) / math.sqrt(mapped.size)
         assert abs(mapped.mean() - 0.5) < 4.0 * se
 
+    @pytest.mark.parametrize("beta", [1.5, 3.0])
+    @pytest.mark.parametrize("q", [1e-3, 1e-16, 1e-17, 1e-100])
+    def test_left_quantile_vs_mpmath(self, beta, q):
+        # F(x) = Q(1/beta, |x|^beta) / 2 left of 0; mpmath solves it for
+        # s = log |x|^beta, from the quantile's own guess
+        a = mp.mpf(1) / beta
+        got = build_descriptor("epd", beta=beta).quantile(q)
+        s = mp.findroot(lambda s: mp.log(mp.gammainc(a, mp.exp(s), mp.inf, regularized=True))
+                        - mp.log(2 * mp.mpf(q)), mp.log(mp.mpf(-got) ** beta))
+        want = -float(mp.exp(s * a))
+        assert got == pytest.approx(want, rel=1e-13)
+
 
 def _build_laplace(params):
     m, b = params["m"], params["b"]
@@ -478,7 +490,7 @@ class TestQuantileIsMonotone:
         assert not np.isnan(x).any()
         assert (x[1:] >= x[:-1]).all()
         finite = np.flatnonzero(np.isfinite(x))
-        # the finite values are one run; epd gives -inf below p ~ 2.8e-17
+        # the finite values are one run
         assert finite.size and finite[-1] - finite[0] + 1 == finite.size
 
 

@@ -148,7 +148,8 @@ BATCH_CASES = {
     "hit_or_miss_trials": lambda: hit_or_miss_batch(
         _target("normal", 1.5, mu=0, sigma=1), 300, RngStream(12)),
     "hit_or_miss_cap": lambda: hit_or_miss_batch(
-        _target("poisson", 12, **{"lambda": 5}), 200, RngStream(13), max_trials=30),
+        _target("poisson", 12, **{"lambda": 5}), 200, RngStream(13),
+        policy=ImputationPolicy(max_iterations=30)),
     "devroye_cap_continuous": lambda: ds_sample_batch(
         _target("normal", 2, mu=0, sigma=1), 300, RngStream(14), CAP),
     "devroye_cap_discrete": lambda: ds_sample_batch(

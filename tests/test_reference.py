@@ -56,6 +56,20 @@ class TestInverseTransform:
         assert b.imputed.all()
         assert np.all(b.values == 10.0)
 
+    def test_value_on_the_open_lower_end_is_bad(self):
+        # P(I) ~ 5e-17 on ]1, nextafter(1, 2)], below the ulp of F(1) ~ 0.84:
+        # the argument rounds to F(1) and every value comes back as 1.0,
+        # outside the half-open interval
+        t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0,
+                     upper=math.nextafter(1.0, 2.0))
+        assert not t.degenerate
+        with pytest.raises(TruncationOverflow, match="variate 0"):
+            its_sample_batch(t, 1000, RngStream(7), ImputationPolicy("error"))
+        b = its_sample_batch(t, 1000, RngStream(7), ImputationPolicy("impute_mode"))
+        assert b.imputed.all() and b.accepts == 0
+        with pytest.raises(TruncationOverflow):
+            t.quantile(0.5)
+
     def test_its_and_ds_indistinguishable(self):
         # two-sample KS on a target where both samplers are healthy
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0)
@@ -109,7 +123,7 @@ class TestHitOrMiss:
     def test_deep_interval_exhausts_budget(self):
         # P(I) ~ 1e-9 << 1/100: imputation is essentially certain
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=6.0)
-        b = hit_or_miss_batch(t, 20, RngStream(13), max_trials=100)
+        b = hit_or_miss_batch(t, 20, RngStream(13), policy=ImputationPolicy(max_iterations=100))
         assert b.imputed.all()
 
     def test_scalar_roundtrip(self):
@@ -123,8 +137,8 @@ class TestHitOrMiss:
         # proposal would be rejected and every variate imputed).  A variate
         # misses all 20 trials with probability (1 - P(X > 1))^20 ~ 0.033.
         t = truncate(build_descriptor("gamma", alpha=0.5), lower=1.0)
-        b = hit_or_miss_batch(t, 20, RngStream(16), max_trials=20,
-                              policy=ImputationPolicy("impute_mode", max_iterations=50))
+        b = hit_or_miss_batch(t, 20, RngStream(16),
+                              policy=ImputationPolicy("impute_mode", max_iterations=20))
         assert b.n_imputed <= 3
         assert t.interval.contains(b.values[~b.imputed]).all()
         assert b.proposals == b.trials.sum()
@@ -137,16 +151,17 @@ class TestHitOrMiss:
         res = st.kstest(b.values, lambda x: 1.0 - law.sf(x) / law.sf(1.0))
         assert res.pvalue > 0.001
 
-    @pytest.mark.parametrize("family,params,lower,n,max_trials", [
+    @pytest.mark.parametrize("family,params,lower,n,max_iterations", [
         ("normal", {}, 1.0, 500, 10_000),       # every slot filled
-        ("normal", {}, 2.5, 200, 20),           # budget runs out part way
+        ("normal", {}, 2.5, 200, 20),           # the policy's budget runs out part way
         ("poisson", {"lambda": 5.0}, 8.0, 300, 10_000),
         ("gamma", {"alpha": 0.5}, 1.0, 300, 10_000),
     ])
-    def test_trials_account_for_every_base_draw(self, family, params, lower, n, max_trials):
+    def test_trials_account_for_every_base_draw(self, family, params, lower, n, max_iterations):
         t = truncate(build_descriptor(family, params), lower=lower)
-        b = hit_or_miss_batch(t, n, RngStream(18), max_trials=max_trials)
-        assert b.proposals == b.trials.sum() <= n * max_trials
+        policy = ImputationPolicy(max_iterations=max_iterations)
+        b = hit_or_miss_batch(t, n, RngStream(18), policy=policy)
+        assert b.proposals == b.trials.sum() <= n * max_iterations
         assert (b.trials[~b.imputed] >= 1).all()
         # draws left after the last hit belong to the first open slot
         assert (b.trials[b.imputed][1:] == 0).all()
