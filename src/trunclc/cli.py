@@ -350,8 +350,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        source = "--seed"
         if args.seed is None:
-            args.seed = _number("TRUNCLC_SEED", os.environ.get("TRUNCLC_SEED", "0"), int)
+            source = "TRUNCLC_SEED"
+            args.seed = _number(source, os.environ.get(source, "0"), int)
+        if args.seed < 0:
+            raise ParameterError(f"{source} must be >= 0, got {args.seed}")
         if args.command == "sample":
             return cmd_sample(args)
         if args.command == "scan":

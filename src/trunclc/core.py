@@ -3,9 +3,9 @@
 A :class:`DistributionDescriptor` bundles the log-space functions of a
 base distribution (log-pdf/pmf, log-CDF, log-survival), its mode and
 support, and the central tendency / dispersion indices used to
-standardize truncation depths.  A :class:`TruncatedTarget` pairs a
-descriptor with a half-open interval ``]a, b]`` and precomputes the
-log interval mass and the projected mode.
+standardize truncation depths.  A :class:`TruncatedTarget` is a frozen
+record of a descriptor, a half-open interval ``]a, b]`` and what the
+samplers read: log P(I), the projected mode, the peak, log F(a), log S(a).
 
 The *truncated support* is the part of the base support in ``]a, b]``;
 for a discrete law, the lattice points ``floor(a) + 1, ..., floor(b)``.
@@ -13,9 +13,10 @@ Its edges are worked out only in :func:`support_bounds`, which the
 projected mode, the quantile at 0, the inverse-transform failure mask and
 the validation oracles all read.
 
-Many targets ``]a, inf[`` of one descriptor, such as a scan's schedule of
-depths, are built together by :func:`tail_targets`, in one call of each
-descriptor function; each equals the target :func:`truncate` builds.
+These are computed only in ``_targets``, over many intervals of one
+descriptor in one call of each descriptor function: :func:`truncate` is its
+one-interval case, and :func:`tail_targets` builds many targets ``]a, inf[``,
+such as a scan's schedule of depths.
 :func:`invert_targets` runs the inverse transform on many targets of one
 descriptor with one quantile call; :meth:`TruncatedTarget.invert` is its
 one-target case.
@@ -209,53 +210,12 @@ def log_interval_mass(desc: DistributionDescriptor, interval: TruncationInterval
     return _representable(float(lm[0]))
 
 
-def _target_fields(desc: DistributionDescriptor, intervals: list, modes: list) -> list:
-    """``(proj_mode, log_mass, log_peak, log F(a), log S(a))`` of each
-    interval, ``modes`` its projected modes.
-
-    One :func:`_log_lower` and one :func:`_log_masses` call cover every
-    interval, and one ``log_pdf`` call every projected mode of a
-    non-degenerate target.
-    """
-    las, lsas = _log_lower(desc, np.array([iv.lower for iv in intervals]))
-    lms = _log_masses(desc, las, lsas, np.array([iv.upper for iv in intervals]))
-    lms = [_representable(lm) for lm in lms.tolist()]
-    live = [i for i, lm in enumerate(lms) if lm > -math.inf]
-    peaks = [math.inf] * len(lms)
-    if live:
-        # peak of the truncated density at the projected mode; the interval
-        # indicator is not applied (the projected mode may sit on the open
-        # lower endpoint, where the density value is the relevant limit)
-        lfs = desc.log_pdf(np.array([modes[i] for i in live]))
-        for i, lf in zip(live, lfs.tolist()):
-            peaks[i] = lf - lms[i]
-    return list(zip(modes, lms, peaks, las.tolist(), lsas.tolist()))
-
-
-_FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower", "log_sf_lower")
-
-
-def _set_fields(t: "TruncatedTarget", fields: tuple) -> None:
-    """Set the frozen ``_FIELDS`` of ``t`` from a :func:`_target_fields` entry."""
-    for name, value in zip(_FIELDS, fields):
-        object.__setattr__(t, name, value)
-
-
-def _prebuilt(desc: DistributionDescriptor, interval: TruncationInterval,
-              fields: tuple) -> "TruncatedTarget":
-    """The target of ``desc`` on ``interval`` with ``fields`` already computed,
-    set as ``TruncatedTarget.__post_init__`` would set them."""
-    t = object.__new__(TruncatedTarget)
-    object.__setattr__(t, "base", desc)
-    object.__setattr__(t, "interval", interval)
-    _set_fields(t, fields)
-    return t
-
-
 @dataclass(frozen=True)
 class TruncatedTarget:
     """A descriptor truncated to ``]a, b]`` with cached normalization.
 
+    Build one with :func:`truncate`, or many ``]a, inf[`` with
+    :func:`tail_targets`; both compute the fields in :func:`_targets`.
     ``log_cdf_lower`` and ``log_sf_lower`` are log F(a) and log S(a), which
     the mass evaluates anyway; the inverse transform reads the first, and
     :meth:`cdf` reads both instead of evaluating them again.
@@ -263,16 +223,11 @@ class TruncatedTarget:
 
     base: DistributionDescriptor
     interval: TruncationInterval
-    log_mass: float = field(init=False)
-    proj_mode: float = field(init=False)
-    log_peak: float = field(init=False)
-    log_cdf_lower: float = field(init=False, repr=False)
-    log_sf_lower: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        (fields,) = _target_fields(self.base, [self.interval],
-                                   [project_mode(self.base, self.interval)])
-        _set_fields(self, fields)
+    log_mass: float
+    proj_mode: float
+    log_peak: float
+    log_cdf_lower: float = field(repr=False)
+    log_sf_lower: float = field(repr=False)
 
     @property
     def degenerate(self) -> bool:
@@ -334,13 +289,38 @@ class TruncatedTarget:
         return float(x)
 
 
+def _targets(desc: DistributionDescriptor, intervals: list, modes: list) -> list:
+    """The target of ``desc`` on each of ``intervals``, ``modes`` their
+    projected modes (:func:`project_mode`).
+
+    The only code that computes a target's fields.  One :func:`_log_lower`
+    and one :func:`_log_masses` call cover every interval, and one
+    ``log_pdf`` call every projected mode of a non-degenerate target.
+    """
+    las, lsas = _log_lower(desc, np.array([iv.lower for iv in intervals]))
+    lms = _log_masses(desc, las, lsas, np.array([iv.upper for iv in intervals]))
+    lms = [_representable(lm) for lm in lms.tolist()]
+    live = [i for i, lm in enumerate(lms) if lm > -math.inf]
+    peaks = [math.inf] * len(lms)
+    if live:
+        # peak of the truncated density at the projected mode; the interval
+        # indicator is not applied (the projected mode may sit on the open
+        # lower endpoint, where the density value is the relevant limit)
+        lfs = desc.log_pdf(np.array([modes[i] for i in live]))
+        for i, lf in zip(live, lfs.tolist()):
+            peaks[i] = lf - lms[i]
+    return [TruncatedTarget(desc, *fields)
+            for fields in zip(intervals, lms, modes, peaks, las.tolist(), lsas.tolist())]
+
+
 def truncate(
     desc: DistributionDescriptor,
     lower: float = -math.inf,
     upper: float = math.inf,
 ) -> TruncatedTarget:
     """Build a truncated target for ``desc`` restricted to ``]lower, upper]``."""
-    return TruncatedTarget(desc, TruncationInterval(lower, upper))
+    interval = TruncationInterval(lower, upper)
+    return _targets(desc, [interval], [project_mode(desc, interval)])[0]
 
 
 def invert_targets(targets: list, u):
@@ -375,9 +355,8 @@ def invert_targets(targets: list, u):
 def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[TruncatedTarget]]:
     """``truncate(desc, lower=a)`` for each ``a`` of ``lowers``, built in array calls.
 
-    One ``log_cdf`` call covers every depth, one ``log_sf`` call the depths
-    on the survival route and one ``log_pdf`` call the projected modes; each
-    target equals the one :func:`truncate` builds, field for field.  A depth
+    One ``_targets`` call builds every depth that :func:`project_mode`
+    accepts, so each target equals the one :func:`truncate` builds; a depth
     that :func:`truncate` refuses gives ``None``.
     """
     intervals, modes = [], []
@@ -388,5 +367,5 @@ def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[Truncate
         except ValueError:
             iv = None
         intervals.append(iv)
-    fields = iter(_target_fields(desc, [iv for iv in intervals if iv is not None], modes))
-    return [None if iv is None else _prebuilt(desc, iv, next(fields)) for iv in intervals]
+    built = iter(_targets(desc, [iv for iv in intervals if iv is not None], modes))
+    return [None if iv is None else next(built) for iv in intervals]

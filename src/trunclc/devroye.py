@@ -45,6 +45,7 @@ and its values are the per-proposal values bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -97,8 +98,8 @@ class ImputationPolicy:
     ``impute_mode`` substitutes the projected mode (the concentration
     point of the truncated law); ``error`` aborts; ``impute_infinite``
     substitutes +inf.  A batch of ``n`` variates may spend at most
-    ``n * max_iterations`` proposals; the slots still open then go to the
-    policy.
+    ``n * max_iterations`` proposals, ``max_iterations`` an integer >= 1;
+    the slots still open then go to the policy.
     """
 
     mode: str = "impute_mode"
@@ -107,8 +108,9 @@ class ImputationPolicy:
     def __post_init__(self):
         if self.mode not in ("impute_mode", "error", "impute_infinite"):
             raise ValueError(f"unknown imputation mode {self.mode!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        cap = self.max_iterations
+        if not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
 
 
 DEFAULT_POLICY = ImputationPolicy()

@@ -63,10 +63,10 @@ class OracleUnavailable(ValueError):
 # ---------------------------------------------------------------------------
 # truncated-moment oracles
 
-def _mills_reciprocal_cf(a: float, depth: int = 128) -> float:
-    """1 / Mills ratio of the standard normal via the Laplace continued fraction."""
+def _mills_reciprocal_cf(a: float) -> float:
+    """1 / Mills ratio of the standard normal: the Laplace continued fraction, 128 deep."""
     g = a
-    for k in range(depth, 0, -1):
+    for k in range(128, 0, -1):
         g = a + (k + 1) / g
     return a + 1.0 / g
 
@@ -527,18 +527,15 @@ def _breakdown(
     return a_lo, False, anomalies
 
 
-def _dprime(desc, schedule: np.ndarray) -> float:
+def _dprime(desc, schedule: np.ndarray, targets: list) -> float:
     """Largest probed depth at which the density is still linearly representable.
 
-    The density is probed at the first support point above each depth (see
-    :func:`~trunclc.core.support_bounds`); a depth with none above it fails.
+    ``targets`` are the schedule's targets (:func:`~trunclc.core.tail_targets`).
+    The density is probed at the first support point of each (see
+    :func:`~trunclc.core.support_bounds`); a depth that cannot be truncated
+    to (``None``) fails.
     """
-    firsts = []
-    for a in schedule:
-        try:
-            firsts.append(support_bounds(desc, TruncationInterval(float(a), math.inf))[0])
-        except ValueError:
-            firsts.append(math.nan)
+    firsts = [math.nan if t is None else support_bounds(desc, t.interval)[0] for t in targets]
     ok = np.exp(desc.log_pdf(np.array(firsts))) > 0.0
     if not ok.any():
         return math.nan
@@ -557,7 +554,7 @@ def scan_safety(
 
     ``probe_schedule`` is one of ``"auto"`` (integer-sigma lattice),
     ``"geometric"`` (geometric progression of depths), or an explicit
-    increasing array of lower truncation bounds applied to every cell.
+    increasing array of finite lower truncation bounds applied to every cell.
 
     Each cell builds its schedule's targets in array calls and judges the
     ITS batch of every probe with few quantile calls (``_its_schedule``);
@@ -569,7 +566,7 @@ def scan_safety(
     (Devroye 1986, ch. V).  The rejection sampler runs per probe.
     The bisection of each breakdown depth builds its depths one at a time,
     with the same ``tail_targets``, and judges each with the same function
-    as the schedule.
+    as the schedule; ``_dprime`` reads the density edge off the same targets.
     """
     if method not in ("its", "devroye", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -602,13 +599,14 @@ def scan_safety(
                 raise ValueError(f"unknown probe schedule {probe_schedule!r}")
         else:
             schedule = np.asarray(probe_schedule, dtype=float)
-        if schedule.size == 0 or np.any(np.diff(schedule) <= 0):
-            raise ValueError("probe schedule must be strictly increasing and nonempty")
+        if (schedule.size == 0 or not np.isfinite(schedule).all()
+                or np.any(np.diff(schedule) <= 0)):
+            raise ValueError("probe schedule must be finite, strictly increasing and nonempty")
         cell_stream = root.spawn(1)[0]
         # frozen, so the ITS and the devroye pass share them
         targets = tail_targets(desc, schedule)
         cell = ScanCell(params=dict(params))
-        cell.a_bar_dprime = _dprime(desc, schedule)
+        cell.a_bar_dprime = _dprime(desc, schedule, targets)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
                 lambda ts, rs: _its_schedule(ts, rs, n_probe), desc, schedule, targets,

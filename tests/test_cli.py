@@ -146,6 +146,17 @@ class TestSample:
         assert code == 64 and out == ""
         assert "usage error: TRUNCLC_SEED" in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "sample", "--dist", "normal", "--seed", "-1")
+        assert code == 64 and out == ""
+        assert "usage error: --seed" in err
+
+    def test_negative_env_var_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRUNCLC_SEED", "-3")
+        code, out, err = run(capsys, "sample", "--dist", "normal")
+        assert code == 64 and out == ""
+        assert "usage error: TRUNCLC_SEED" in err
+
     def test_hitormiss_method(self, capsys):
         code, out, _ = run(capsys, "sample", "--dist", "normal", "--lower", "0",
                            "--n", "6", "--method", "hitormiss", "--seed", "2")

@@ -350,9 +350,8 @@ class TestDescriptorConsistency:
 
 class TestTailTargets:
     """``tail_targets`` builds a schedule's targets ]a, inf[ in array calls,
-    each equal to the one ``truncate`` builds, field for field."""
+    each equal to the one ``truncate`` builds."""
 
-    FIELDS = ("proj_mode", "log_mass", "log_peak", "log_cdf_lower", "log_sf_lower")
     # the auto schedule of every registered family, deep members whose
     # schedules reach the tail-sum fallback and the -745 limit, and binomial
     # members whose schedules run past n
@@ -387,9 +386,7 @@ class TestTailTargets:
                 refused += 1
                 assert t is None, a
                 continue
-            assert t.interval == want.interval and t.base is desc
-            for name in self.FIELDS:
-                assert getattr(t, name) == getattr(want, name), (a, name)
+            assert t == want and t.base is desc, a
         if family == "binomial":
             assert refused > 0  # depths past n
         else:

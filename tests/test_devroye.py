@@ -215,6 +215,18 @@ class TestImputation:
             ds_sample_batch(t, 2_000, RngStream(25),
                             ImputationPolicy("error", max_iterations=1))
 
+    @pytest.mark.parametrize("cap", [2.0, math.nan, math.inf, 0])
+    def test_max_iterations_must_be_an_integer_of_at_least_one(self, cap):
+        # a float cap reaches numpy's integer draws, nan spends no proposal,
+        # and inf never stops on a target the sampler cannot reach
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            ImputationPolicy(max_iterations=cap)
+
+    def test_max_iterations_accepts_numpy_integers(self):
+        t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0)
+        b = ds_sample_batch(t, 20, RngStream(26), ImputationPolicy(max_iterations=np.int64(50)))
+        assert b.n_imputed == 0
+
     def test_batch_size_validation(self):
         t = truncate(build_descriptor("normal", mu=0, sigma=1))
         with pytest.raises(ValueError):

@@ -286,6 +286,14 @@ class TestScanner:
         with pytest.raises(ValueError, match="n_probe must be >= 1"):
             scan_safety("normal", probe_schedule=np.arange(0.0, 3.0), n_probe=0)
 
+    @pytest.mark.parametrize("schedule", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0]],
+                             ids=["inf", "nan"])
+    def test_non_finite_probe_raises(self, schedule):
+        # an infinite depth has no target, and a bisection towards it never
+        # narrows; a nan slips past the increasing check
+        with pytest.raises(ValueError, match="finite, strictly increasing"):
+            scan_safety("normal", probe_schedule=schedule, n_probe=10)
+
 
 class TestItsSchedule:
     """The scan's ITS pass judges every probe of a schedule as ``_classify``
