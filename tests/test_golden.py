@@ -5,8 +5,10 @@ sha256 digest of its stdout and stderr, plus its exit code, against the
 value recorded when the case was added; each batch case digests the
 values, imputation flags, trial counts and proposal accounting of one
 sampler call; each demo case digests the stdout of one script in
-``demos/`` (the digest of ``python demos/<name>.py | sha256sum``).  A refactor that changes any variate,
-any breakdown depth or any byte of formatting fails here.  Regenerate a
+``demos/`` (the digest of ``python demos/<name>.py | sha256sum``); each
+family case digests the four callables of one family member on a fixed
+grid.  A refactor that changes any variate, any breakdown depth, any
+density or tail value or any byte of formatting fails here.  Regenerate a
 digest only for a change that is meant to alter output, and say so in
 CHANGES.md.
 """
@@ -194,3 +196,61 @@ def test_demo_output_is_golden(capsys, name):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     out, _ = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == DEMO_GOLDEN[name]
+
+
+# one member per builder branch: both regimes of the poisson tails, both
+# binomial sizes of the scans, gamma's closed form, series and transform
+FAMILY_MEMBERS = {
+    "normal": ("normal", {}),
+    "poisson_0.5": ("poisson", {"lambda": 0.5}),
+    "poisson_50": ("poisson", {"lambda": 50}),
+    "binomial_40_0.3": ("binomial", {"n": 40, "p": 0.3}),
+    "binomial_2048_0.5": ("binomial", {"n": 2048, "p": 0.5}),
+    "nbinom_10_0.5": ("nbinom", {"n": 10, "p": 0.5}),
+    "geometric_0.3": ("geometric", {"p": 0.3}),
+    "gamma_2": ("gamma", {"alpha": 2}),
+    "gamma_1": ("gamma", {"alpha": 1}),
+    "gamma_0.5": ("gamma", {"alpha": 0.5}),
+    "invgauss_1_0.3": ("invgauss", {"mu": 1, "lambda": 0.3}),
+    "epd_1.5": ("epd", {"beta": 1.5}),
+    "epd_3": ("epd", {"beta": 3}),
+}
+
+FAMILY_GOLDEN = {
+    "binomial_2048_0.5": "a5d7b5861cf22eacb22f00e0a745cfdd337e2f0ac9286a2aafd7c063ba80f567",
+    "binomial_40_0.3": "a1e52361c008e8d693bf6b79e4717c5dbcf0607962dea5aa9f40672c994250fc",
+    "epd_1.5": "a83fa95a92facef48cad5c6240ebd90d6c16b3e8ac383711d03bdafb5f4874ba",
+    "epd_3": "41f50ba2bdca44c069e7750f0b2aed49c56d60815170d0fbfbcfff95da7303b9",
+    "gamma_0.5": "26de555dc24c96dfe5f4520f8a92cbed1b6fd62dd92c8ca88647c56743ec3653",
+    "gamma_1": "ad4515d6e08bc67caaa50e776178625f67c507fb3653334ae68ffdb927c1cfc8",
+    "gamma_2": "cb4812640dbfd6a8c79c2f4b9181a317422e5afe5a210ed80fd2f45a94fd1297",
+    "geometric_0.3": "174d2c1ab7a5f11b06ee20550997c2a4542fad8089dd9f4c168d24fd235726ab",
+    "invgauss_1_0.3": "da46b376382374aba4caed4428afb60db4f61b17490757b6e7c9f65138a431d1",
+    "nbinom_10_0.5": "cb9c6e0a1a0eb1cf20981a37d4b66001404c393523e66e720a2d4f80b6b939ca",
+    "normal": "6c99cf0a6cdbc93c640a8921a0e9ffff4f7a1f0b2298268bc73538f680ad81df",
+    "poisson_0.5": "5d63aa7775b2f0d99fdd3e9c49f1b9771151485786f92a00d7b98c58ad51589e",
+    "poisson_50": "230b589ae4d1cf600045cf3af3357d943221dbcfb52810e6e2c87eab94a5e41a",
+}
+
+# depths in units of sigma from mu, far enough to reach the tail-sum and
+# continued-fraction fallbacks; finite, as some callables are not defined
+# at +-inf for every member
+_Z = np.concatenate([np.arange(-6.0, 60.0, 0.5), [200.0, 1e3, 1e4]])
+_Q = np.array([0.0, 1e-300, 1e-17, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-16, 1.0])
+
+
+def family_digest(name) -> str:
+    family, params = FAMILY_MEMBERS[name]
+    d = build_descriptor(family, params)
+    x = d.mu + d.sigma * _Z
+    if d.is_discrete:
+        # the lattice points, points between them and left of the support
+        k = np.floor(x)
+        x = np.concatenate([x, k, k + 0.5, [-1.0, -0.5]])
+    return digest(*(f(x).astype("<f8").tobytes() for f in (d.log_pdf, d.log_cdf, d.log_sf)),
+                  d.quantile(_Q).astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MEMBERS))
+def test_family_callables_are_golden(name):
+    assert family_digest(name) == FAMILY_GOLDEN[name]
