@@ -1,11 +1,11 @@
 """Built-in log-concave families and the registration API.
 
 Every family exposes direct log-space evaluations of its pmf/pdf, CDF and
-survival function.  Discrete pmfs use the saddle-point (Stirling-error /
-binomial-deviance) construction so the log value keeps a full complement
-of significant digits deep in the tails; CDF/survival values fall back to
-a log-space tail summation once their linear-space evaluation loses
-precision.
+survival function.  Poisson, binomial and nbinom are lattice laws built by
+``_lattice_law`` alone: a saddle-point (Stirling-error / binomial-deviance)
+log-pmf, which keeps full precision deep in the tails, on the integers of
+[0, hi] and -inf at every other real, and linear-space CDF/survival values
+whose logs give way to a log-space tail sum below ``LINEAR_FLOOR``.
 
 New families are added with :func:`register_family`, supplying the same
 ingredients: parameter schema, log-density, log-CDF/survival, and a mode
@@ -179,34 +179,6 @@ def _log_tail_sum(log_pmf, start, step, lo, hi):
     return anchor + math.log(acc)
 
 
-def _discrete_tail_functions(lin_cdf, lin_sf, log_pmf, lo, hi):
-    """Build log_cdf / log_sf step functions of a real argument.
-
-    ``lin_cdf``/``lin_sf`` evaluate the linear-space CDF / survival at
-    integer points in [lo, hi); the tail-sum fallback takes over when
-    they drop below the precision floor.
-    """
-
-    def tail(lin, start, step, below, above):
-        # the fallback sums the pmf from k + start in direction step;
-        # below/above fill points left of lo and at or right of hi
-        def log_tail(x):
-            k = np.floor(x)
-            out = np.full(k.shape, -np.inf)
-            out[k < lo] = below
-            out[k >= hi] = above
-            mid = (k >= lo) & (k < hi)
-            if mid.any():
-                km = k[mid]
-                out[mid] = log_or_fallback(
-                    lin(km), lambda i: _log_tail_sum(log_pmf, km[i] + start, step, lo, hi))
-            return out
-
-        return log_tail
-
-    return tail(lin_cdf, 0.0, -1.0, -np.inf, 0.0), tail(lin_sf, 1.0, 1.0, 0.0, -np.inf)
-
-
 def _integer_mask(x):
     return (x == np.floor(x)) & np.isfinite(x)
 
@@ -323,51 +295,57 @@ def _build_normal(params):
     )
 
 
-def _build_poisson(params):
-    lam = params["lambda"]
+def _lattice_law(name, params, raw, hi, lin_cdf, lin_sf, quantile, mode, mu, sigma):
+    """The descriptor of a law on the integers of [0, ``hi``], ``hi`` maybe inf.
+
+    ``log_pdf`` is ``raw`` on those integers and -inf at every other real.
+    ``log_cdf``/``log_sf`` at ``x`` are the logs of ``lin_cdf``/``lin_sf`` at
+    ``floor(x)``, with the pmf's log-space tail sum taking over below
+    ``LINEAR_FLOOR``, and the law's exact 0 or 1 outside [0, ``hi``).
+    """
 
     def log_pmf(x):
-        return _masked(x, _integer_mask(x) & (x >= 0.0), -np.inf,
-                       lambda k: _log_poisson_raw(k, lam))
+        return _masked(x, _integer_mask(x) & (x >= 0.0) & (x <= hi), -np.inf, raw)
 
-    log_cdf, log_sf = _discrete_tail_functions(
-        lambda k: sc.gammaincc(k + 1.0, lam),
-        lambda k: sc.gammainc(k + 1.0, lam),
-        log_pmf, 0.0, math.inf,
-    )
+    def tail(lin, start, step, below, above):
+        def log_tail(x):
+            k = np.floor(x)
+            out = np.full(k.shape, -np.inf)
+            out[k < 0.0] = below
+            out[k >= hi] = above
+            mid = (k >= 0.0) & (k < hi)
+            if mid.any():
+                km = k[mid]
+                out[mid] = log_or_fallback(
+                    lin(km), lambda i: _log_tail_sum(log_pmf, km[i] + start, step, 0.0, hi))
+            return out
 
-    def quantile(p):
-        return st.poisson.ppf(p, lam)
+        return log_tail
 
     return DistributionDescriptor(
-        family_name="poisson", params=params, kind="discrete",
-        support=(0.0, math.inf), log_pdf=log_pmf, log_cdf=log_cdf,
-        log_sf=log_sf, mode=math.floor(lam), mu=lam, sigma=math.sqrt(lam),
+        family_name=name, params=params, kind="discrete", support=(0.0, hi),
+        log_pdf=log_pmf, log_cdf=tail(lin_cdf, 0.0, -1.0, -np.inf, 0.0),
+        log_sf=tail(lin_sf, 1.0, 1.0, 0.0, -np.inf), mode=mode, mu=mu, sigma=sigma,
         quantile=quantile,
+    )
+
+
+def _build_poisson(params):
+    lam = params["lambda"]
+    return _lattice_law(
+        "poisson", params, lambda k: _log_poisson_raw(k, lam), math.inf,
+        lambda k: sc.gammaincc(k + 1.0, lam), lambda k: sc.gammainc(k + 1.0, lam),
+        lambda q: st.poisson.ppf(q, lam), math.floor(lam), lam, math.sqrt(lam),
     )
 
 
 def _build_binomial(params):
     n, p = params["n"], params["p"]
-
-    def log_pmf(x):
-        return _masked(x, _integer_mask(x) & (x >= 0.0) & (x <= n), -np.inf,
-                       lambda k: _log_binom_raw(k, n, p))
-
-    log_cdf, log_sf = _discrete_tail_functions(
-        lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p),
-        lambda k: sc.betainc(k + 1.0, n - k, p),
-        log_pmf, 0.0, n,
-    )
-
-    def quantile(q):
-        return st.binom.ppf(q, int(n), p)
-
-    mode = min(n, max(0.0, math.floor((n + 1.0) * p)))
-    return DistributionDescriptor(
-        family_name="binomial", params=params, kind="discrete",
-        support=(0.0, n), log_pdf=log_pmf, log_cdf=log_cdf, log_sf=log_sf,
-        mode=mode, mu=n * p, sigma=math.sqrt(n * p * (1.0 - p)), quantile=quantile,
+    return _lattice_law(
+        "binomial", params, lambda k: _log_binom_raw(k, n, p), n,
+        lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n - k, p),
+        lambda q: st.binom.ppf(q, int(n), p), min(n, max(0.0, math.floor((n + 1.0) * p))),
+        n * p, math.sqrt(n * p * (1.0 - p)),
     )
 
 
@@ -376,25 +354,15 @@ def _build_nbinom(params):
     # per-trial probability of the counted outcome (mean np/(1-p))
     n, p = params["n"], params["p"]
 
-    def log_pmf(x):
-        return _masked(x, _integer_mask(x) & (x >= 0.0), -np.inf, lambda k: (
-            np.log(n) - np.log(n + k) + _log_binom_raw(np.full(k.shape, n), n + k, 1.0 - p)))
+    def raw(k):
+        return np.log(n) - np.log(n + k) + _log_binom_raw(np.full(k.shape, n), n + k, 1.0 - p)
 
-    log_cdf, log_sf = _discrete_tail_functions(
-        lambda k: sc.betainc(n, k + 1.0, 1.0 - p),
-        lambda k: sc.betainc(k + 1.0, n, p),
-        log_pmf, 0.0, math.inf,
-    )
-
-    def quantile(q):
-        return st.nbinom.ppf(q, n, 1.0 - p)
-
-    mode = math.floor((n - 1.0) * p / (1.0 - p)) if n > 1.0 else 0.0
-    return DistributionDescriptor(
-        family_name="nbinom", params=params, kind="discrete",
-        support=(0.0, math.inf), log_pdf=log_pmf, log_cdf=log_cdf, log_sf=log_sf,
-        mode=mode, mu=n * p / (1.0 - p), sigma=math.sqrt(n * p) / (1.0 - p),
-        quantile=quantile,
+    return _lattice_law(
+        "nbinom", params, raw, math.inf,
+        lambda k: sc.betainc(n, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n, p),
+        lambda q: st.nbinom.ppf(q, n, 1.0 - p),
+        math.floor((n - 1.0) * p / (1.0 - p)) if n > 1.0 else 0.0,
+        n * p / (1.0 - p), math.sqrt(n * p) / (1.0 - p),
     )
 
 
