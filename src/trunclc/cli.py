@@ -197,12 +197,10 @@ def cmd_sample(args) -> int:
     rng = RngStream(args.seed)
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
-    if args.method == "devroye":
-        batch = ds_sample_batch(target, args.n, rng, policy)
-    elif args.method == "its":
-        batch = its_sample_batch(target, args.n, rng, policy)
-    else:
-        batch = hit_or_miss_batch(target, args.n, rng, policy=policy)
+    # looked up at each call: perfbench's tracer swaps the module's samplers
+    sampler = {"devroye": ds_sample_batch, "its": its_sample_batch,
+               "hitormiss": hit_or_miss_batch}[args.method]
+    batch = sampler(target, args.n, rng, policy)
     disc = desc.is_discrete
     rate = batch.acceptance_rate
     stats = (f"proposals={batch.proposals} accepts={batch.accepts} "
@@ -316,6 +314,8 @@ def cmd_validate(args) -> int:
     if args.test == "qq":
         if args.lower is None:
             raise ParameterError("qq requires --lower")
+        if not 0.0 < args.lower < math.inf:
+            raise ParameterError(f"qq requires 0 < --lower < inf, got {args.lower!r}")
         target = truncate(desc, lower=args.lower)
         batch = ds_sample_batch(target, args.n, RngStream(args.seed))
         qq = exp_tail_qq(batch, args.lower)

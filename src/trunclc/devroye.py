@@ -116,6 +116,12 @@ class ImputationPolicy:
 DEFAULT_POLICY = ImputationPolicy()
 
 
+def _check_size(n, name: str = "batch size") -> None:
+    """Raise ``ValueError`` unless ``n`` is an integer >= 1 (numpy ints pass)."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {n!r}")
+
+
 @dataclass
 class SampleBatch:
     """Generated variates plus imputation flags and acceptance accounting."""
@@ -285,10 +291,6 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     return propose, 1.0 / (4.0 + c)
 
 
-def _envelope_proposer(t: TruncatedTarget, gen: np.random.Generator):
-    return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
-
-
 def _hit_proposer(t: TruncatedTarget, gen: np.random.Generator, per_draw: bool = False):
     """Draws of the untruncated law of ``t``, hit-tested against its interval.
 
@@ -300,7 +302,7 @@ def _hit_proposer(t: TruncatedTarget, gen: np.random.Generator, per_draw: bool =
     draws alone (hit-or-miss counts base draws, not proposals).
     """
     root, fmap = t.base.transform or (t.base, None)
-    envelope, rate = _envelope_proposer(truncate(root), gen)
+    envelope, rate = _proposer(truncate(root), gen)
 
     def propose(size):
         x, drawn = envelope(size)
@@ -318,7 +320,7 @@ def _proposer(t: TruncatedTarget, gen: np.random.Generator):
     """``(propose, rate)`` for ``t``: a transform route, or the envelope of its kind."""
     if t.base.transform is not None:
         return _hit_proposer(t, gen)
-    return _envelope_proposer(t, gen)
+    return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
 
 
 def ds_sample_batch(
@@ -336,8 +338,7 @@ def ds_sample_batch(
     log-concave base mapped and hit-tested against the interval.  At most
     ``n * policy.max_iterations`` proposals are spent.
     """
-    if n < 1:
-        raise ValueError(f"batch size must be >= 1, got {n}")
+    _check_size(n)
     gen = as_generator(rng)
     if t.degenerate:
         return _degenerate_batch(t, n, policy, "devroye")

@@ -47,6 +47,7 @@ from .devroye import (
     RngLike,
     RngStream,
     SampleBatch,
+    _check_size,
     as_generator,
     ds_sample_batch,
 )
@@ -238,8 +239,11 @@ def exp_tail_qq(batch: SampleBatch, a: float) -> QQResult:
 
     Emits paired quantiles at the 99 integer percentiles plus the
     Kolmogorov-Smirnov distance between the excess sample and
-    exponential(a).
+    exponential(a).  The threshold must satisfy ``0 < a < inf``: the
+    exponential law has no rate ``a`` otherwise.
     """
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"the exponential tail Q-Q needs a threshold 0 < a < inf, got {a!r}")
     excess = batch.values[~batch.imputed] - a
     ps = np.arange(1, 100) / 100.0
     emp = np.quantile(excess, ps)
@@ -571,8 +575,7 @@ def scan_safety(
     if method not in ("its", "devroye", "both"):
         raise ValueError(f"unknown method {method!r}")
     # checked here: a sampler that raises only marks its probe unclean
-    if n_probe < 1:
-        raise ValueError(f"n_probe must be >= 1, got {n_probe}")
+    _check_size(n_probe, "n_probe")
     spec = get_family(family)
     if param_grid is None:
         if set(spec.defaults) != {ps.name for ps in spec.params}:

@@ -296,9 +296,10 @@ def _build_normal(params):
 
 
 def _lattice_law(name, params, raw, hi, lin_cdf, lin_sf, quantile, mode, mu, sigma):
-    """The descriptor of a law on the integers of [0, ``hi``], ``hi`` maybe inf.
+    """The descriptor of a lattice law with support (0, ``hi``), ``hi`` maybe inf.
 
-    ``log_pdf`` is ``raw`` on those integers and -inf at every other real.
+    The lattice contract: ``log_pdf`` is ``raw`` on the integers of [0, ``hi``]
+    and -inf at every other real.
     ``log_cdf``/``log_sf`` at ``x`` are the logs of ``lin_cdf``/``lin_sf`` at
     ``floor(x)``, with the pmf's log-space tail sum taking over below
     ``LINEAR_FLOOR``, and the law's exact 0 or 1 outside [0, ``hi``).
@@ -335,7 +336,8 @@ def _build_poisson(params):
     return _lattice_law(
         "poisson", params, lambda k: _log_poisson_raw(k, lam), math.inf,
         lambda k: sc.gammaincc(k + 1.0, lam), lambda k: sc.gammainc(k + 1.0, lam),
-        lambda q: st.poisson.ppf(q, lam), math.floor(lam), lam, math.sqrt(lam),
+        lambda q: st.poisson.ppf(q, lam),
+        math.floor(lam), lam, math.sqrt(lam),
     )
 
 
@@ -344,8 +346,8 @@ def _build_binomial(params):
     return _lattice_law(
         "binomial", params, lambda k: _log_binom_raw(k, n, p), n,
         lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n - k, p),
-        lambda q: st.binom.ppf(q, int(n), p), min(n, max(0.0, math.floor((n + 1.0) * p))),
-        n * p, math.sqrt(n * p * (1.0 - p)),
+        lambda q: st.binom.ppf(q, int(n), p),
+        min(n, max(0.0, math.floor((n + 1.0) * p))), n * p, math.sqrt(n * p * (1.0 - p)),
     )
 
 

@@ -94,8 +94,10 @@ def _log_gamma_q_cf(a: float, z: float) -> float:
     Numerical Recipes' ``gcf`` does (Press et al. 2007, sec. 6.2).  The
     steps can settle one ulp below 1 (1 - 1.1e-16, the doubles being twice
     as dense there), which a bound under 1.1e-16 never admits: the
-    fraction would run to the cap and raise.
+    fraction would run to the cap and raise.  At ``z = inf`` it is -inf.
     """
+    if z == math.inf:
+        return -math.inf
     fpmin = 1e-300
     b = z + 1.0 - a
     c = 1.0 / fpmin

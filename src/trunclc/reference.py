@@ -26,6 +26,7 @@ from .devroye import (
     RngLike,
     SampleBatch,
     SamplingBreakdownError,
+    _check_size,
     _degenerate_batch,
     _fill,
     _finish,
@@ -48,8 +49,7 @@ def its_sample_batch(
     policy the first bad variate raises :class:`TruncationOverflow`;
     otherwise bad variates are imputed and flagged.
     """
-    if n < 1:
-        raise ValueError(f"batch size must be >= 1, got {n}")
+    _check_size(n)
     pp, x, bad = t.invert(as_generator(rng).random(size=n))
 
     def error(i):
@@ -78,8 +78,7 @@ def hit_or_miss_batch(
     open then.  A degenerate target is handed to the imputation
     policy whole, with no draws.
     """
-    if n < 1:
-        raise ValueError(f"batch size must be >= 1, got {n}")
+    _check_size(n)
     trials = np.zeros(n, dtype=np.int64)
     if t.degenerate:
         batch = _degenerate_batch(t, n, policy, "hit_or_miss")

@@ -352,6 +352,14 @@ class TestValidate:
         assert len([l for l in lines if not l.startswith(("test", "#"))]) == 99
         assert lines[-1].startswith("# ks_statistic=")
 
+    @pytest.mark.parametrize("lower", ["0", "-2"])
+    def test_qq_threshold_at_or_below_zero_is_a_usage_error(self, capsys, lower):
+        code, out, err = run(capsys, "validate", "qq", "--dist", "normal",
+                             "--lower", lower, "--n", "50", "--seed", "10")
+        assert code == 64
+        assert out == ""
+        assert "--lower" in err
+
     def test_memoryless_pass(self, capsys):
         code, out, _ = run(capsys, "validate", "memoryless", "--dist", "geometric",
                            "--param", "p=0.5", "--lower", "20", "--n", "50000",

@@ -15,6 +15,9 @@ from trunclc import (
     build_descriptor,
     chi_square_gof,
     ds_sample_batch,
+    hit_or_miss_batch,
+    its_sample_batch,
+    scan_safety,
     truncate,
 )
 from trunclc.devroye import MAX_ROUND
@@ -231,6 +234,39 @@ class TestImputation:
         t = truncate(build_descriptor("normal", mu=0, sigma=1))
         with pytest.raises(ValueError):
             ds_sample_batch(t, 0, RngStream(0))
+
+
+class TestBatchSize:
+    """Every sampler entry point, and the scan's probe size, takes an
+    integer batch size of at least one and refuses anything else with a
+    ``ValueError`` before drawing."""
+
+    SAMPLERS = {
+        "devroye": ds_sample_batch,
+        "its": its_sample_batch,
+        "hitormiss": hit_or_miss_batch,
+        "scan": lambda t, n, rng: scan_safety(
+            "normal", probe_schedule=[1.0, 2.0], method="both", n_probe=n, seed=rng),
+    }
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan, 0])
+    @pytest.mark.parametrize("entry", sorted(SAMPLERS))
+    def test_non_integer_or_below_one_raises(self, entry, n):
+        # a float size used to reach numpy's integer draws and raise a
+        # TypeError there, which the scan does not catch
+        t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0)
+        name = "n_probe" if entry == "scan" else "batch size"
+        with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer"):
+            self.SAMPLERS[entry](t, n, 27)
+
+    @pytest.mark.parametrize("entry", sorted(SAMPLERS))
+    def test_numpy_integers_pass(self, entry):
+        t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=1.0)
+        out = self.SAMPLERS[entry](t, np.int64(3), 27)
+        if entry == "scan":
+            assert out.n_probe == 3
+        else:
+            assert out.values.size == 3
 
 
 class TestGammaExceptionRoute:

@@ -189,6 +189,15 @@ class TestExpTailQQ:
         assert 0.0 < qq.ks_statistic < 0.02
 
 
+    @pytest.mark.parametrize("a", [0.0, -2.0, math.inf, math.nan])
+    def test_threshold_outside_the_positive_reals_raises(self, a):
+        # at a = 0 every theoretical quantile was inf, and below 0 negative
+        batch = SampleBatch(values=np.array([1.0, 2.0, 3.0]), imputed=np.zeros(3, bool),
+                            proposals=3, accepts=3, method="devroye")
+        with pytest.raises(ValueError, match="threshold 0 < a < inf"):
+            exp_tail_qq(batch, a)
+
+
 class TestMemorylessness:
     def test_moderate_truncation(self):
         res = memorylessness_check(0.5, 20, 100_000, RngStream(70))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
+from trunclc import build_descriptor
 from trunclc.logspace import (
     _log_gamma_q_cf,
     elementwise,
@@ -100,6 +101,26 @@ class TestLogGammaQContinuedFraction:
         for z in zs:
             want = float(mp.log(mp.gammainc(mp.mpf(a), mp.mpf(z), mp.inf, regularized=True)))
             assert _log_gamma_q_cf(a, z) == pytest.approx(want, rel=1e-15), z
+
+
+class TestInfiniteArgument:
+    """Q(a, inf) = 0: its log is -inf at once, not after the continued
+    fraction has run to its cap and raised."""
+
+    @pytest.mark.parametrize("a", [1.0 / 3.0, 0.5, 2.0, 5.0])
+    def test_upper_reg_at_inf_is_neg_inf(self, a):
+        assert _log_gamma_q_cf(a, math.inf) == -math.inf
+        assert log_gamma_upper_reg(a, math.inf) == -math.inf
+        assert log_gamma_upper_reg(a, np.array([1.0, math.inf]))[1] == -math.inf
+
+    def test_tails_of_the_families_at_inf(self):
+        gamma = build_descriptor("gamma", alpha=2.0)
+        assert gamma.log_sf(math.inf) == -math.inf
+        for beta in (1.5, 3.0):
+            epd = build_descriptor("epd", beta=beta)
+            assert epd.log_sf(math.inf) == -math.inf
+            assert epd.log_cdf(-math.inf) == -math.inf
+            assert epd.log_sf(-math.inf) == 0.0
 
 
 class TestElementwise:
