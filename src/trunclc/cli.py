@@ -6,6 +6,12 @@ row, JSON with one top-level object carrying ``meta`` and ``rows`` (both
 written by :func:`~trunclc.diagnostics.format_table`), or plain values one
 per line.  Numbers are printed in shortest round-trip decimal form.
 
+Grammar: ``trunclc sample|scan FLAGS`` and ``trunclc validate TEST FLAGS``.
+Each validate test (``ztest``, ``qq``, ``memoryless``) is a subcommand that
+takes only the flags it reads, and its flags follow the test name:
+``trunclc validate qq --dist normal --lower 3``.  The parser refuses any
+other flag, so no flag is accepted and then ignored.
+
 Exit codes: 0 clean, 1 runtime failure or failed validation verdict,
 2 sampling completed but some variates were imputed, 64 usage error.
 """
@@ -148,55 +154,72 @@ def _lattice(flag: str, fields) -> np.ndarray:
     return points
 
 
+def _finite(text: str) -> float:
+    """``float(text)``; argparse refuses a value that is not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
+    shared = _Parser(add_help=False)  # every command
+    shared.add_argument("--dist", required=True)
+    shared.add_argument("--param", action="append", metavar="NAME=VALUE")
+    shared.add_argument("--seed", type=int, default=None)
+    table = _Parser(add_help=False, parents=[shared])  # commands that write a table
+    table.add_argument("--format", choices=["csv", "json"], default="csv")
+    check = _Parser(add_help=False, parents=[table])  # each validate test
+    check.add_argument("--n", type=int, default=100_000)
+
     parser = _Parser(prog="trunclc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sample = sub.add_parser("sample", help="generate truncated variates")
-    p_sample.add_argument("--dist", required=True)
-    p_sample.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p_sample = sub.add_parser("sample", parents=[shared], help="generate truncated variates")
     p_sample.add_argument("--lower", type=float, default=-math.inf)
     p_sample.add_argument("--upper", type=float, default=math.inf)
     p_sample.add_argument("--n", type=int, default=1)
     p_sample.add_argument("--method", choices=["devroye", "its", "hitormiss"],
                           default="devroye")
-    p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--impute", choices=["mode", "error", "inf"], default="error")
     p_sample.add_argument("--format", choices=["csv", "json", "plain"], default="plain")
+    p_sample.set_defaults(run=cmd_sample)
 
-    p_scan = sub.add_parser("scan", help="map sampler breakdown depths")
-    p_scan.add_argument("--dist", required=True)
-    p_scan.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p_scan = sub.add_parser("scan", parents=[table], help="map sampler breakdown depths")
     p_scan.add_argument("--grid", action="append", metavar="NAME=START:STOP:COUNT:SCALE")
     p_scan.add_argument("--probe", default="auto")
     p_scan.add_argument("--method", choices=["its", "devroye", "both"], default="both")
     p_scan.add_argument("--n-probe", type=int, default=1000)
-    p_scan.add_argument("--seed", type=int, default=None)
-    p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     p_scan.add_argument("--out", default=None)
+    p_scan.set_defaults(run=cmd_scan)
 
     p_val = sub.add_parser("validate", help="statistical validation of sampler output")
-    p_val.add_argument("test", choices=["ztest", "qq", "memoryless"])
-    p_val.add_argument("--dist", required=True)
-    p_val.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_val.add_argument("--lower", type=float, default=None)
-    p_val.add_argument("--lower-grid", metavar="START:STOP:STEP", default=None)
-    p_val.add_argument("--n", type=int, default=100_000)
-    p_val.add_argument("--method", choices=["devroye", "its"], default="devroye")
-    p_val.add_argument("--z-threshold", type=float, default=3.5)
-    p_val.add_argument("--seed", type=int, default=None)
-    p_val.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_val.set_defaults(run=cmd_validate)
+    tests = p_val.add_subparsers(dest="test", required=True)
+    p_z = tests.add_parser("ztest", parents=[check], help="sample mean against the oracle")
+    lowers = p_z.add_mutually_exclusive_group(required=True)
+    lowers.add_argument("--lower", type=_finite)
+    lowers.add_argument("--lower-grid", metavar="START:STOP:STEP")
+    p_z.add_argument("--method", choices=["devroye", "its"], default="devroye")
+    p_z.add_argument("--z-threshold", type=float, default=3.5)
+    for name, text in (("qq", "tail excess against the exponential(lower)"),
+                       ("memoryless", "geometric lack of memory")):
+        p_test = tests.add_parser(name, parents=[check], help=text)
+        p_test.add_argument("--lower", type=_finite, required=True)
     return parser
 
 
 def cmd_sample(args) -> int:
+    if not args.lower < args.upper:
+        raise ParameterError(f"--lower must be < --upper, got {args.lower!r} and {args.upper!r}")
     params = _parse_params(args.param)
     desc = build_descriptor(args.dist, params)
     target = truncate(desc, lower=args.lower, upper=args.upper)
     policy = ImputationPolicy(mode=_IMPUTE_MODES[args.impute])
     rng = RngStream(args.seed)
-    if args.n < 1:
-        raise ParameterError(f"--n must be >= 1, got {args.n}")
     # looked up at each call: perfbench's tracer swaps the module's samplers
     sampler = {"devroye": ds_sample_batch, "its": its_sample_batch,
                "hitormiss": hit_or_miss_batch}[args.method]
@@ -238,8 +261,6 @@ def cmd_scan(args) -> int:
                 for combo in itertools.product(*axes.values())]
     elif params:
         grid = [params]
-    if args.n_probe < 1:
-        raise ParameterError(f"--n-probe must be >= 1, got {args.n_probe}")
     report = scan_safety(
         args.dist, param_grid=grid, probe_schedule=_parse_probe(args.probe),
         method=args.method, n_probe=args.n_probe, seed=args.seed,
@@ -291,15 +312,12 @@ _ZTEST_COLUMNS = ["test", "family", "params", "lower", "n", "n_imputed",
 def cmd_validate(args) -> int:
     desc = build_descriptor(args.dist, _parse_params(args.param))
     if args.test == "ztest":
-        if args.lower_grid:
+        lowers = [args.lower]
+        if args.lower_grid is not None:
             parts = args.lower_grid.split(":")
             if len(parts) != 3:
                 raise ParameterError(f"--lower-grid expects start:stop:step, got {args.lower_grid!r}")
             lowers = list(_lattice("--lower-grid", parts))
-        elif args.lower is not None:
-            lowers = [args.lower]
-        else:
-            raise ParameterError("ztest requires --lower or --lower-grid")
         rows = _ztest_rows(args, desc, lowers)
         sys.stdout.write(format_table(args.format, _ZTEST_COLUMNS, rows, meta={
             "test": "ztest", "family": args.dist, "seed": args.seed,
@@ -312,8 +330,6 @@ def cmd_validate(args) -> int:
               file=sys.stderr)
         return 1 if n_fail else 0
     if args.test == "qq":
-        if args.lower is None:
-            raise ParameterError("qq requires --lower")
         if not 0.0 < args.lower < math.inf:
             raise ParameterError(f"qq requires 0 < --lower < inf, got {args.lower!r}")
         target = truncate(desc, lower=args.lower)
@@ -328,8 +344,6 @@ def cmd_validate(args) -> int:
             print(f"# ks_statistic={_fmt(qq.ks_statistic)} n={qq.n}")
         return 0
     # memoryless
-    if args.lower is None:
-        raise ParameterError("memoryless requires --lower")
     if args.dist != "geometric":
         raise ParameterError("memoryless test is defined for the geometric family")
     res = memorylessness_check(desc.params["p"], int(args.lower), args.n,
@@ -356,11 +370,11 @@ def main(argv=None) -> int:
             args.seed = _number(source, os.environ.get(source, "0"), int)
         if args.seed < 0:
             raise ParameterError(f"{source} must be >= 0, got {args.seed}")
-        if args.command == "sample":
-            return cmd_sample(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        return cmd_validate(args)
+        for flag in ("--n", "--n-probe"):
+            size = getattr(args, flag[2:].replace("-", "_"), 1)
+            if size < 1:
+                raise ParameterError(f"{flag} must be >= 1, got {size}")
+        return args.run(args)
     except (UnknownFamilyError, ParameterError) as exc:
         print(f"trunclc: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

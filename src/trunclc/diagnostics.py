@@ -319,8 +319,6 @@ def memorylessness_check(
     the shifted law is exactly the base law, at any truncation depth the
     sampler survives.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
     desc = build_descriptor("geometric", {"p": p})
     target = truncate(desc, lower=a)
     if target.degenerate:

@@ -411,7 +411,7 @@ def _build_gamma(params):
             return np.where(x > 0.0, -lam * x, 0.0)
     else:
         def log_pdf(x):
-            return _masked(x, x > 0.0, -np.inf, lambda xp: (
+            return _masked(x, (x > 0.0) & (x < math.inf), -np.inf, lambda xp: (
                 alpha * math.log(lam) + (alpha - 1.0) * np.log(xp) - lam * xp - sc.gammaln(alpha)))
 
         def log_cdf(x):
@@ -445,7 +445,7 @@ def _build_invgauss(params):
     mu, lam = params["mu"], params["lambda"]
 
     def log_pdf(x):
-        return _masked(x, x > 0.0, -np.inf, lambda xp: (
+        return _masked(x, (x > 0.0) & (x < math.inf), -np.inf, lambda xp: (
             0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(xp))
             - lam * (xp - mu) ** 2 / (2.0 * mu * mu * xp)))
 
@@ -455,17 +455,18 @@ def _build_invgauss(params):
         u2 = rx * (x / mu + 1.0)
         return sc.log_ndtr(u1), sc.log_ndtr(-u1), 2.0 * lam / mu + sc.log_ndtr(-u2)
 
+    # the terms are inf/inf at x = inf: its limits are set, not evaluated
     def log_cdf(x):
-        out = np.full(x.shape, -np.inf)
-        pos = x > 0.0
+        out = np.where(x == math.inf, 0.0, -np.inf)
+        pos = (x > 0.0) & (x < math.inf)
         if pos.any():
             t1, _, t2 = _terms(x[pos])
             out[pos] = np.minimum(np.logaddexp(t1, t2), 0.0)
         return out
 
     def log_sf(x):
-        out = np.zeros(x.shape)
-        pos = x > 0.0
+        out = np.where(x == math.inf, -np.inf, 0.0)
+        pos = (x > 0.0) & (x < math.inf)
         if pos.any():
             _, s1, t2 = _terms(x[pos])
             out[pos] = log_diff_exp(s1, np.minimum(t2, s1))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from trunclc.families import ParameterError
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # the parser's refusals, and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -157,6 +161,17 @@ class TestSample:
         assert code == 64 and out == ""
         assert "usage error: TRUNCLC_SEED" in err
 
+    @pytest.mark.parametrize("bounds", [
+        ["--lower", "nan"],
+        ["--lower", "5", "--upper", "3"],
+        ["--lower", "inf"],
+        ["--upper=-inf"],
+    ], ids=["nan", "reversed", "inf", "upper-neg-inf"])
+    def test_bounds_that_describe_no_interval_usage_error(self, capsys, bounds):
+        code, out, err = run(capsys, "sample", "--dist", "normal", "--n", "2", *bounds)
+        assert code == 64 and out == ""
+        assert "usage error: --lower must be < --upper" in err
+
     def test_hitormiss_method(self, capsys):
         code, out, _ = run(capsys, "sample", "--dist", "normal", "--lower", "0",
                            "--n", "6", "--method", "hitormiss", "--seed", "2")
@@ -295,7 +310,48 @@ class TestScan:
         assert "--n-probe must be >= 1" in err
 
 
+QQ = ["validate", "qq", "--dist", "normal", "--lower", "3", "--n", "50"]
+MEMORYLESS = ["validate", "memoryless", "--dist", "geometric", "--param", "p=0.3",
+              "--lower", "3", "--n", "50"]
+ZTEST = ["validate", "ztest", "--dist", "normal", "--n", "50"]
+
+
 class TestValidate:
+    @pytest.mark.parametrize("command", [QQ, MEMORYLESS], ids=["qq", "memoryless"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--method", "its"), ("--z-threshold", "2"), ("--lower-grid", "1:2:1"),
+    ])
+    def test_flag_of_another_test_is_refused(self, capsys, command, flag, value):
+        code, out, err = run(capsys, *command, flag, value)
+        assert code == 64 and out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("lowers", [["--lower", "3", "--lower-grid", "1:2:1"], []],
+                             ids=["both", "neither"])
+    def test_ztest_takes_exactly_one_of_lower_and_lower_grid(self, capsys, lowers):
+        code, out, err = run(capsys, *ZTEST, *lowers)
+        assert code == 64 and out == ""
+        assert "usage: trunclc validate ztest" in err and "--lower-grid" in err
+
+    @pytest.mark.parametrize("command", [ZTEST + ["--lower", "3"], QQ, MEMORYLESS],
+                             ids=["ztest", "qq", "memoryless"])
+    def test_n_below_one_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--n", "0")
+        assert code == 64 and out == ""
+        assert "usage error: --n must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("command,lower", [
+        (ZTEST, "nan"), (ZTEST, "inf"), (MEMORYLESS, "inf"), (MEMORYLESS, "nan"),
+    ], ids=["ztest-nan", "ztest-inf", "memoryless-inf", "memoryless-nan"])
+    def test_lower_must_be_finite(self, capsys, command, lower):
+        code, out, err = run(capsys, *command, "--lower", lower)
+        assert code == 64 and out == ""
+        assert f"argument --lower: expected a finite number, got '{lower}'" in err
+
+    def test_flags_before_the_test_name_are_refused(self, capsys):
+        code, out, _ = run(capsys, "validate", "--dist", "normal", "ztest", "--lower", "3")
+        assert code == 64 and out == ""
+
     @pytest.mark.parametrize("grid", ["0:2:0", "0:2:-1"])
     def test_lower_grid_step_must_be_positive(self, capsys, grid):
         code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",
@@ -389,3 +445,28 @@ class TestValidate:
                            "--n", "100", "--seed", "14")
         assert code == 0
         assert out.strip().splitlines()[1].endswith("oracle_unavailable")
+
+
+HELP_FLAGS = {
+    (): set(),
+    ("sample",): {"--dist", "--param", "--seed", "--lower", "--upper", "--n", "--method",
+                  "--impute", "--format"},
+    ("scan",): {"--dist", "--param", "--seed", "--format", "--grid", "--probe", "--method",
+                "--n-probe", "--out"},
+    ("validate",): set(),
+    ("validate", "ztest"): {"--dist", "--param", "--seed", "--format", "--n", "--lower",
+                            "--lower-grid", "--method", "--z-threshold"},
+    ("validate", "qq"): {"--dist", "--param", "--seed", "--format", "--n", "--lower"},
+    ("validate", "memoryless"): {"--dist", "--param", "--seed", "--format", "--n", "--lower"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS), ids=lambda c: "-".join(["trunclc", *c]))
+def test_help_lists_only_the_parsers_own_flags(capsys, command):
+    # argparse finds two parsers declaring one flag only when it builds them
+    code, out, _ = run(capsys, *command, "--help")
+    assert code == 0
+    assert out.startswith(" ".join(["usage: trunclc", *command]))
+    options = out.split("\noptions:\n")[1]
+    listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", options, flags=re.M))
+    assert listed == HELP_FLAGS[command] | {"--help"}

@@ -24,6 +24,8 @@ from trunclc import (
 from trunclc.families import _log_tail_sum, exception_route
 from trunclc.logspace import log1mexp
 
+from test_golden import FAMILY_MEMBERS
+
 mp.mp.dps = 50
 
 
@@ -462,6 +464,21 @@ class TestScalarArrayContract:
         t = truncate(d, lower=d.mu + d.sigma)
         _assert_convention(t.log_pdf, xs)
         _assert_convention(t.cdf, xs)
+
+
+class TestLimitsAtInfinity:
+    def test_every_digest_member_takes_its_limits(self):
+        # -inf and +inf are evaluated, not masked by the caller: an inf - inf
+        # or 0 * inf inside a family raises here, as warnings are errors
+        want = {"log_pdf": [-math.inf, -math.inf], "log_cdf": [-math.inf, 0.0],
+                "log_sf": [0.0, -math.inf]}
+        got = {}
+        for name, (family, params) in FAMILY_MEMBERS.items():
+            d = build_descriptor(family, params)
+            for fn in want:
+                got[name, fn] = getattr(d, fn)(np.array([-math.inf, math.inf])).tolist()
+                assert [getattr(d, fn)(x) for x in (-math.inf, math.inf)] == got[name, fn]
+        assert got == {(name, fn): want[fn] for name in FAMILY_MEMBERS for fn in want}
 
 
 class TestQuantileIsMonotone:
