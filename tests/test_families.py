@@ -480,6 +480,51 @@ class TestLimitsAtInfinity:
                 assert [getattr(d, fn)(x) for x in (-math.inf, math.inf)] == got[name, fn]
         assert got == {(name, fn): want[fn] for name in FAMILY_MEMBERS for fn in want}
 
+    def test_every_digest_member_takes_its_values_at_its_finite_lower_end(self):
+        # the family digest's grid reaches x = 0 only for gamma_1; a lattice
+        # law is probed left of 0, at -1 and between lattice points
+        got, want = {}, {}
+        for name, (family, params) in FAMILY_MEMBERS.items():
+            d = build_descriptor(family, params)
+            if d.support[0] != 0.0:
+                continue
+            xs = [-1.0, -0.5] if d.is_discrete else [-1.0, 0.0]
+            # gamma(1, lambda) at 0 is log lambda, the limit from inside
+            at_0 = math.log(d.params["lambda"]) if name == "gamma_1" else -math.inf
+            want[name] = {"log_pdf": [-math.inf, -math.inf if d.is_discrete else at_0],
+                          "log_cdf": [-math.inf, -math.inf], "log_sf": [0.0, 0.0]}
+            for fn in want[name]:
+                got[name, fn] = getattr(d, fn)(np.array(xs)).tolist()
+                assert [getattr(d, fn)(x) for x in xs] == got[name, fn]
+        assert sorted(want) == ["binomial_2048_0.5", "binomial_40_0.3", "gamma_0.5", "gamma_1",
+                                "gamma_2", "geometric_0.3", "invgauss_1_0.3", "nbinom_10_0.5",
+                                "poisson_0.5", "poisson_50"]
+        assert got == {(name, fn): want[name][fn] for name in want for fn in want[name]}
+
+
+class TestLatticeContract:
+    """Every lattice law's callables are step functions of ``floor(x)``: the
+    log-pmf is -inf between lattice points, and the log tails at ``k + 0.5``
+    are their values at ``k`` bit for bit."""
+
+    CASES = [
+        ("poisson", {"lambda": 0.5}), ("poisson", {"lambda": 50.0}),
+        ("binomial", {"n": 40.0, "p": 0.3}), ("binomial", {"n": 2048.0, "p": 0.5}),
+        ("nbinom", {"n": 10.0, "p": 0.5}), ("nbinom", {"n": 0.5, "p": 0.9}),
+        ("geometric", {"p": 0.3}), ("geometric", {"p": 0.01}),
+    ]
+
+    @pytest.mark.parametrize("family,params", CASES, ids=[f"{f}{p}" for f, p in CASES])
+    def test_step_functions_of_floor(self, family, params):
+        d = build_descriptor(family, params)
+        # left of the support, both sides of the mode, past a finite upper
+        # end, and deep enough for the tail-sum fallback
+        z = np.concatenate([np.arange(-6.0, 60.0, 0.5), [200.0, 1e3]])
+        k = np.unique(np.concatenate([[-2.0, -1.0], np.floor(d.mu + d.sigma * z)]))
+        assert (d.log_pdf(k + 0.5) == -math.inf).all()
+        for fn in (d.log_cdf, d.log_sf):
+            assert (_bits(fn(k + 0.5)) == _bits(fn(k))).all()
+
 
 class TestQuantileIsMonotone:
     """Each registered quantile is non-decreasing on sorted arguments, bit
