@@ -346,7 +346,7 @@ def cmd_validate(args) -> int:
     # memoryless
     if args.dist != "geometric":
         raise ParameterError("memoryless test is defined for the geometric family")
-    res = memorylessness_check(desc.params["p"], int(args.lower), args.n,
+    res = memorylessness_check(desc.params["p"], args.lower, args.n,
                                RngStream(args.seed))
     rows = [{
         "test": "memoryless", "family": args.dist,

@@ -61,10 +61,13 @@ class DistributionDescriptor:
     argument returns a Python ``float``, an array a float array of its
     shape.  :func:`~trunclc.families.build_descriptor` gives every
     registered family's callables this convention; a descriptor built by
-    hand must follow it itself.  For discrete kinds the first three are
-    step functions of a real argument (internally floored).  ``mu`` and
-    ``sigma`` are the standardization indices used for safety ratios, not
-    necessarily the mean and standard deviation.
+    hand must follow it itself.  Beyond the support, +-inf included,
+    ``log_pdf`` is -inf and ``log_cdf``/``log_sf`` are -inf/0 below it and
+    0/-inf above; a discrete law's three are step functions of ``floor(x)``.
+    At a finite lower end a continuous ``log_pdf`` is the limit from inside,
+    or -inf where that is not finite: a projected mode there reads it as the
+    peak.  ``mu`` and ``sigma`` are the standardization indices used for
+    safety ratios, not necessarily the mean and standard deviation.
 
     ``transform``, when set, is ``(base, fmap)``: a log-concave descriptor
     and a map whose image of a ``base`` variate follows this law.  It is how

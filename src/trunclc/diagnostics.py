@@ -307,7 +307,7 @@ def chi_square_gof(
 
 def memorylessness_check(
     p: float,
-    a: int,
+    a: float,
     n: int,
     rng: RngLike = None,
     alpha: float = 0.001,

@@ -1,11 +1,13 @@
 """Built-in log-concave families and the registration API.
 
 Every family exposes direct log-space evaluations of its pmf/pdf, CDF and
-survival function.  Poisson, binomial and nbinom are lattice laws built by
-``_lattice_law`` alone: a saddle-point (Stirling-error / binomial-deviance)
-log-pmf, which keeps full precision deep in the tails, on the integers of
-[0, hi] and -inf at every other real, and linear-space CDF/survival values
-whose logs give way to a log-space tail sum below ``LINEAR_FLOOR``.
+survival function.  Poisson, binomial, nbinom and geometric are lattice laws
+built by ``_lattice_law`` alone: a log-pmf on the integers of [0, hi], -inf
+at every other real, and log tails at the integers of [0, hi).  Geometric
+gives closed forms; the others a saddle-point (Stirling-error / binomial-
+deviance) log-pmf, which keeps full precision deep in the tails, and
+linear-space tails whose logs give way to a log-space tail sum below
+``LINEAR_FLOOR``.
 
 New families are added with :func:`register_family`, supplying the same
 ingredients: parameter schema, log-density, log-CDF/survival, and a mode
@@ -179,16 +181,25 @@ def _log_tail_sum(log_pmf, start, step, lo, hi):
     return anchor + math.log(acc)
 
 
-def _integer_mask(x):
-    return (x == np.floor(x)) & np.isfinite(x)
-
-
 def _masked(x, mask, fill, f):
     """``f(x[mask])`` where ``mask`` holds, ``fill`` elsewhere."""
     out = np.full(x.shape, fill)
     if mask.any():
         out[mask] = f(x[mask])
     return out
+
+
+def _on_half_line(f, at_inf, elsewhere):
+    """The edge rule of the laws on (0, inf): ``f`` there, ``at_inf`` at
+    +inf and ``elsewhere`` at every other point, nan included."""
+
+    def on_half_line(x):
+        out = _masked(x, (x > 0.0) & (x < math.inf), elsewhere, f)
+        if at_inf != elsewhere:
+            out[x == math.inf] = at_inf
+        return out
+
+    return on_half_line
 
 
 # ---------------------------------------------------------------------------
@@ -295,45 +306,52 @@ def _build_normal(params):
     )
 
 
-def _lattice_law(name, params, raw, hi, lin_cdf, lin_sf, quantile, mode, mu, sigma):
+def _lattice_law(name, params, raw, hi, log_cdf, log_sf, quantile, mode, mu, sigma):
     """The descriptor of a lattice law with support (0, ``hi``), ``hi`` maybe inf.
 
     The lattice contract: ``log_pdf`` is ``raw`` on the integers of [0, ``hi``]
-    and -inf at every other real.
-    ``log_cdf``/``log_sf`` at ``x`` are the logs of ``lin_cdf``/``lin_sf`` at
-    ``floor(x)``, with the pmf's log-space tail sum taking over below
-    ``LINEAR_FLOOR``, and the law's exact 0 or 1 outside [0, ``hi``).
+    and -inf at every other real.  ``log_cdf``/``log_sf`` map a float array
+    of integers of [0, ``hi``) to the law's log tails there; the descriptor's
+    tails are their values at ``floor(x)``, and the exact 0 or 1 elsewhere.
     """
 
     def log_pmf(x):
-        return _masked(x, _integer_mask(x) & (x >= 0.0) & (x <= hi), -np.inf, raw)
+        return _masked(x, (x == np.floor(x)) & (x >= 0.0) & (x <= hi) & (x < math.inf),
+                       -np.inf, raw)
 
-    def tail(lin, start, step, below, above):
+    def tail(at_k, below, above):
         def log_tail(x):
             k = np.floor(x)
-            out = np.full(k.shape, -np.inf)
+            out = _masked(k, (k >= 0.0) & (k < hi), -np.inf, at_k)
             out[k < 0.0] = below
             out[k >= hi] = above
-            mid = (k >= 0.0) & (k < hi)
-            if mid.any():
-                km = k[mid]
-                out[mid] = log_or_fallback(
-                    lin(km), lambda i: _log_tail_sum(log_pmf, km[i] + start, step, 0.0, hi))
             return out
 
         return log_tail
 
     return DistributionDescriptor(
         family_name=name, params=params, kind="discrete", support=(0.0, hi),
-        log_pdf=log_pmf, log_cdf=tail(lin_cdf, 0.0, -1.0, -np.inf, 0.0),
-        log_sf=tail(lin_sf, 1.0, 1.0, 0.0, -np.inf), mode=mode, mu=mu, sigma=sigma,
-        quantile=quantile,
+        log_pdf=log_pmf, log_cdf=tail(log_cdf, -np.inf, 0.0), log_sf=tail(log_sf, 0.0, -np.inf),
+        mode=mode, mu=mu, sigma=sigma, quantile=quantile,
     )
+
+
+def _linear_lattice_law(name, params, raw, hi, lin_cdf, lin_sf, *rest):
+    """``_lattice_law`` with the logs of linear-space tails, the log-space tail
+    sum of ``raw`` taking over below ``LINEAR_FLOOR``; the sum's points are
+    integers of [0, ``hi``], where ``raw`` is the law's log-pmf."""
+
+    def tail(lin, start, step):
+        return lambda k: log_or_fallback(
+            lin(k), lambda i: _log_tail_sum(raw, k[i] + start, step, 0.0, hi))
+
+    return _lattice_law(name, params, raw, hi, tail(lin_cdf, 0.0, -1.0),
+                        tail(lin_sf, 1.0, 1.0), *rest)
 
 
 def _build_poisson(params):
     lam = params["lambda"]
-    return _lattice_law(
+    return _linear_lattice_law(
         "poisson", params, lambda k: _log_poisson_raw(k, lam), math.inf,
         lambda k: sc.gammaincc(k + 1.0, lam), lambda k: sc.gammainc(k + 1.0, lam),
         lambda q: st.poisson.ppf(q, lam),
@@ -343,7 +361,7 @@ def _build_poisson(params):
 
 def _build_binomial(params):
     n, p = params["n"], params["p"]
-    return _lattice_law(
+    return _linear_lattice_law(
         "binomial", params, lambda k: _log_binom_raw(k, n, p), n,
         lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n - k, p),
         lambda q: st.binom.ppf(q, int(n), p),
@@ -359,7 +377,7 @@ def _build_nbinom(params):
     def raw(k):
         return np.log(n) - np.log(n + k) + _log_binom_raw(np.full(k.shape, n), n + k, 1.0 - p)
 
-    return _lattice_law(
+    return _linear_lattice_law(
         "nbinom", params, raw, math.inf,
         lambda k: sc.betainc(n, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n, p),
         lambda q: st.nbinom.ppf(q, n, 1.0 - p),
@@ -372,27 +390,12 @@ def _build_geometric(params):
     # support {0, 1, ...}: number of non-events before the first event
     p = params["p"]
     lq = math.log1p(-p)
-
-    def log_pmf(x):
-        ok = _integer_mask(x) & (x >= 0.0)
-        return np.where(ok, math.log(p) + x * lq, -np.inf)
-
-    def log_sf(x):
-        k = np.floor(x)
-        return np.where(k < 0.0, 0.0, (k + 1.0) * lq)
-
-    def log_cdf(x):
-        k = np.floor(x)
-        return np.where(k < 0.0, -np.inf, log1mexp(np.minimum((k + 1.0) * lq, 0.0)))
-
-    def quantile(q):
-        return st.geom.ppf(q, p) - 1.0
-
     # Table-1 indices: the mode (0) and base standard deviation
-    return DistributionDescriptor(
-        family_name="geometric", params=params, kind="discrete",
-        support=(0.0, math.inf), log_pdf=log_pmf, log_cdf=log_cdf, log_sf=log_sf,
-        mode=0.0, mu=0.0, sigma=math.sqrt(1.0 - p) / p, quantile=quantile,
+    return _lattice_law(
+        "geometric", params, lambda k: math.log(p) + k * lq, math.inf,
+        lambda k: log1mexp(np.minimum((k + 1.0) * lq, 0.0)), lambda k: (k + 1.0) * lq,
+        lambda q: st.geom.ppf(q, p) - 1.0,
+        0.0, 0.0, math.sqrt(1.0 - p) / p,
     )
 
 
@@ -400,25 +403,20 @@ def _build_gamma(params):
     alpha, lam = params["alpha"], params["lambda"]
 
     if alpha == 1.0:
-        # exponential closed forms: exact log-space tails at any depth
+        # log(lambda) at x = 0 is the limit from inside, which the peak of a
+        # target whose projected mode is the open lower end 0 reads
         def log_pdf(x):
             return np.where(x >= 0.0, math.log(lam) - lam * x, -np.inf)
-
-        def log_cdf(x):
-            return np.where(x > 0.0, log1mexp(np.minimum(-lam * x, 0.0)), -np.inf)
-
-        def log_sf(x):
-            return np.where(x > 0.0, -lam * x, 0.0)
     else:
-        def log_pdf(x):
-            return _masked(x, (x > 0.0) & (x < math.inf), -np.inf, lambda xp: (
-                alpha * math.log(lam) + (alpha - 1.0) * np.log(xp) - lam * xp - sc.gammaln(alpha)))
+        log_pdf = _on_half_line(lambda x: (
+            alpha * math.log(lam) + (alpha - 1.0) * np.log(x) - lam * x - sc.gammaln(alpha)),
+            -np.inf, -np.inf)
 
-        def log_cdf(x):
-            return log_gamma_lower_reg(alpha, lam * x)
+    def log_cdf(x):
+        return log_gamma_lower_reg(alpha, lam * x)
 
-        def log_sf(x):
-            return log_gamma_upper_reg(alpha, lam * x)
+    def log_sf(x):
+        return log_gamma_upper_reg(alpha, lam * x)
 
     def quantile(q):
         return st.gamma.ppf(q, alpha, scale=1.0 / lam)
@@ -440,14 +438,14 @@ def _build_gamma(params):
 def _build_invgauss(params):
     # log-density second derivative is 3/(2x^2) - lam/x^3: concave only for
     # x < 2*lam/3, so the rejection envelope is not a strict bound in the
-    # far tail.  The excess mass is tiny at practical depths; run
-    # check_log_concavity over the interval of interest to quantify.
+    # far tail, and nothing flags the resulting bias: invgauss(1, 0.3) on
+    # ]0.5, inf[ (n = 2e5, seed 3) gives a sample mean of 1.444 against an
+    # oracle of 2.046.  check_log_concavity shows where the law fails.
     mu, lam = params["mu"], params["lambda"]
 
-    def log_pdf(x):
-        return _masked(x, (x > 0.0) & (x < math.inf), -np.inf, lambda xp: (
-            0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(xp))
-            - lam * (xp - mu) ** 2 / (2.0 * mu * mu * xp)))
+    log_pdf = _on_half_line(lambda x: (
+        0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(x))
+        - lam * (x - mu) ** 2 / (2.0 * mu * mu * x)), -np.inf, -np.inf)
 
     def _terms(x):
         rx = np.sqrt(lam / x)
@@ -455,22 +453,17 @@ def _build_invgauss(params):
         u2 = rx * (x / mu + 1.0)
         return sc.log_ndtr(u1), sc.log_ndtr(-u1), 2.0 * lam / mu + sc.log_ndtr(-u2)
 
-    # the terms are inf/inf at x = inf: its limits are set, not evaluated
-    def log_cdf(x):
-        out = np.where(x == math.inf, 0.0, -np.inf)
-        pos = (x > 0.0) & (x < math.inf)
-        if pos.any():
-            t1, _, t2 = _terms(x[pos])
-            out[pos] = np.minimum(np.logaddexp(t1, t2), 0.0)
-        return out
+    def cdf(x):
+        t1, _, t2 = _terms(x)
+        return np.minimum(np.logaddexp(t1, t2), 0.0)
 
-    def log_sf(x):
-        out = np.where(x == math.inf, -np.inf, 0.0)
-        pos = (x > 0.0) & (x < math.inf)
-        if pos.any():
-            _, s1, t2 = _terms(x[pos])
-            out[pos] = log_diff_exp(s1, np.minimum(t2, s1))
-        return out
+    def sf(x):
+        _, s1, t2 = _terms(x)
+        return log_diff_exp(s1, np.minimum(t2, s1))
+
+    # the terms are inf/inf at x = inf: its limits are set, not evaluated
+    log_cdf = _on_half_line(cdf, 0.0, -np.inf)
+    log_sf = _on_half_line(sf, -np.inf, 0.0)
 
     def quantile(q):
         return st.invgauss.ppf(q, mu / lam, scale=lam)

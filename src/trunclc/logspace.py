@@ -165,4 +165,6 @@ def log_gamma_upper_reg(a: float, z):
 @elementwise(at=1)
 def log_gamma_lower_reg(a: float, z):
     """log of the regularized lower incomplete gamma P(a, z)."""
+    if a == 1.0:
+        return np.where(z > 0.0, log1mexp(np.minimum(-z, 0.0)), -np.inf)
     return _log_gamma_reg(a, z, sc.gammainc, _log_gamma_p_series, -np.inf)

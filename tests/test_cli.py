@@ -348,6 +348,13 @@ class TestValidate:
         assert code == 64 and out == ""
         assert f"argument --lower: expected a finite number, got '{lower}'" in err
 
+    def test_huge_memoryless_lower_prints_as_given(self, capsys):
+        # a finite lower bound past the sampler's reach fails at run time,
+        # naming the bound as parsed, not as a 301-digit integer
+        code, out, err = run(capsys, *MEMORYLESS, "--lower", "1e300")
+        assert code == 1 and out == ""
+        assert "geometric(0.3) on ]1e+300, inf[ has underflowed mass" in err
+
     def test_flags_before_the_test_name_are_refused(self, capsys):
         code, out, _ = run(capsys, "validate", "--dist", "normal", "ztest", "--lower", "3")
         assert code == 64 and out == ""

@@ -11,14 +11,24 @@ grid.  A refactor that changes any variate, any breakdown depth, any
 density or tail value or any byte of formatting fails here.  Regenerate a
 digest only for a change that is meant to alter output, and say so in
 CHANGES.md.
+
+Run as a script (``python tests/test_golden.py``), the module prints each
+case's current digest next to its recorded one, marks every mismatch and
+exits 1 if there is one.
 """
 
+import contextlib
 import hashlib
+import io
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":  # a script imports the package from the source tree
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from trunclc import (
     ImputationPolicy,
@@ -133,10 +143,19 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def run_case(capsys, name):
-    code = main(list(CASES[name]))
-    out, err = capsys.readouterr()
-    return code, digest(out, err)
+def cli_digest(name):
+    """The exit code of CLI case ``name`` and the digest of its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(CASES[name]))
+    return code, digest(out.getvalue(), err.getvalue())
+
+
+def demo_digest(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def _target(family, lower, **params):
@@ -182,8 +201,8 @@ def batch_digest(name) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_golden(capsys, name):
-    assert run_case(capsys, name) == GOLDEN[name]
+def test_cli_output_is_golden(name):
+    assert cli_digest(name) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
@@ -192,10 +211,8 @@ def test_batch_output_is_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
-def test_demo_output_is_golden(capsys, name):
-    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
-    out, _ = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_GOLDEN[name]
+def test_demo_output_is_golden(name):
+    assert demo_digest(name) == DEMO_GOLDEN[name]
 
 
 # one member per builder branch: both regimes of the poisson tails, both
@@ -254,3 +271,31 @@ def family_digest(name) -> str:
 @pytest.mark.parametrize("name", sorted(FAMILY_MEMBERS))
 def test_family_callables_are_golden(name):
     assert family_digest(name) == FAMILY_GOLDEN[name]
+
+
+def compare_all() -> int:
+    """Print every case's current digest next to its recorded one, a CLI
+    case's with its exit code; return the number of mismatches."""
+    kinds = [
+        ("cli", CASES, cli_digest, GOLDEN),
+        ("batch", BATCH_CASES, batch_digest, GOLDEN),
+        ("demo", DEMO_GOLDEN, demo_digest, DEMO_GOLDEN),
+        ("family", FAMILY_MEMBERS, family_digest, FAMILY_GOLDEN),
+    ]
+
+    def show(d):
+        return f"exit {d[0]} {d[1]}" if isinstance(d, tuple) else d
+
+    mismatches = 0
+    for kind, cases, current, recorded in kinds:
+        for name in sorted(cases):
+            now, want = current(name), recorded[name]
+            mismatches += now != want
+            print(f"{'ok' if now == want else 'MISMATCH':8} {kind:6} {name:24} "
+                  f"current {show(now)} recorded {show(want)}")
+    print(f"{mismatches} mismatch(es)")
+    return mismatches
+
+
+if __name__ == "__main__":
+    sys.exit(1 if compare_all() else 0)
