@@ -496,9 +496,10 @@ class TestLimitsAtInfinity:
             for fn in want[name]:
                 got[name, fn] = getattr(d, fn)(np.array(xs)).tolist()
                 assert [getattr(d, fn)(x) for x in xs] == got[name, fn]
-        assert sorted(want) == ["binomial_2048_0.5", "binomial_40_0.3", "gamma_0.5", "gamma_1",
-                                "gamma_2", "geometric_0.3", "invgauss_1_0.3", "nbinom_10_0.5",
-                                "poisson_0.5", "poisson_50"]
+        assert sorted(want) == ["binomial_1_0.5", "binomial_1e5_0.97", "binomial_2048_0.5",
+                                "binomial_40_0.3", "gamma_0.5", "gamma_1", "gamma_2",
+                                "geometric_0.3", "invgauss_1_0.3", "nbinom_0.5_0.9",
+                                "nbinom_10_0.5", "poisson_0.5", "poisson_1e5", "poisson_50"]
         assert got == {(name, fn): want[name][fn] for name in want for fn in want[name]}
 
 

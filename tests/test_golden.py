@@ -231,9 +231,18 @@ FAMILY_MEMBERS = {
     "invgauss_1_0.3": ("invgauss", {"mu": 1, "lambda": 0.3}),
     "epd_1.5": ("epd", {"beta": 1.5}),
     "epd_3": ("epd", {"beta": 3}),
+    # saddle-point kernel branches the members above miss: every Stirling
+    # error on the series, the two edges alone, p near 1 with the edge at n,
+    # and a non-integer n < 1 whose Stirling error is a scalar
+    "poisson_1e5": ("poisson", {"lambda": 1e5}),
+    "binomial_1_0.5": ("binomial", {"n": 1, "p": 0.5}),
+    "binomial_1e5_0.97": ("binomial", {"n": 1e5, "p": 0.97}),
+    "nbinom_0.5_0.9": ("nbinom", {"n": 0.5, "p": 0.9}),
 }
 
 FAMILY_GOLDEN = {
+    "binomial_1_0.5": "e70d146eaa53242adb51aaf54de5a993fc04e99b86eaa9c5a8d437141ccefa68",
+    "binomial_1e5_0.97": "d4eed6cde671f89b2752f86ec4f1ce0402aa316963791389d08dc94d23cf8e71",
     "binomial_2048_0.5": "a5d7b5861cf22eacb22f00e0a745cfdd337e2f0ac9286a2aafd7c063ba80f567",
     "binomial_40_0.3": "a1e52361c008e8d693bf6b79e4717c5dbcf0607962dea5aa9f40672c994250fc",
     "epd_1.5": "a83fa95a92facef48cad5c6240ebd90d6c16b3e8ac383711d03bdafb5f4874ba",
@@ -243,9 +252,11 @@ FAMILY_GOLDEN = {
     "gamma_2": "cb4812640dbfd6a8c79c2f4b9181a317422e5afe5a210ed80fd2f45a94fd1297",
     "geometric_0.3": "174d2c1ab7a5f11b06ee20550997c2a4542fad8089dd9f4c168d24fd235726ab",
     "invgauss_1_0.3": "da46b376382374aba4caed4428afb60db4f61b17490757b6e7c9f65138a431d1",
+    "nbinom_0.5_0.9": "c24f67526585c0a4ff6ef7496ff8dbfbeb48fb2ccecfa55c8c48a7f971ebf841",
     "nbinom_10_0.5": "cb9c6e0a1a0eb1cf20981a37d4b66001404c393523e66e720a2d4f80b6b939ca",
     "normal": "6c99cf0a6cdbc93c640a8921a0e9ffff4f7a1f0b2298268bc73538f680ad81df",
     "poisson_0.5": "5d63aa7775b2f0d99fdd3e9c49f1b9771151485786f92a00d7b98c58ad51589e",
+    "poisson_1e5": "be7c2ae767a07e5c98590c4bb7458bf6d934202e84fae9b6b5752e875d8ef106",
     "poisson_50": "230b589ae4d1cf600045cf3af3357d943221dbcfb52810e6e2c87eab94a5e41a",
 }
 
