@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except (UnknownFamilyError, ParameterError) as exc:
         print(f"trunclc: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"trunclc: error: {exc}", file=sys.stderr)
         return 1
 

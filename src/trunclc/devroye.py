@@ -274,9 +274,10 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
             # Each log-pmf value depends only on its own point, never on the
             # rest of the array, so a table entry equals the value at that
             # point in ``x``.  That includes the series loop in
-            # ``families._bd0``, which stops once the whole array has
-            # converged: its terms share a sign and shrink in magnitude, so
-            # once a term no longer changes an element, no later term does.
+            # ``families._bd0``, which stops once no element changes (far
+            # points carry v = 0, so they never change): its terms share a
+            # sign and shrink in magnitude, so once a term no longer changes
+            # an element, no later term does.
             # ``offs - lo`` and ``lo + (offs - lo)`` are exact, so each
             # proposal reads the value at its own point ``m + offs``; the
             # table length is ``hi - lo + 1`` even where ``hi + 1`` would

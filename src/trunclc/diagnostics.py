@@ -280,6 +280,8 @@ def chi_square_gof(
     """
     n = observed_values.size
     probs = np.asarray(probs, dtype=float)
+    if probs.size == 0 or probs.shape != np.shape(support):
+        raise ValueError("support and probs must have one equal, non-zero length")
     tail = max(0.0, 1.0 - probs.sum())
     counts = np.array(
         [(observed_values == k).sum() for k in support], dtype=float
@@ -600,9 +602,10 @@ def scan_safety(
                 raise ValueError(f"unknown probe schedule {probe_schedule!r}")
         else:
             schedule = np.asarray(probe_schedule, dtype=float)
-        if (schedule.size == 0 or not np.isfinite(schedule).all()
+        if (schedule.ndim != 1 or schedule.size == 0 or not np.isfinite(schedule).all()
                 or np.any(np.diff(schedule) <= 0)):
-            raise ValueError("probe schedule must be finite, strictly increasing and nonempty")
+            raise ValueError("probe schedule must be one-dimensional, finite, strictly "
+                             "increasing and nonempty")
         cell_stream = root.spawn(1)[0]
         # frozen, so the ITS and the devroye pass share them
         targets = tail_targets(desc, schedule)

@@ -58,80 +58,54 @@ class ParameterError(ValueError):
 # saddle-point pmf machinery (Loader-style stirlerr / bd0)
 
 def _stirlerr(n):
-    """log n! - Stirling approximation: lgamma(n+1) - (n+1/2)log n + n - log sqrt(2 pi)."""
-    out = np.empty_like(n)
+    """log n! - Stirling approximation: lgamma(n+1) - (n+1/2)log n + n - log sqrt(2 pi),
+    the series at n >= 16 and the exact form below."""
+    inv2 = 1.0 / (n * n)
+    out = (
+        1.0 / 12.0
+        - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0 - inv2 / 1188.0) * inv2) * inv2) * inv2
+    ) / n
     small = n < 16.0
-    if small.any():
-        ns = n[small]
-        out[small] = sc.gammaln(ns + 1.0) - ((ns + 0.5) * np.log(ns) - ns + _LOG_SQRT_2PI)
-    if (~small).any():
-        nl = n[~small]
-        with np.errstate(over="ignore"):
-            inv2 = 1.0 / (nl * nl)
-        out[~small] = (
-            1.0 / 12.0
-            - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0 - inv2 / 1188.0) * inv2) * inv2)
-            * inv2
-        ) / nl
+    if np.any(small):
+        out = np.where(small, sc.gammaln(n + 1.0) - ((n + 0.5) * np.log(n) - n + _LOG_SQRT_2PI),
+                       out)
     return out
 
 
 def _bd0(x, m):
-    """Binomial deviance x log(x/m) + m - x, stable for x near m."""
-    x, m = np.broadcast_arrays(x, m)
-    out = np.empty(x.shape)
-    near = np.abs(x - m) < 0.1 * (x + m)
-    if (~near).any():
-        xf, mf = x[~near], m[~near]
-        out[~near] = sc.xlogy(xf, xf / mf) + mf - xf
-    if near.any():
-        xn, mn = x[near], m[near]
-        v = (xn - mn) / (xn + mn)
-        s = (xn - mn) * v
-        ej = 2.0 * xn * v
-        v2 = v * v
-        for j in range(1, 1000):
-            ej = ej * v2
-            s1 = s + ej / (2 * j + 1)
-            if np.array_equal(s1, s):
-                break
-            s = s1
-        out[near] = s
-    return out
+    """Binomial deviance x log(x/m) + m - x, stable for x near m: where
+    |x - m| < 0.1 (x + m), a series in v = (x - m)/(x + m) that stops once no
+    element changes; far points carry v = 0, so they never hold up the stop.
+    """
+    d = x - m
+    near = np.abs(d) < 0.1 * (x + m)
+    v = np.where(near, d / (x + m), 0.0)
+    s = d * v
+    ej = 2.0 * x * v
+    v2 = v * v
+    for j in range(1, 1000):
+        ej = ej * v2
+        s1 = s + ej / (2 * j + 1)
+        if (s1 == s).all():
+            break
+        s = s1
+    return np.where(near, s, sc.xlogy(x, x / m) + m - x)
 
 
 def _log_binom_raw(x, n, p):
     """Saddle-point log of C(n,x) p^x (1-p)^(n-x) for real 0 <= x <= n."""
-    x, n = np.broadcast_arrays(x, n)
-    q = 1.0 - p
-    out = np.empty(x.shape)
-    at_zero = x == 0.0
-    at_n = x == n
-    mid = ~(at_zero | at_n)
-    out[at_zero] = n[at_zero] * math.log1p(-p)
-    out[at_n] = n[at_n] * math.log(p)
-    if mid.any():
-        xm, nm = x[mid], n[mid]
-        out[mid] = (
-            _stirlerr(nm)
-            - _stirlerr(xm)
-            - _stirlerr(nm - xm)
-            - _bd0(xm, nm * p)
-            - _bd0(nm - xm, nm * q)
-            + 0.5 * (np.log(nm) - LOG_2PI - np.log(xm) - np.log(nm - xm))
-        )
-    return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mid = (_stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
+               - _bd0(x, n * p) - _bd0(n - x, n * (1.0 - p))
+               + 0.5 * (np.log(n) - LOG_2PI - np.log(x) - np.log(n - x)))
+    return np.where(x == 0.0, n * math.log1p(-p), np.where(x == n, n * math.log(p), mid))
 
 
 def _log_poisson_raw(k, lam):
     """Saddle-point log of exp(-lam) lam^k / k! for integer k >= 0."""
-    out = np.empty(k.shape)
-    zero = k == 0.0
-    out[zero] = -lam
-    if (~zero).any():
-        km = k[~zero]
-        out[~zero] = -_stirlerr(km) - _bd0(km, lam) - 0.5 * (LOG_2PI + np.log(km))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mid = -_stirlerr(k) - _bd0(k, lam) - 0.5 * (LOG_2PI + np.log(k))
+    return np.where(k == 0.0, -lam, mid)
 
 
 def _tail_points(start, step, lo, hi):
@@ -182,7 +156,10 @@ def _log_tail_sum(log_pmf, start, step, lo, hi):
 
 
 def _masked(x, mask, fill, f):
-    """``f(x[mask])`` where ``mask`` holds, ``fill`` elsewhere."""
+    """``f(x[mask])`` where ``mask`` holds, ``fill`` elsewhere; ``f(x)`` itself
+    where it holds everywhere (each ``f`` returns a fresh array)."""
+    if mask.all():
+        return f(x)
     out = np.full(x.shape, fill)
     if mask.any():
         out[mask] = f(x[mask])
@@ -375,7 +352,7 @@ def _build_nbinom(params):
     n, p = params["n"], params["p"]
 
     def raw(k):
-        return np.log(n) - np.log(n + k) + _log_binom_raw(np.full(k.shape, n), n + k, 1.0 - p)
+        return np.log(n) - np.log(n + k) + _log_binom_raw(n, n + k, 1.0 - p)
 
     return _linear_lattice_law(
         "nbinom", params, raw, math.inf,

@@ -209,6 +209,12 @@ class TestScan:
         doc = json.loads(path.read_text())
         assert doc["meta"]["family"] == "normal"
 
+    def test_unwritable_out_is_a_runtime_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "scan", "--dist", "normal", "--probe", "0:3:1",
+                             "--n-probe", "5", "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("trunclc: error: ") and "Traceback" not in err
+
     def test_bad_probe_spec(self, capsys):
         code, _, err = run(capsys, "scan", "--dist", "normal", "--probe", "oops")
         assert code == 64

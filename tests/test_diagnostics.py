@@ -18,6 +18,7 @@ from trunclc import (
     TruncationInterval,
     brute_force_truncated_moments,
     build_descriptor,
+    chi_square_gof,
     ds_sample_batch,
     exp_tail_qq,
     its_sample_batch,
@@ -168,6 +169,17 @@ class TestZTest:
         assert res.sample_mean == pytest.approx(2.0)
 
 
+class TestChiSquareGof:
+    @pytest.mark.parametrize("support,probs", [
+        ([], []),
+        ([0.0, 1.0, 2.0], [0.5, 0.5]),
+        ([0.0, 1.0], [0.2, 0.3, 0.5]),
+    ], ids=["empty", "short-probs", "short-support"])
+    def test_support_and_probs_of_one_nonzero_length(self, support, probs):
+        with pytest.raises(ValueError, match="support and probs"):
+            chi_square_gof(np.array([1.0, 2.0]), np.array(support), np.array(probs))
+
+
 class TestExpTailQQ:
     def test_synthetic_exponential_null(self):
         a = 38.45
@@ -295,11 +307,13 @@ class TestScanner:
         with pytest.raises(ValueError, match="n_probe must be >= 1"):
             scan_safety("normal", probe_schedule=np.arange(0.0, 3.0), n_probe=0)
 
-    @pytest.mark.parametrize("schedule", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0]],
-                             ids=["inf", "nan"])
+    @pytest.mark.parametrize("schedule", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0],
+                                          [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["inf", "nan", "2-d"])
     def test_non_finite_probe_raises(self, schedule):
         # an infinite depth has no target, and a bisection towards it never
-        # narrows; a nan slips past the increasing check
+        # narrows; a nan slips past the increasing check; a 2-d schedule has
+        # rows, not depths
         with pytest.raises(ValueError, match="finite, strictly increasing"):
             scan_safety("normal", probe_schedule=schedule, n_probe=10)
 
