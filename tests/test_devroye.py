@@ -20,7 +20,9 @@ from trunclc import (
     scan_safety,
     truncate,
 )
+from trunclc.core import DistributionDescriptor
 from trunclc.devroye import MAX_ROUND
+from trunclc.logspace import elementwise
 
 
 def truncated_pmf(desc, lo, hi):
@@ -171,6 +173,41 @@ class TestExactness:
             b = ds_sample_batch(t, 5_000, RngStream(18))
             ok = t.interval.contains(b.values) | b.imputed
             assert ok.all()
+
+
+class TestFiniteUpperSupportEnd:
+    """A law whose density is positive at the upper end of its support,
+    truncated past that end: the accept test must reject every proposal
+    beyond the support, not read the density at the nearest support point."""
+
+    @staticmethod
+    def ramp():
+        # density 2x on [0, 1]: log-concave, mode 1, F(x) = x^2
+        def inside(x, f, below, above):
+            out = np.where(x < 0.0, below, above)
+            on = (x >= 0.0) & (x <= 1.0)
+            with np.errstate(divide="ignore"):
+                out[on] = f(x[on])
+            return out
+
+        return DistributionDescriptor(
+            family_name="ramp", params={}, kind="continuous", support=(0.0, 1.0),
+            log_pdf=elementwise(lambda x: inside(x, lambda y: math.log(2.0) + np.log(y),
+                                                 -np.inf, -np.inf)),
+            log_cdf=elementwise(lambda x: inside(x, lambda y: 2.0 * np.log(y), -np.inf, 0.0)),
+            log_sf=elementwise(lambda x: inside(x, lambda y: np.log1p(-y * y), 0.0, -np.inf)),
+            mode=1.0, mu=2.0 / 3.0, sigma=math.sqrt(1.0 / 18.0),
+        )
+
+    def test_no_value_beyond_the_support(self):
+        t = truncate(self.ramp(), lower=0.5, upper=5.0)
+        assert t.proj_mode == 1.0
+        b = ds_sample_batch(t, 20_000, RngStream(19))
+        assert not b.imputed.any()
+        assert (b.values <= 1.0).all() and (b.values > 0.5).all()
+        se = math.sqrt(0.25 * 0.75 / b.proposals)
+        assert abs(b.acceptance_rate - 0.25) < 6.0 * se
+        assert st.kstest(b.values, lambda x: t.cdf(x)).pvalue > 0.001
 
 
 class TestDeepTail:
