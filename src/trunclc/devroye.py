@@ -34,12 +34,17 @@ imputed, raises, or imputes ``+inf`` (provided only to mirror the
 behavior of quantile-based packages; it is not a sound choice for
 log-concave tails).
 
-A discrete round's proposals sit on a narrow lattice around the projected
-mode, so a round whose offsets span fewer lattice points than it has
-proposals evaluates the log-pmf once per point of that span, into a table
-it then indexes (Devroye 1987, "A simple generator for discrete
-log-concave distributions").  The table is never larger than the round,
-and its values are the per-proposal values bit for bit.
+A discrete batch's proposals sit on a narrow lattice around the projected
+mode, so its proposer keeps one log-pmf table per batch (Devroye 1987, "A
+simple generator for discrete log-concave distributions"): each round
+evaluates the log-pmf only at the lattice points of its span that earlier
+rounds have not reached, and indexes the table.  The table never holds more
+than ``MAX_ROUND`` points, and a round adds no more points than it has
+proposals; a round that would break either bound evaluates the log-pmf once
+per proposal.  Either way the values are the per-proposal values bit for bit.
+A continuous round reads the base density at its proposals clamped into
+the truncated support and rejects the proposals the clamp moved, so it
+neither reads a density outside the support nor masks one.
 """
 
 from __future__ import annotations
@@ -55,8 +60,10 @@ from .core import (
     DegenerateTargetError,
     SamplingBreakdownError,
     TruncatedTarget,
+    support_bounds,
     truncate,
 )
+from .families import _masked
 
 DEFAULT_MAX_ITERATIONS = 10_000
 # Largest round, in proposals.  A round's arrays take a few dozen bytes per
@@ -212,29 +219,85 @@ def _fill(n: int, budget: int, propose, rate: float):
     return values, filled, proposals
 
 
+def _scratch(rows: int):
+    """``work(size)``: ``rows`` float arrays of ``size`` proposals, shared by
+    the rounds of one batch.
+
+    A round's arrays are hundreds of kilobytes, and the allocator returns
+    freed arrays of that size to the operating system, so a round that
+    allocated them afresh would page-fault on each: on a 2-core Xeon VM that
+    took about a third of a 65,536-proposal round.  Rounds never grow, so a
+    batch allocates its arrays once, in its first round.
+    """
+    work = np.empty((rows, 0))
+
+    def get(size):
+        nonlocal work
+        if work.shape[1] < size:
+            work = np.empty((rows, size))
+        return work[:, :size]
+
+    return get
+
+
 def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
     """Envelope proposals and their log-space accept test; rate 1/4.
 
     One uniform ``v`` on [-2, 2) gives the side of the mode (its sign) and
     the envelope component (``|v|``, uniform on [0, 2]); a second
-    exponential is drawn only for the proposals that fall in the
+    exponential ``e*`` is drawn only for the proposals that fall in the
     exponential tails.
+
+    A proposal ``x`` is accepted when ``-(E + e*) <= log f_I(x) - log
+    f_I(m)``, tested as ``E + e* >= log f_I(m) - (log f(x) - log P(I))``;
+    negation is exact, so the decisions are those of the first form bit for
+    bit.  The base density is read at ``x`` clamped into the truncated
+    support ``[lo, hi]`` of :func:`~trunclc.core.support_bounds`, so
+    ``log_pdf`` never sees a point outside the support, and the support
+    test is ``clamp(x) == x`` and ``x > a``: a proposal beyond an end of
+    the support is rejected even where the density at that end is
+    positive.  Each part is made only where it can fail: the clamp at a
+    finite end, ``clamp(x) == x`` unless ``x > a`` implies it (``lo = a``
+    and ``hi = inf``), and ``x > a`` only at a finite ``a = lo``.  So on an
+    unbounded support (``lo = -inf`` and ``hi = inf``, so ``a = -inf``)
+    the test costs nothing.
     """
     m = t.proj_mode
     c = math.exp(t.log_peak)
+    lo, hi = support_bounds(t.base, t.interval)
+    a = t.interval.lower
+    test_moved = hi < math.inf or lo > a
+    test_open = -math.inf < a == lo
+    work = _scratch(3)
 
     def propose(size):
-        v = gen.uniform(-2.0, 2.0, size=size)
-        offset = np.abs(v)
-        z = -gen.standard_exponential(size=size)
-        tail = np.flatnonzero(offset > 1.0)
+        v, e, clamped = work(size)
+        # uniform(-2, 2) is -2 + 4 U, and 4 U is exact
+        gen.random(size=size, out=v)
+        v *= 4.0
+        v -= 2.0
+        x = np.abs(v)
+        gen.standard_exponential(size=size, out=e)
+        tail = np.flatnonzero(x > 1.0)
         e_star = gen.standard_exponential(size=tail.size)
-        offset[tail] = 1.0 + e_star
-        z[tail] -= e_star
-        offset /= c
-        x = np.copysign(offset, v, out=offset)
+        e[tail] += e_star
+        e_star += 1.0
+        x[tail] = e_star
+        x /= c
+        np.copysign(x, v, out=x)
         x += m
-        return x, z <= t.log_pdf(x) - t.log_peak
+        xc = x
+        if lo > -math.inf:
+            xc = np.maximum(xc, lo, out=clamped)
+        if hi < math.inf:
+            xc = np.minimum(xc, hi, out=clamped)
+        bound = t.base.log_pdf(xc) - t.log_mass
+        accepted = e >= np.subtract(t.log_peak, bound, out=bound)
+        if test_moved:
+            accepted &= xc == x
+        if test_open:
+            accepted &= x > a
+        return x, accepted
 
     return propose, 0.25
 
@@ -248,29 +311,63 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     uniform on [0, 1]); an exponential is drawn only for the proposals that
     fall in the exponential tails.
 
-    A round whose integer offsets span fewer lattice points than it has
-    proposals evaluates the log-pmf once per point of that span, into a
-    table it then indexes; any other round evaluates it once per proposal.
-    So the table is never larger than the round, and both give the same
-    values bit for bit.
+    The proposer keeps one table per batch: ``log f_I - log c`` at the
+    lattice offsets ``origin, origin + 1, ...`` that its rounds have
+    spanned so far, ``-inf`` off the truncated support.  A round evaluates
+    the log-pmf only at the points of its span that the table does not hold
+    yet, at either end, in one call, and then indexes the table.  The table
+    never holds more than ``MAX_ROUND`` points, and a round adds at most as
+    many points as it has proposals: a round that would break either bound
+    (a small round on a wide law) evaluates the log-pmf once per proposal
+    and leaves the table as it is, since a table would cost it more.  So a
+    batch whose rounds all extend the table evaluates each lattice point
+    at most once, and every round reads the values of
+    ``TruncatedTarget.log_pdf`` bit for bit.
     """
     m = t.proj_mode
     log_c = min(t.log_peak, 0.0)
     c = math.exp(log_c)
     w = 1.0 + c / 2.0
     flat = w / (1.0 + w)  # the flat part's share of the envelope
+    lo, hi = support_bounds(t.base, t.interval)
+    table, origin = np.empty(0), 0.0  # table[j] is at offset origin + j
+    work = _scratch(3)
+
+    def log_ratio(k):
+        """``log f_I(m + k) - log c`` at the offsets ``k``; the log-pmf is
+        evaluated only at the points of the truncated support ``[lo, hi]``."""
+        x = m + k
+        out = _masked(x, (x >= lo) & (x <= hi), -np.inf,
+                      lambda p: t.base.log_pdf(p) - t.log_mass)
+        out -= log_c
+        return out
 
     def propose(size):
-        v = gen.uniform(-1.0, 1.0, size=size)
-        y = np.abs(v)
+        nonlocal table, origin
+        v, y, offs = work(size)
+        # uniform(-1, 1) is -1 + 2 U, and 2 U is exact
+        gen.random(size=size, out=v)
+        v *= 2.0
+        v -= 1.0
+        np.abs(v, out=y)
         tail = np.flatnonzero(y > flat)
         # in the flat part |v| / flat is uniform on [0, 1): y = w (|v| / flat) / c
         y *= (1.0 + w) / c
-        y[tail] = (w + gen.standard_exponential(size=tail.size)) / c
-        offs = np.copysign(np.floor(y + 0.5), v)
+        e = gen.standard_exponential(size=tail.size)
+        e += w
+        e /= c
+        y[tail] = e
+        np.add(y, 0.5, out=offs)
+        np.floor(offs, out=offs)
+        np.copysign(offs, v, out=offs)
         x = m + offs
-        lo, hi = offs.min(), offs.max()
-        if hi - lo < size:
+        k0, k1 = float(offs.min()), float(offs.max())
+        if not table.size:
+            origin = k0
+        # the table grows to the offsets origin - below, ..., origin + above - 1
+        below = max(origin - k0, 0.0)
+        above = max(k1 - origin + 1.0, table.size)
+        if below + above <= min(table.size + size, MAX_ROUND):
             # Each log-pmf value depends only on its own point, never on the
             # rest of the array, so a table entry equals the value at that
             # point in ``x``.  That includes the series loop in
@@ -278,16 +375,26 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
             # points carry v = 0, so they never change): its terms share a
             # sign and shrink in magnitude, so once a term no longer changes
             # an element, no later term does.
-            # ``offs - lo`` and ``lo + (offs - lo)`` are exact, so each
-            # proposal reads the value at its own point ``m + offs``; the
-            # table length is ``hi - lo + 1`` even where ``hi + 1`` would
-            # round to ``hi`` (offsets beyond 2**53).
-            table = t.log_pdf(m + (lo + np.arange(hi - lo + 1.0)))
-            lf = table[(offs - lo).astype(np.intp)]
+            # The offsets are integers at most ``MAX_ROUND`` apart, so
+            # ``offs - origin`` and ``origin + (offs - origin)`` are exact
+            # and each proposal reads the value at its own point ``m +
+            # offs``, offsets beyond 2**53 included.
+            below, above = int(below), int(above)
+            if below + above > table.size:
+                new = log_ratio(np.concatenate((origin - np.arange(below, 0.0, -1.0),
+                                                origin + np.arange(table.size, above))))
+                table = np.concatenate((new[:below], table, new[below:]))
+                origin -= below
+            offs -= origin
+            lf = table[offs.astype(np.intp)]
         else:
-            lf = t.log_pdf(x)
-        z = np.minimum(0.0, w - c * y) - gen.standard_exponential(size=size)
-        return x, (z <= lf - log_c) & (lf > -np.inf)
+            lf = log_ratio(offs)
+        # z = min(0, w - c y) - E is finite, so an lf of -inf rejects
+        z = np.multiply(y, c, out=y)
+        np.subtract(w, z, out=z)
+        np.minimum(z, 0.0, out=z)
+        z -= gen.standard_exponential(size=size, out=v)
+        return x, z <= lf
 
     return propose, 1.0 / (4.0 + c)
 

@@ -21,6 +21,8 @@ geometric law.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,8 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import special as sc
-from scipy import stats as st
-from scipy.integrate import quad_vec
 
 from .core import (
     DegenerateTargetError,
@@ -55,6 +55,13 @@ from .families import build_descriptor, get_family
 from .logspace import LOG_2PI
 # ``its_sample_batch`` is a module attribute that perfbench's tracer swaps
 from .reference import its_sample_batch  # noqa: F401
+
+
+@functools.cache
+def _scipy(name: str):
+    """``scipy.<name>`` (``stats`` or ``integrate``), imported on first use:
+    only the oracles' quadrature and two of the tests read them."""
+    return importlib.import_module(f"scipy.{name}")
 
 
 class OracleUnavailable(ValueError):
@@ -154,7 +161,7 @@ def brute_force_truncated_moments(
         if not math.isfinite(shift):
             raise OracleUnavailable("density underflowed across the window")
         powers = np.arange(3)
-        (z, m1, m2), _ = quad_vec(
+        (z, m1, m2), _ = _scipy("integrate").quad_vec(
             lambda x: (x - c) ** powers * math.exp(desc.log_pdf(x) - shift),
             w0, w1, limit=400, epsabs=1e-14, epsrel=1e-11)
     if not (z > 0.0 and math.isfinite(z)):
@@ -248,7 +255,7 @@ def exp_tail_qq(batch: SampleBatch, a: float) -> QQResult:
     ps = np.arange(1, 100) / 100.0
     emp = np.quantile(excess, ps)
     theo = -np.log1p(-ps) / a
-    ks = st.kstest(excess, lambda y: -np.expm1(-a * np.asarray(y))).statistic
+    ks = _scipy("stats").kstest(excess, lambda y: -np.expm1(-a * np.asarray(y))).statistic
     return QQResult(
         a=a, percentiles=ps, empirical=emp, theoretical=theo,
         ks_statistic=float(ks), n=excess.size,
@@ -302,7 +309,7 @@ def chi_square_gof(
     keep = exp_arr > 0
     stat = float(((obs_arr[keep] - exp_arr[keep]) ** 2 / exp_arr[keep]).sum())
     df = int(keep.sum() - 1)
-    crit = float(st.chi2.ppf(1.0 - alpha, df))
+    crit = float(_scipy("stats").chi2.ppf(1.0 - alpha, df))
     return GofResult(statistic=stat, df=df, critical=crit, alpha=alpha,
                      passed=stat <= crit, n=n)
 

@@ -21,6 +21,7 @@ power distribution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special as sc
-from scipy import stats as st
 
 from .core import DistributionDescriptor
 from .logspace import (
@@ -44,6 +44,14 @@ from .logspace import (
 
 _LOG_SQRT_2PI = 0.5 * LOG_2PI
 _MAX_TAIL_TERMS = 200_000  # cap on the terms of one log-space tail sum
+
+
+@functools.cache
+def _stats():
+    """``scipy.stats``, imported on first use: only the quantiles read it,
+    and its import is most of the time ``import trunclc`` takes."""
+    import scipy.stats
+    return scipy.stats
 
 
 class UnknownFamilyError(ValueError):
@@ -331,7 +339,7 @@ def _build_poisson(params):
     return _linear_lattice_law(
         "poisson", params, lambda k: _log_poisson_raw(k, lam), math.inf,
         lambda k: sc.gammaincc(k + 1.0, lam), lambda k: sc.gammainc(k + 1.0, lam),
-        lambda q: st.poisson.ppf(q, lam),
+        lambda q: _stats().poisson.ppf(q, lam),
         math.floor(lam), lam, math.sqrt(lam),
     )
 
@@ -341,7 +349,7 @@ def _build_binomial(params):
     return _linear_lattice_law(
         "binomial", params, lambda k: _log_binom_raw(k, n, p), n,
         lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n - k, p),
-        lambda q: st.binom.ppf(q, int(n), p),
+        lambda q: _stats().binom.ppf(q, int(n), p),
         min(n, max(0.0, math.floor((n + 1.0) * p))), n * p, math.sqrt(n * p * (1.0 - p)),
     )
 
@@ -357,7 +365,7 @@ def _build_nbinom(params):
     return _linear_lattice_law(
         "nbinom", params, raw, math.inf,
         lambda k: sc.betainc(n, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n, p),
-        lambda q: st.nbinom.ppf(q, n, 1.0 - p),
+        lambda q: _stats().nbinom.ppf(q, n, 1.0 - p),
         math.floor((n - 1.0) * p / (1.0 - p)) if n > 1.0 else 0.0,
         n * p / (1.0 - p), math.sqrt(n * p) / (1.0 - p),
     )
@@ -371,7 +379,7 @@ def _build_geometric(params):
     return _lattice_law(
         "geometric", params, lambda k: math.log(p) + k * lq, math.inf,
         lambda k: log1mexp(np.minimum((k + 1.0) * lq, 0.0)), lambda k: (k + 1.0) * lq,
-        lambda q: st.geom.ppf(q, p) - 1.0,
+        lambda q: _stats().geom.ppf(q, p) - 1.0,
         0.0, 0.0, math.sqrt(1.0 - p) / p,
     )
 
@@ -396,7 +404,7 @@ def _build_gamma(params):
         return log_gamma_upper_reg(alpha, lam * x)
 
     def quantile(q):
-        return st.gamma.ppf(q, alpha, scale=1.0 / lam)
+        return _stats().gamma.ppf(q, alpha, scale=1.0 / lam)
 
     mode = (alpha - 1.0) / lam if alpha >= 1.0 else 0.0
     transform = None
@@ -420,12 +428,24 @@ def _build_invgauss(params):
     # oracle of 2.046.  check_log_concavity shows where the law fails.
     mu, lam = params["mu"], params["lambda"]
 
-    log_pdf = _on_half_line(lambda x: (
-        0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(x))
-        - lam * (x - mu) ** 2 / (2.0 * mu * mu * x)), -np.inf, -np.inf)
+    def log_pdf_inside(x):
+        # the quadratic term overflows at subnormal x, where -inf is the
+        # limit; past x ~ 1e154 the square overflows (and near 1e308 the
+        # denominator too) but the term, about lam x / (2 mu^2), is finite:
+        # it is taken there as lam / (2 mu^2) (x - mu) ((x - mu) / x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = lam * (x - mu) ** 2 / (2.0 * mu * mu * x)
+            far = ~(q < math.inf) & (x > mu)
+            if far.any():
+                d = x[far] - mu
+                q[far] = lam / (2.0 * mu * mu) * d * (d / x[far])
+        return 0.5 * (math.log(lam) - LOG_2PI - 3.0 * np.log(x)) - q
+
+    log_pdf = _on_half_line(log_pdf_inside, -np.inf, -np.inf)
 
     def _terms(x):
-        rx = np.sqrt(lam / x)
+        with np.errstate(over="ignore"):
+            rx = np.sqrt(lam / x)
         u1 = rx * (x / mu - 1.0)
         u2 = rx * (x / mu + 1.0)
         return sc.log_ndtr(u1), sc.log_ndtr(-u1), 2.0 * lam / mu + sc.log_ndtr(-u2)
@@ -443,7 +463,7 @@ def _build_invgauss(params):
     log_sf = _on_half_line(sf, -np.inf, 0.0)
 
     def quantile(q):
-        return st.invgauss.ppf(q, mu / lam, scale=lam)
+        return _stats().invgauss.ppf(q, mu / lam, scale=lam)
 
     mode = mu * (math.sqrt(1.0 + 9.0 * mu * mu / (4.0 * lam * lam)) - 3.0 * mu / (2.0 * lam))
     return DistributionDescriptor(

@@ -4,11 +4,15 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trunclc
 from trunclc import cli
 from trunclc.cli import MAX_LATTICE, _fmt, _fmt_all, _lattice, main
 from trunclc.devroye import SampleBatch
@@ -483,3 +487,22 @@ def test_help_lists_only_the_parsers_own_flags(capsys, command):
     options = out.split("\noptions:\n")[1]
     listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", options, flags=re.M))
     assert listed == HELP_FLAGS[command] | {"--help"}
+
+
+def test_import_and_devroye_sample_leave_scipy_stats_unimported():
+    # scipy.stats and scipy.integrate are imported on first use: only the
+    # quantiles, the oracles' quadrature and two tests read them
+    script = (
+        "import sys\n"
+        "import trunclc.cli\n"
+        "lazy = ('scipy.stats', 'scipy.integrate')\n"
+        "assert not any(m in sys.modules for m in lazy), 'import'\n"
+        "code = trunclc.cli.main(['sample', '--dist', 'poisson', '--param', 'lambda=50',\n"
+        "                         '--lower', '60', '--n', '1000', '--method', 'devroye',\n"
+        "                         '--seed', '1'])\n"
+        "assert code == 0, code\n"
+        "assert not any(m in sys.modules for m in lazy), 'sample'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trunclc.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -210,6 +210,46 @@ class TestFiniteUpperSupportEnd:
         assert st.kstest(b.values, lambda x: t.cdf(x)).pvalue > 0.001
 
 
+class TestDensityReads:
+    """Where and how often a batch reads the base log-density."""
+
+    @staticmethod
+    def recorded(desc, calls):
+        return dataclasses.replace(desc, log_pdf=lambda x: (
+            calls.append(np.atleast_1d(np.array(x, dtype=float))), desc.log_pdf(x))[1])
+
+    def test_one_lattice_table_per_batch(self):
+        desc = build_descriptor("poisson", {"lambda": 50.0})
+        calls = []
+        t = truncate(self.recorded(desc, calls), lower=50.0)
+        calls.clear()  # the peak, read when the target is built
+        b = ds_sample_batch(t, 20_000, RngStream(21))
+        assert b.proposals > MAX_ROUND  # several rounds
+        points = np.concatenate(calls)
+        assert np.unique(points).size == points.size
+        assert max(c.size for c in calls) <= MAX_ROUND
+        want = ds_sample_batch(truncate(desc, lower=50.0), 20_000, RngStream(21))
+        assert np.array_equal(b.values, want.values)
+        assert (b.proposals, b.accepts) == (want.proposals, want.accepts)
+
+    @pytest.mark.parametrize("family,params,lower,upper", [
+        ("gamma", {"alpha": 2.0}, 5.0, math.inf),
+        ("gamma", {"alpha": 2.0}, -1.0, 0.3),
+        ("invgauss", {"mu": 1.0, "lambda": 1.0}, 0.3, 2.0),
+    ])
+    def test_continuous_reads_stay_in_the_truncated_support(self, family, params, lower, upper):
+        desc = build_descriptor(family, params)
+        calls = []
+        t = truncate(self.recorded(desc, calls), lower, upper)
+        lo, hi = max(lower, desc.support[0]), min(upper, desc.support[1])
+        calls.clear()
+        b = ds_sample_batch(t, 20_000, RngStream(22))
+        points = np.concatenate(calls)
+        assert points.min() >= lo and points.max() <= hi
+        want = ds_sample_batch(truncate(desc, lower, upper), 20_000, RngStream(22))
+        assert np.array_equal(b.values, want.values)
+
+
 class TestDeepTail:
     def test_normal_38_sigma_clean(self):
         t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=38.0)

@@ -211,6 +211,30 @@ class TestTailAccuracy:
             assert float(d.log_cdf(np.asarray(x))) == pytest.approx(want_cdf, rel=1e-9)
             assert float(d.log_sf(np.asarray(x))) == pytest.approx(want_sf, rel=1e-9)
 
+    @pytest.mark.parametrize("x", [1e155, 1e300, 1e-310, 5e-324])
+    def test_invgauss_at_extreme_finite_points(self, x):
+        # warnings are errors: no overflow may escape at these points
+        mu, lam = mp.mpf(1), mp.mpf("0.3")
+        d = build_descriptor("invgauss", mu=1.0, **{"lambda": 0.3})
+        xx = mp.mpf(x)
+        want_pdf = (mp.log(lam / (2 * mp.pi * xx**3)) / 2
+                    - lam * (xx - mu) ** 2 / (2 * mu * mu * xx))
+        # -1.5e154 and -1.5e299 at the large points; below -1.8e308 (-inf)
+        # at the subnormal ones
+        assert d.log_pdf(x) == pytest.approx(float(want_pdf), rel=1e-14)
+        # log F(x) = log(Phi(u1) + e^(2 lam / mu) Phi(-u2)), u1 = sqrt(lam / x) (x / mu - 1)
+        u1 = mp.sqrt(lam / xx) * (xx / mu - 1)
+        if x < 1.0:
+            # both terms are below phi(u1) / |u1|, whose log is below the
+            # double range: log F is -inf and log S is 0
+            bound = -u1**2 / 2 - mp.log(2 * mp.pi) / 2 - mp.log(-u1)
+            assert float(bound) == -math.inf
+            assert (d.log_cdf(x), d.log_sf(x)) == (-math.inf, 0.0)
+        else:
+            # S(x) < Phi(-u1) < phi(u1) / u1, so log F = log1p(-S) rounds to 0
+            assert float(mp.exp(-u1**2 / 2) / u1) == 0.0
+            assert d.log_cdf(x) == 0.0
+
     def test_deep_tail_pmf_vs_mpmath(self):
         d = build_descriptor("poisson", {"lambda": 5.0})
         want = float(120 * mp.log(5) - 5 - mp.log(mp.factorial(120)))
