@@ -215,8 +215,12 @@ class TestDensityReads:
 
     @staticmethod
     def recorded(desc, calls):
-        return dataclasses.replace(desc, log_pdf=lambda x: (
-            calls.append(np.atleast_1d(np.array(x, dtype=float))), desc.log_pdf(x))[1])
+        """``desc`` with a ``log_pdf`` that appends each argument to ``calls``."""
+        def log_pdf(x):
+            calls.append(np.atleast_1d(np.array(x, dtype=float)))
+            return desc.log_pdf(x)
+
+        return dataclasses.replace(desc, log_pdf=log_pdf)
 
     def test_one_lattice_table_per_batch(self):
         desc = build_descriptor("poisson", {"lambda": 50.0})
