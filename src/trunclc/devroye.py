@@ -200,9 +200,10 @@ def _fill(n: int, budget: int, propose, rate: float):
     """Fill ``n`` slots in rounds; returns (values, filled, proposals).
 
     ``propose(size)`` draws ``size`` proposals and returns ``(x, accepted)``
-    for its candidates (at most ``size`` of them); ``rate`` is the expected
-    share of proposals accepted.  Accepted candidates fill slots
-    ``0, 1, ...`` in the order drawn and the surplus of a round is dropped.
+    for its candidates (at most ``size`` of them), which may be work arrays
+    the next call overwrites; ``rate`` is the expected share of proposals
+    accepted.  Accepted candidates fill slots ``0, 1, ...`` in the order
+    drawn and the surplus of a round is dropped.
     ``proposals`` counts the candidates up to the last one kept, and the
     rounds stop once it reaches ``budget``; slots ``filled`` to ``n - 1``
     are then still open, for the imputation policy.
@@ -221,7 +222,7 @@ def _fill(n: int, budget: int, propose, rate: float):
 
 def _scratch(rows: int):
     """``work(size)``: ``rows`` float arrays of ``size`` proposals, shared by
-    the rounds of one batch.
+    the rounds of one batch; a proposer returns its proposals in one of them.
 
     A round's arrays are hundreds of kilobytes, and the allocator returns
     freed arrays of that size to the operating system, so a round that
@@ -271,12 +272,12 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
     work = _scratch(3)
 
     def propose(size):
-        v, e, clamped = work(size)
+        v, x, e = work(size)
         # uniform(-2, 2) is -2 + 4 U, and 4 U is exact
         gen.random(size=size, out=v)
         v *= 4.0
         v -= 2.0
-        x = np.abs(v)
+        np.abs(v, out=x)
         gen.standard_exponential(size=size, out=e)
         tail = np.flatnonzero(x > 1.0)
         e_star = gen.standard_exponential(size=tail.size)
@@ -288,9 +289,9 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
         x += m
         xc = x
         if lo > -math.inf:
-            xc = np.maximum(xc, lo, out=clamped)
+            xc = np.maximum(xc, lo, out=v)
         if hi < math.inf:
-            xc = np.minimum(xc, hi, out=clamped)
+            xc = np.minimum(xc, hi, out=v)
         bound = t.base.log_pdf(xc) - t.log_mass
         accepted = e >= np.subtract(t.log_peak, bound, out=bound)
         if test_moved:
@@ -360,7 +361,7 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
         np.add(y, 0.5, out=offs)
         np.floor(offs, out=offs)
         np.copysign(offs, v, out=offs)
-        x = m + offs
+        x = np.add(offs, m, out=v)
         k0, k1 = float(offs.min()), float(offs.max())
         if not table.size:
             origin = k0
@@ -393,7 +394,7 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
         z = np.multiply(y, c, out=y)
         np.subtract(w, z, out=z)
         np.minimum(z, 0.0, out=z)
-        z -= gen.standard_exponential(size=size, out=v)
+        z -= gen.standard_exponential(size=size, out=offs)
         return x, z <= lf
 
     return propose, 1.0 / (4.0 + c)
