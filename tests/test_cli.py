@@ -408,6 +408,17 @@ class TestValidate:
         assert lines[0].startswith("test,family,params,lower")
         assert lines[1].endswith("pass")
 
+    def test_ztest_its_method_fails_past_the_quantile_route(self, capsys):
+        # the quantile route overflows at ten sigma: that cell fails, the
+        # others pass, and the exit code reports the failure
+        code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",
+                             "--lower-grid", "0:10:5", "--method", "its",
+                             "--n", "1000", "--seed", "1")
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["verdict"] for r in rows] == ["pass", "pass", "fail"]
+        assert "cells=3 failed=1 excluded=0" in err
+
     def test_ztest_grid_and_json(self, capsys):
         code, out, _ = run(capsys, "validate", "ztest", "--dist", "normal",
                            "--lower-grid", "0:2:1", "--n", "5000", "--seed", "9",

@@ -10,6 +10,7 @@ from trunclc import (
     DegenerateTargetError,
     ImputationPolicy,
     RngStream,
+    SamplingBreakdownError,
     TruncationOverflow,
     build_descriptor,
     chi_square_gof,
@@ -166,6 +167,13 @@ class TestHitOrMiss:
         # draws left after the last hit belong to the first open slot
         assert (b.trials[b.imputed][1:] == 0).all()
         assert t.interval.contains(b.values[~b.imputed]).all()
+
+    def test_error_policy_raises_when_the_budget_runs_out(self):
+        # P(X > 3) ~ 1.3e-3: 50 base draws find no hit with probability ~0.94
+        t = truncate(build_descriptor("normal", mu=0, sigma=1), lower=3.0)
+        with pytest.raises(SamplingBreakdownError, match="budget of 50 base draws"):
+            hit_or_miss_batch(t, 5, RngStream(1),
+                              policy=ImputationPolicy("error", max_iterations=10))
 
     def test_degenerate_target_goes_to_policy_without_draws(self):
         # log P(I) underflows on ]40, inf[: no base draw can be spent on it
