@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .logspace import LOG_HALF, elementwise, log_diff_exp
+from .logspace import LOG_HALF, _masked, elementwise, log_diff_exp
 
 
 class TruncationOverflow(ArithmeticError):
@@ -238,10 +238,12 @@ class TruncatedTarget:
 
     @elementwise(at=1)
     def log_pdf(self, x):
-        """log f_I(x): log f(x) - log P(I) inside ]a, b], else -inf."""
+        """log f_I(x): log f(x) - log P(I) inside ]a, b], else -inf; the base
+        is evaluated only inside ]a, b]."""
+        # -inf - -inf where a degenerate target (log P(I) = -inf) has no density
         with np.errstate(invalid="ignore"):
-            return np.where(self.interval.contains(x), self.base.log_pdf(x) - self.log_mass,
-                            -np.inf)
+            return _masked(x, self.interval.contains(x), -np.inf,
+                           lambda p: self.base.log_pdf(p) - self.log_mass)
 
     @elementwise(at=1)
     def cdf(self, x):

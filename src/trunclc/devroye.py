@@ -8,17 +8,20 @@ happen on the log scale, which is what carries the sampler to the
 representability limit of the interval mass rather than the much earlier
 breakdown of linear-space tail arithmetic.
 
-Every sampler in the package fills its batch through one round driver,
-``_fill``.  With ``k`` slots open and an acceptance rate ``rho`` it draws
-``ceil(k/rho + 3 sqrt(k/rho)) + 1`` proposals in one round (Devroye 1986,
-*Non-Uniform Random Variate Generation*, II.3), so a batch usually fills in
-one or two rounds.  Accepted proposals fill the open slots in proposal
+Both rejection samplers, this one and hit-or-miss, build their batches
+through one batch function, ``_sample``, and fill them through one round
+driver, ``_fill``.  With ``k`` slots open and an acceptance rate ``rho``
+it draws ``ceil(k/rho + 3 sqrt(k/rho)) + 1`` proposals in one round
+(Devroye 1986, *Non-Uniform Random Variate Generation*, II.3), so a batch
+usually fills in one or two rounds.  Accepted proposals fill the open slots in proposal
 order and the surplus is dropped: a proposal is kept or dropped by its
 position, never by its value, so every kept value is still an independent
 draw from the target.  A batch counts its proposals up to the last accepted
 one it kept, and may spend at most ``n * ImputationPolicy.max_iterations``
 of them; each round is clipped to what is left of that budget and to
-``MAX_ROUND`` proposals, which bounds the memory of a round.
+``MAX_ROUND`` proposals, which bounds the memory of a round.  ``_fill``
+owns a round's work arrays: it allocates them once per batch, and every
+round's proposer draws into them.
 
 The samplers differ only in the proposer they hand the driver, and
 ``_proposer`` is the one place that picks it from the target: the envelope
@@ -41,10 +44,11 @@ evaluates the log-pmf only at the lattice points of its span that earlier
 rounds have not reached, and indexes the table.  The table never holds more
 than ``MAX_ROUND`` points, and a round adds no more points than it has
 proposals; a round that would break either bound evaluates the log-pmf once
-per proposal.  Either way the values are the per-proposal values bit for bit.
-A continuous round reads the base density at its proposals clamped into
-the truncated support and rejects the proposals the clamp moved, so it
-neither reads a density outside the support nor masks one.
+per proposal.  Either way the values are those of
+``TruncatedTarget.log_pdf`` bit for bit.  A continuous round reads the base
+density at its proposals clamped into the truncated support and rejects
+the proposals the clamp moved, so it neither reads a density outside the
+support nor masks one.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from .core import (
     support_bounds,
     truncate,
 )
-from .families import _masked
 
 DEFAULT_MAX_ITERATIONS = 10_000
 # Largest round, in proposals.  A round's arrays take a few dozen bytes per
@@ -179,14 +182,6 @@ def _finish(t, values, bad_idx, proposals, policy, method, error) -> SampleBatch
     )
 
 
-def _degenerate_batch(t: TruncatedTarget, n: int, policy: ImputationPolicy, method: str):
-    """Every slot of a degenerate target goes to the policy, with no proposals."""
-    error = DegenerateTargetError(
-        f"log P(I) underflowed to -inf for {t.base.family_name} on "
-        f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy")
-    return _finish(t, np.empty(n), np.arange(n), 0, policy, method, lambda i: error)
-
-
 def _round_size(k: int, rate: float, left: int) -> int:
     """Proposals for a round with ``k`` open slots: ``k/rate`` plus three of
     its square roots, plus one, clipped to ``left`` and ``MAX_ROUND``.  A
@@ -199,46 +194,33 @@ def _round_size(k: int, rate: float, left: int) -> int:
 def _fill(n: int, budget: int, propose, rate: float):
     """Fill ``n`` slots in rounds; returns (values, filled, proposals).
 
-    ``propose(size)`` draws ``size`` proposals and returns ``(x, accepted)``
-    for its candidates (at most ``size`` of them), which may be work arrays
-    the next call overwrites; ``rate`` is the expected share of proposals
-    accepted.  Accepted candidates fill slots ``0, 1, ...`` in the order
-    drawn and the surplus of a round is dropped.
+    ``propose(work)`` draws ``size`` proposals into the three float rows of
+    the ``(3, size)`` work array ``work`` and returns ``(x, accepted)`` for
+    its candidates (at most ``size`` of them), which may be rows of ``work``
+    that the next round overwrites; ``rate`` is the expected share of
+    proposals accepted.  Accepted candidates fill slots ``0, 1, ...`` in the
+    order drawn and the surplus of a round is dropped.
     ``proposals`` counts the candidates up to the last one kept, and the
     rounds stop once it reaches ``budget``; slots ``filled`` to ``n - 1``
     are then still open, for the imputation policy.
     """
     values = np.empty(n)
+    # A round's arrays are hundreds of kilobytes, and the allocator returns
+    # freed arrays of that size to the operating system, so a round that
+    # allocated them afresh would page-fault on each: on a 2-core Xeon VM
+    # that took about a third of a 65,536-proposal round.  Open slots and
+    # budget only shrink, so no round is larger than the first, and the
+    # first round's arrays serve the whole batch.
+    work = np.empty((3, _round_size(n, rate, budget)))
     filled = proposals = 0
     while filled < n and proposals < budget:
         k = n - filled
-        x, acc = propose(_round_size(k, rate, budget - proposals))
+        x, acc = propose(work[:, :_round_size(k, rate, budget - proposals)])
         hits = np.flatnonzero(acc)[:k]
         values[filled:filled + hits.size] = x[hits]
         filled += hits.size
         proposals += int(hits[-1]) + 1 if filled == n else x.size
     return values, filled, proposals
-
-
-def _scratch(rows: int):
-    """``work(size)``: ``rows`` float arrays of ``size`` proposals, shared by
-    the rounds of one batch; a proposer returns its proposals in one of them.
-
-    A round's arrays are hundreds of kilobytes, and the allocator returns
-    freed arrays of that size to the operating system, so a round that
-    allocated them afresh would page-fault on each: on a 2-core Xeon VM that
-    took about a third of a 65,536-proposal round.  Rounds never grow, so a
-    batch allocates its arrays once, in its first round.
-    """
-    work = np.empty((rows, 0))
-
-    def get(size):
-        nonlocal work
-        if work.shape[1] < size:
-            work = np.empty((rows, size))
-        return work[:, :size]
-
-    return get
 
 
 def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
@@ -254,25 +236,23 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
     negation is exact, so the decisions are those of the first form bit for
     bit.  The base density is read at ``x`` clamped into the truncated
     support ``[lo, hi]`` of :func:`~trunclc.core.support_bounds`, so
-    ``log_pdf`` never sees a point outside the support, and the support
-    test is ``clamp(x) == x`` and ``x > a``: a proposal beyond an end of
-    the support is rejected even where the density at that end is
-    positive.  Each part is made only where it can fail: the clamp at a
-    finite end, ``clamp(x) == x`` unless ``x > a`` implies it (``lo = a``
-    and ``hi = inf``), and ``x > a`` only at a finite ``a = lo``.  So on an
-    unbounded support (``lo = -inf`` and ``hi = inf``, so ``a = -inf``)
-    the test costs nothing.
+    ``log_pdf`` never sees a point outside the support.  At an open finite
+    lower end (``lo = a``) the clamp is to ``nextafter(a, inf)``, the
+    smallest double in ``]a, b]``, so the one support test ``clamp(x) ==
+    x`` rejects every proposal outside the truncated support, at or below
+    ``a`` included, even where the density at an end is positive.  The
+    clamp and the test are made only at a finite end: on an unbounded
+    support (``lo = -inf`` and ``hi = inf``) they cost nothing.
     """
     m = t.proj_mode
     c = math.exp(t.log_peak)
     lo, hi = support_bounds(t.base, t.interval)
-    a = t.interval.lower
-    test_moved = hi < math.inf or lo > a
-    test_open = -math.inf < a == lo
-    work = _scratch(3)
+    if -math.inf < lo == t.interval.lower:
+        lo = math.nextafter(lo, math.inf)
 
-    def propose(size):
-        v, x, e = work(size)
+    def propose(work):
+        v, x, e = work
+        size = x.size
         # uniform(-2, 2) is -2 + 4 U, and 4 U is exact
         gen.random(size=size, out=v)
         v *= 4.0
@@ -294,10 +274,8 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
             xc = np.minimum(xc, hi, out=v)
         bound = t.base.log_pdf(xc) - t.log_mass
         accepted = e >= np.subtract(t.log_peak, bound, out=bound)
-        if test_moved:
+        if xc is not x:
             accepted &= xc == x
-        if test_open:
-            accepted &= x > a
         return x, accepted
 
     return propose, 0.25
@@ -322,30 +300,25 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     (a small round on a wide law) evaluates the log-pmf once per proposal
     and leaves the table as it is, since a table would cost it more.  So a
     batch whose rounds all extend the table evaluates each lattice point
-    at most once, and every round reads the values of
-    ``TruncatedTarget.log_pdf`` bit for bit.
+    at most once.  Table or not, a round reads ``TruncatedTarget.log_pdf``,
+    which is -inf off the truncated support, so an off-support proposal is
+    rejected without a test of its own.
     """
     m = t.proj_mode
     log_c = min(t.log_peak, 0.0)
     c = math.exp(log_c)
     w = 1.0 + c / 2.0
     flat = w / (1.0 + w)  # the flat part's share of the envelope
-    lo, hi = support_bounds(t.base, t.interval)
     table, origin = np.empty(0), 0.0  # table[j] is at offset origin + j
-    work = _scratch(3)
 
     def log_ratio(k):
-        """``log f_I(m + k) - log c`` at the offsets ``k``; the log-pmf is
-        evaluated only at the points of the truncated support ``[lo, hi]``."""
-        x = m + k
-        out = _masked(x, (x >= lo) & (x <= hi), -np.inf,
-                      lambda p: t.base.log_pdf(p) - t.log_mass)
-        out -= log_c
-        return out
+        """``log f_I(m + k) - log c`` at the offsets ``k``."""
+        return t.log_pdf(m + k) - log_c
 
-    def propose(size):
+    def propose(work):
         nonlocal table, origin
-        v, y, offs = work(size)
+        v, y, offs = work
+        size = y.size
         # uniform(-1, 1) is -1 + 2 U, and 2 U is exact
         gen.random(size=size, out=v)
         v *= 2.0
@@ -413,8 +386,8 @@ def _hit_proposer(t: TruncatedTarget, gen: np.random.Generator, per_draw: bool =
     root, fmap = t.base.transform or (t.base, None)
     envelope, rate = _proposer(truncate(root), gen)
 
-    def propose(size):
-        x, drawn = envelope(size)
+    def propose(work):
+        x, drawn = envelope(work)
         if per_draw:
             x = x[drawn]
         if fmap is not None:
@@ -432,6 +405,31 @@ def _proposer(t: TruncatedTarget, gen: np.random.Generator):
     return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
 
 
+def _sample(t: TruncatedTarget, n, rng: RngLike, policy: ImputationPolicy, method: str,
+            proposer, unit: str) -> SampleBatch:
+    """The batch of a rejection sampler: ``n`` slots filled by ``_fill`` on
+    ``proposer(t, gen)``'s ``(propose, rate)``, spending at most ``n *
+    policy.max_iterations`` candidates, named ``unit`` in the error.
+
+    A degenerate target is handed to the imputation policy whole, with no
+    proposals.
+    """
+    _check_size(n)
+    if t.degenerate:
+        error = DegenerateTargetError(
+            f"log P(I) underflowed to -inf for {t.base.family_name} on "
+            f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy")
+        return _finish(t, np.empty(n), np.arange(n), 0, policy, method, lambda i: error)
+    budget = n * policy.max_iterations
+    values, filled, proposals = _fill(n, budget, *proposer(t, as_generator(rng)))
+
+    def error(i):
+        return SamplingBreakdownError(
+            f"variate {i} still open after the batch's budget of {budget} {unit}")
+
+    return _finish(t, values, np.arange(filled, n), proposals, policy, method, error)
+
+
 def ds_sample_batch(
     t: TruncatedTarget,
     n: int,
@@ -447,15 +445,4 @@ def ds_sample_batch(
     log-concave base mapped and hit-tested against the interval.  At most
     ``n * policy.max_iterations`` proposals are spent.
     """
-    _check_size(n)
-    gen = as_generator(rng)
-    if t.degenerate:
-        return _degenerate_batch(t, n, policy, "devroye")
-    budget = n * policy.max_iterations
-    values, filled, proposals = _fill(n, budget, *_proposer(t, gen))
-
-    def error(i):
-        return SamplingBreakdownError(
-            f"variate {i} still open after the batch's budget of {budget} proposals")
-
-    return _finish(t, values, np.arange(filled, n), proposals, policy, "devroye", error)
+    return _sample(t, n, rng, policy, "devroye", _proposer, "proposals")

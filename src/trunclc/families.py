@@ -34,6 +34,7 @@ from .core import DistributionDescriptor
 from .logspace import (
     LOG_2PI,
     LOG_HALF,
+    _masked,
     elementwise,
     log1mexp,
     log_diff_exp,
@@ -161,17 +162,6 @@ def _log_tail_sum(log_pmf, start, step, lo, hi):
     if anchor is None:
         return -math.inf
     return anchor + math.log(acc)
-
-
-def _masked(x, mask, fill, f):
-    """``f(x[mask])`` where ``mask`` holds, ``fill`` elsewhere; ``f(x)`` itself
-    where it holds everywhere (each ``f`` returns a fresh array)."""
-    if mask.all():
-        return f(x)
-    out = np.full(x.shape, fill)
-    if mask.any():
-        out[mask] = f(x[mask])
-    return out
 
 
 def _on_half_line(f, at_inf, elsewhere):
@@ -465,7 +455,10 @@ def _build_invgauss(params):
     def quantile(q):
         return _stats().invgauss.ppf(q, mu / lam, scale=lam)
 
-    mode = mu * (math.sqrt(1.0 + 9.0 * mu * mu / (4.0 * lam * lam)) - 3.0 * mu / (2.0 * lam))
+    # mu (sqrt(1 + r^2) - r) with r = 3 mu / (2 lam), rationalised, as that
+    # form cancels at small lam / mu; hypot, as r^2 overflows before r does
+    r = 1.5 * mu / lam
+    mode = mu / (math.hypot(1.0, r) + r)
     return DistributionDescriptor(
         family_name="invgauss", params=params, kind="continuous",
         support=(0.0, math.inf), log_pdf=log_pdf, log_cdf=log_cdf, log_sf=log_sf,

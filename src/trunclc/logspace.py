@@ -45,6 +45,17 @@ def elementwise(fn=None, *, at: int = 0):
     return wrapper
 
 
+def _masked(x, mask, fill, f):
+    """``f(x[mask])`` where ``mask`` holds, ``fill`` elsewhere; ``f(x)`` itself
+    where it holds everywhere (each ``f`` returns a fresh array)."""
+    if mask.all():
+        return f(x)
+    out = np.full(x.shape, fill)
+    if mask.any():
+        out[mask] = f(x[mask])
+    return out
+
+
 @elementwise
 def log1mexp(z):
     """log(1 - exp(z)) for z <= 0, stable on both sides of log(1/2).

@@ -7,11 +7,11 @@ keeping it around is to measure exactly where that pipeline breaks; a
 failed inversion surfaces as :class:`TruncationOverflow` rather than
 being silently repaired.
 
-Both samplers share the rejection sampler's machinery: hit-or-miss runs
-the round driver ``devroye._fill`` with the hit-test proposer
-``devroye._hit_proposer`` (draws of the untruncated law, kept where they
-land in the interval), and both hand their failed variates to the one
-policy helper ``devroye._finish``.
+Both samplers share the rejection sampler's machinery: hit-or-miss builds
+its batch through the rejection sampler's batch function with the hit-test
+proposer (draws of the untruncated law, kept where they land in the
+interval), and both hand their failed variates to the one imputation
+policy path.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from .devroye import (
     ImputationPolicy,
     RngLike,
     SampleBatch,
-    SamplingBreakdownError,
     _check_size,
-    _degenerate_batch,
-    _fill,
     _finish,
     _hit_proposer,
+    _sample,
     as_generator,
 )
 
@@ -78,35 +76,27 @@ def hit_or_miss_batch(
     open then.  A degenerate target is handed to the imputation
     policy whole, with no draws.
     """
-    _check_size(n)
-    trials = np.zeros(n, dtype=np.int64)
-    if t.degenerate:
-        batch = _degenerate_batch(t, n, policy, "hit_or_miss")
-        batch.trials = trials
-        return batch
-    propose, rate = _hit_proposer(t, as_generator(rng), per_draw=True)
-    hits, drawn = [], 0
+    hits, drawn = [np.empty(0, dtype=np.intp)], 0
 
-    def recording(size):
-        nonlocal drawn
-        x, hit = propose(size)
-        hits.append(drawn + np.flatnonzero(hit))
-        drawn += x.size
-        return x, hit
+    def recording(t, gen):
+        propose, rate = _hit_proposer(t, gen, per_draw=True)
 
-    budget = n * policy.max_iterations
-    values, filled, total = _fill(n, budget, recording, rate)
+        def record(work):
+            nonlocal drawn
+            x, hit = propose(work)
+            hits.append(drawn + np.flatnonzero(hit))
+            drawn += x.size
+            return x, hit
+
+        return record, rate
+
+    batch = _sample(t, n, rng, policy, "hit_or_miss", recording, "base draws")
     # every hit of a round is kept but the surplus of the last, so the kept
-    # hits are the first ``filled`` of them all
+    # hits are the first ``accepts`` of them all
+    filled = batch.accepts
     ends = np.concatenate(hits)[:filled] + 1
-    trials[:filled] = np.diff(ends, prepend=0)
+    batch.trials = np.zeros(n, dtype=np.int64)
+    batch.trials[:filled] = np.diff(ends, prepend=0)
     if filled < n:
-        trials[filled] = total - (ends[-1] if filled else 0)
-
-    def error(i):
-        return SamplingBreakdownError(
-            f"variate {i} found no hit in the batch's budget of {budget} base draws")
-
-    batch = _finish(t, values, np.arange(filled, n), total, policy, "hit_or_miss", error)
-    batch.trials = trials
+        batch.trials[filled] = batch.proposals - (ends[-1] if filled else 0)
     return batch

@@ -132,6 +132,14 @@ class TestExactness:
             batch = ds_sample_batch(t, 1, rng=seed)
             assert batch.is_clean(t) and batch.values[0] == t.proj_mode
 
+    def test_lattice_points_that_round_onto_the_open_end_are_rejected(self):
+        # at 1e34 the doubles are 2**61 apart, so the proposals m + k near
+        # the mode round onto a = 1e34, which ]a, inf[ excludes: none may be
+        # returned as a clean variate
+        t = truncate(build_descriptor("poisson", {"lambda": 1e34}), lower=1e34)
+        b = ds_sample_batch(t, 20, RngStream(6), ImputationPolicy(max_iterations=50))
+        assert (t.interval.contains(b.values) | b.imputed).all()
+
     def test_continuous_ks_normal_tail(self):
         d = build_descriptor("normal", mu=0, sigma=1)
         t = truncate(d, lower=1.0)
