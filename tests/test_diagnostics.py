@@ -34,6 +34,8 @@ from trunclc import diagnostics
 from trunclc.core import tail_targets
 from trunclc.devroye import SampleBatch
 from trunclc.diagnostics import (
+    SafetyReport,
+    ScanCell,
     _classify,
     _its_schedule,
     auto_probes,
@@ -264,6 +266,15 @@ class TestScanner:
 
     def test_endpoint_ordering(self, normal_report):
         assert normal_report.endpoint_violations() == []
+
+    def test_endpoint_violation_is_a_quantile_route_outliving_the_rejection_one(self):
+        cells = [ScanCell({"k": 0}, a_bar=40.0, a_bar_prime=38.0),
+                 ScanCell({"k": 1}, a_bar=38.0, a_bar_prime=38.0),
+                 ScanCell({"k": 2}, a_bar=math.nan, a_bar_prime=38.0),
+                 ScanCell({"k": 3}, a_bar=40.0, a_bar_prime=math.nan),
+                 ScanCell({"k": 4}, a_bar=9.0, a_bar_prime=38.0)]
+        report = SafetyReport("normal", cells, n_probe=10, seed=0)
+        assert report.endpoint_violations() == [cells[0]]
 
     def test_csv_roundtrip(self, normal_report):
         # every float of the report parses back from its CSV bit for bit

@@ -1,6 +1,7 @@
 """Family registry: standardization indices, modes, tail accuracy,
 log-concavity, and the registration API."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -137,6 +138,19 @@ class TestModeIsArgmax:
                 if not d.support[0] <= x <= d.support[1]:
                     continue
                 assert lm >= float(d.log_pdf(np.asarray(x))) - 1e-12, (family, params)
+
+    @pytest.mark.parametrize("mu,lam", [
+        (1.0, 1e-7), (1.0, 1e-8), (1.0, 1e-10), (1.0, 1e-160), (1.0, 1e-300),
+        (1.0, 0.3), (2.0, 3.0), (0.7, 5.0), (1e3, 1e-3), (1e-3, 1e3),
+    ])
+    def test_invgauss_mode_vs_mpmath(self, mu, lam):
+        # mu (sqrt(1 + r^2) - r), r = 3 mu / (2 lam), at enough digits to
+        # survive its cancellation (r is 1.5e300 at the smallest lam)
+        d = build_descriptor("invgauss", mu=mu, **{"lambda": lam})
+        with mp.workdps(700):
+            r = 3 * mp.mpf(mu) / (2 * mp.mpf(lam))
+            want = float(mu * (mp.sqrt(1 + r * r) - r))
+        assert d.mode == pytest.approx(want, rel=1e-15)
 
 
 class TestTailAccuracy:
@@ -285,6 +299,20 @@ class TestLogConcavity:
         d = build_descriptor("gamma", alpha=0.5, **{"lambda": 1.0})
         ok, violation = check_log_concavity(d, (1e-9, 10.0), n_probes=500)
         assert not ok and violation is not None
+
+    def test_discrete_mixture_is_not(self):
+        # poisson(5) + poisson(40): the log-pmf turns convex between the modes
+        p5 = build_descriptor("poisson", {"lambda": 5.0})
+        p40 = build_descriptor("poisson", {"lambda": 40.0})
+        d = dataclasses.replace(
+            p5, log_pdf=lambda x: np.logaddexp(p5.log_pdf(x), p40.log_pdf(x)))
+        ok, (k, gap) = check_log_concavity(d, (0.0, 100.0))
+        ks = np.arange(101.0)
+        lf = np.logaddexp(st.poisson.logpmf(ks, 5.0), st.poisson.logpmf(ks, 40.0))
+        gaps = 2.0 * lf[1:-1] - lf[:-2] - lf[2:]
+        first = int(np.argmax(gaps < -1e-9))
+        assert not ok and 5.0 < k < 40.0
+        assert k == ks[first + 1] and gap == pytest.approx(gaps[first], rel=1e-9)
 
     def test_normal_is_log_concave(self):
         d = build_descriptor("normal", mu=0, sigma=1)
