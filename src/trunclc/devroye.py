@@ -10,18 +10,18 @@ breakdown of linear-space tail arithmetic.
 
 Both rejection samplers, this one and hit-or-miss, build their batches
 through one batch function, ``_sample``, and fill them through one round
-driver, ``_fill``.  With ``k`` slots open and an acceptance rate ``rho``
-it draws ``ceil(k/rho + 3 sqrt(k/rho)) + 1`` proposals in one round
-(Devroye 1986, *Non-Uniform Random Variate Generation*, II.3), so a batch
-usually fills in one or two rounds.  Accepted proposals fill the open slots in proposal
-order and the surplus is dropped: a proposal is kept or dropped by its
-position, never by its value, so every kept value is still an independent
-draw from the target.  A batch counts its proposals up to the last accepted
-one it kept, and may spend at most ``n * ImputationPolicy.max_iterations``
-of them; each round is clipped to what is left of that budget and to
-``MAX_ROUND`` proposals, which bounds the memory of a round.  ``_fill``
-owns a round's work arrays: it allocates them once per batch, and every
-round's proposer draws into them.
+driver, ``_fill``.  With ``k`` slots open and an acceptance rate ``rho`` it
+draws ``ceil(k/rho + 3 sqrt(k/rho)) + 1`` proposals in one round (Devroye
+1986, *Non-Uniform Random Variate Generation*, II.3), so a batch usually
+fills in one or two rounds.  Accepted proposals fill the open slots in
+proposal order and the surplus is dropped: a proposal is kept or dropped by
+its position, never by its value, so every kept value is still an
+independent draw from the target.  A batch counts its proposals up to the
+last accepted one it kept, and may spend at most
+``n * ImputationPolicy.max_iterations`` of them; each round is clipped to
+what is left of that budget and to ``MAX_ROUND`` proposals, which bounds
+the memory of a round.  ``_fill`` owns a round's work arrays: it allocates
+them once per batch, and every round's proposer draws into them.
 
 The samplers differ only in the proposer they hand the driver, and
 ``_proposer`` is the one place that picks it from the target: the envelope
@@ -301,8 +301,9 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     and leaves the table as it is, since a table would cost it more.  So a
     batch whose rounds all extend the table evaluates each lattice point
     at most once.  Table or not, a round reads ``TruncatedTarget.log_pdf``,
-    which is -inf off the truncated support, so an off-support proposal is
-    rejected without a test of its own.
+    which is -inf outside ``]a, b]`` and off the base's support, so a
+    proposal outside the truncated support is rejected without a test of
+    its own.
     """
     m = t.proj_mode
     log_c = min(t.log_peak, 0.0)
