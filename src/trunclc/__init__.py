@@ -15,7 +15,6 @@ from .core import (
     TruncationInterval,
     TruncationOverflow,
     log_interval_mass,
-    project_mode,
     support_bounds,
     truncate,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "log_diff_exp",
     "log_interval_mass",
     "memorylessness_check",
-    "project_mode",
     "register_family",
     "scan_safety",
     "support_bounds",

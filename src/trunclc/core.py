@@ -9,9 +9,9 @@ samplers read: log P(I), the projected mode, the peak, log F(a), log S(a).
 
 The *truncated support* is the part of the base support in ``]a, b]``;
 for a discrete law, the lattice points ``floor(a) + 1, ..., floor(b)``.
-Its edges are worked out only in :func:`support_bounds`, which the
-projected mode, the quantile at 0, the inverse-transform failure mask and
-the validation oracles all read.
+Its edges are worked out only in :func:`support_bounds`, and each target
+keeps them as ``support``; :func:`clean_mask` says, for every sampler and
+check, which values the truncated law can produce.
 
 These are computed only in ``_targets``, over many intervals of one
 descriptor in one call of each descriptor function: :func:`truncate` is its
@@ -142,12 +142,6 @@ def support_bounds(desc: DistributionDescriptor, interval: TruncationInterval
     return float(lo), float(hi)
 
 
-def project_mode(desc: DistributionDescriptor, interval: TruncationInterval) -> float:
-    """The base mode clamped into the truncated support (see :func:`support_bounds`)."""
-    lo, hi = support_bounds(desc, interval)
-    return float(max(lo, min(hi, desc.mode)))
-
-
 def _log_lower(desc: DistributionDescriptor, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(log F(a), log S(a))`` for a 1-d array ``a`` of lower ends.
 
@@ -219,6 +213,8 @@ class TruncatedTarget:
 
     Build one with :func:`truncate`, or many ``]a, inf[`` with
     :func:`tail_targets`; both compute the fields in :func:`_targets`.
+    ``support`` is ``(lo, hi)``, the edges of the truncated support from
+    :func:`support_bounds`; ``proj_mode`` is the base mode clamped into it.
     ``log_cdf_lower`` and ``log_sf_lower`` are log F(a) and log S(a), which
     the mass evaluates anyway; the inverse transform reads the first, and
     :meth:`cdf` reads both instead of evaluating them again.
@@ -226,6 +222,7 @@ class TruncatedTarget:
 
     base: DistributionDescriptor
     interval: TruncationInterval
+    support: tuple[float, float]
     log_mass: float
     proj_mode: float
     log_peak: float
@@ -273,8 +270,7 @@ class TruncatedTarget:
         """Truncated quantile q(F(a) + p * P(I)) via :meth:`invert`.
 
         ``p = 0`` gives the infimum of the truncated law, the lower edge of
-        :func:`support_bounds`.  A failed inversion raises
-        :class:`TruncationOverflow`.
+        ``support``.  A failed inversion raises :class:`TruncationOverflow`.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -284,7 +280,7 @@ class TruncatedTarget:
                 f"{self.interval.upper}]"
             )
         if p == 0.0:
-            return support_bounds(self.base, self.interval)[0]
+            return self.support[0]
         pp, x, bad = self.invert(p)
         if bad:
             raise TruncationOverflow(
@@ -294,14 +290,15 @@ class TruncatedTarget:
         return float(x)
 
 
-def _targets(desc: DistributionDescriptor, intervals: list, modes: list) -> list:
-    """The target of ``desc`` on each of ``intervals``, ``modes`` their
-    projected modes (:func:`project_mode`).
+def _targets(desc: DistributionDescriptor, intervals: list, supports: list) -> list:
+    """The target of ``desc`` on each of ``intervals``, ``supports`` the
+    edges ``(lo, hi)`` of their truncated supports (:func:`support_bounds`).
 
     The only code that computes a target's fields.  One :func:`_log_lower`
     and one :func:`_log_masses` call cover every interval, and one
     ``log_pdf`` call every projected mode of a non-degenerate target.
     """
+    modes = [float(max(lo, min(hi, desc.mode))) for lo, hi in supports]
     las, lsas = _log_lower(desc, np.array([iv.lower for iv in intervals]))
     lms = _log_masses(desc, las, lsas, np.array([iv.upper for iv in intervals]))
     lms = [_representable(lm) for lm in lms.tolist()]
@@ -314,8 +311,8 @@ def _targets(desc: DistributionDescriptor, intervals: list, modes: list) -> list
         lfs = desc.log_pdf(np.array([modes[i] for i in live]))
         for i, lf in zip(live, lfs.tolist()):
             peaks[i] = lf - lms[i]
-    return [TruncatedTarget(desc, *fields)
-            for fields in zip(intervals, lms, modes, peaks, las.tolist(), lsas.tolist())]
+    return [TruncatedTarget(desc, *fields) for fields in
+            zip(intervals, supports, lms, modes, peaks, las.tolist(), lsas.tolist())]
 
 
 def truncate(
@@ -325,7 +322,20 @@ def truncate(
 ) -> TruncatedTarget:
     """Build a truncated target for ``desc`` restricted to ``]lower, upper]``."""
     interval = TruncationInterval(lower, upper)
-    return _targets(desc, [interval], [project_mode(desc, interval)])[0]
+    return _targets(desc, [interval], [support_bounds(desc, interval)])[0]
+
+
+def clean_mask(targets: list, x) -> np.ndarray:
+    """Which of ``x`` are clean variates, row ``i`` of the 2-d ``x`` on
+    ``targets[i]`` (one base): finite, above ``a`` and in ``support``.
+
+    A continuous law puts no mass on its lower edge, so there ``x > lo``
+    (hence ``x > a``); a lattice keeps ``x > a``, which ``x >= lo`` does
+    not imply past 2**53, where ``floor(a) + 1`` rounds to ``a``.
+    """
+    a, lo, hi = np.array([(t.interval.lower, *t.support) for t in targets]).T[:, :, None]
+    above = (x > a) & (x >= lo) if targets[0].base.is_discrete else x > lo
+    return above & (x <= hi) & np.isfinite(x)
 
 
 def invert_targets(targets: list, u):
@@ -336,12 +346,10 @@ def invert_targets(targets: list, u):
     The probability argument is deliberately assembled in linear space
     (this is the fragile pipeline whose breakdown the diagnostics measure).
     Returns ``(p', x, bad)``, each of ``u``'s shape: the assembled
-    arguments, the base quantiles at them, and the mask of values that are
-    not clean variates: a saturated argument (``u < 1`` but ``p' >= 1``), a
-    non-finite value, a value outside ``]a, b]`` (the open lower end
-    included) or outside the truncated support of :func:`support_bounds`.
-    At a saturated argument the base quantile silently returns sup X (the
-    paper's imputation-as-supremum failure).
+    arguments, the base quantiles at them, and the mask of failures: a
+    saturated argument (``u < 1`` but ``p' >= 1``) or a value that
+    :func:`clean_mask` rejects.  At a saturated argument the base quantile
+    silently returns sup X (the paper's imputation-as-supremum failure).
     """
     base = targets[0].base
     if base.quantile is None:
@@ -352,25 +360,23 @@ def invert_targets(targets: list, u):
     pp = fa + u * mass
     with np.errstate(invalid="ignore"):
         x = base.quantile(pp.ravel()).reshape(u.shape)
-    a = np.array([[t.interval.lower] for t in targets])
-    lo, hi = np.array([support_bounds(t.base, t.interval) for t in targets]).T[:, :, None]
-    return pp, x, ((u < 1.0) & (pp >= 1.0)) | ~np.isfinite(x) | (x <= a) | (x < lo) | (x > hi)
+    return pp, x, ((u < 1.0) & (pp >= 1.0)) | ~clean_mask(targets, x)
 
 
 def tail_targets(desc: DistributionDescriptor, lowers) -> list[Optional[TruncatedTarget]]:
     """``truncate(desc, lower=a)`` for each ``a`` of ``lowers``, built in array calls.
 
-    One ``_targets`` call builds every depth that :func:`project_mode`
+    One ``_targets`` call builds every depth that :func:`support_bounds`
     accepts, so each target equals the one :func:`truncate` builds; a depth
     that :func:`truncate` refuses gives ``None``.
     """
-    intervals, modes = [], []
+    intervals, supports = [], []
     for a in lowers:
         try:
             iv = TruncationInterval(float(a), math.inf)
-            modes.append(project_mode(desc, iv))
+            supports.append(support_bounds(desc, iv))
         except ValueError:
             iv = None
         intervals.append(iv)
-    built = iter(_targets(desc, [iv for iv in intervals if iv is not None], modes))
+    built = iter(_targets(desc, [iv for iv in intervals if iv is not None], supports))
     return [None if iv is None else next(built) for iv in intervals]

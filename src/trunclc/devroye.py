@@ -64,7 +64,7 @@ from .core import (
     DegenerateTargetError,
     SamplingBreakdownError,
     TruncatedTarget,
-    support_bounds,
+    clean_mask,
     truncate,
 )
 
@@ -154,9 +154,8 @@ class SampleBatch:
         return self.accepts / self.proposals
 
     def is_clean(self, target: TruncatedTarget) -> bool:
-        """No imputation, and all values finite and in ``target``'s interval."""
-        return (not self.imputed.any() and bool(np.isfinite(self.values).all())
-                and bool(target.interval.contains(self.values).all()))
+        """No imputation, and every value clean (:func:`~trunclc.core.clean_mask`)."""
+        return not self.imputed.any() and bool(clean_mask([target], self.values[None]).all())
 
 
 def _finish(t, values, bad_idx, proposals, policy, method, error) -> SampleBatch:
@@ -235,7 +234,7 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
     f_I(m)``, tested as ``E + e* >= log f_I(m) - (log f(x) - log P(I))``;
     negation is exact, so the decisions are those of the first form bit for
     bit.  The base density is read at ``x`` clamped into the truncated
-    support ``[lo, hi]`` of :func:`~trunclc.core.support_bounds`, so
+    support ``[lo, hi]``, the target's ``support``, so
     ``log_pdf`` never sees a point outside the support.  At an open finite
     lower end (``lo = a``) the clamp is to ``nextafter(a, inf)``, the
     smallest double in ``]a, b]``, so the one support test ``clamp(x) ==
@@ -246,7 +245,7 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
     """
     m = t.proj_mode
     c = math.exp(t.log_peak)
-    lo, hi = support_bounds(t.base, t.interval)
+    lo, hi = t.support
     if -math.inf < lo == t.interval.lower:
         lo = math.nextafter(lo, math.inf)
 

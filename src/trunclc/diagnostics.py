@@ -3,15 +3,15 @@
 The scanner walks a schedule of truncation depths per parameter
 configuration and records the deepest point at which each sampler still
 produces a clean batch: the quantile-based sampler's endpoint is an
-execution error, an infinite value, or an out-of-interval value; the
-rejection sampler's endpoint is a nonzero imputation rate.  Depths are
-standardized to safety ratios through each family's central tendency and
-dispersion indices.  A cell's schedule is built in array calls
-(:func:`~trunclc.core.tail_targets`), and its ITS pass inverts the two
-extreme uniforms of many probes in one quantile call
-(:func:`~trunclc.core.invert_targets`); the
-rejection pass runs per probe on the same targets, and the bisection
-between two probes builds and samples each depth one at a time.
+execution error or a value that is not a clean variate
+(:func:`~trunclc.core.clean_mask`); the rejection sampler's endpoint is a
+nonzero imputation rate.  Depths are standardized to safety ratios through
+each family's central tendency and dispersion indices.  A cell's schedule
+is built in array calls (:func:`~trunclc.core.tail_targets`), and its ITS
+pass inverts the two extreme uniforms of many probes in one quantile call
+(:func:`~trunclc.core.invert_targets`); the rejection pass runs per probe
+on the same targets, and the bisection between two probes builds and
+samples each depth one at a time.
 
 Validation tools check the samples themselves: a Z statistic on the
 truncated mean against independent oracles, an exponential tail Q-Q
@@ -333,7 +333,7 @@ def memorylessness_check(
     if target.degenerate:
         raise DegenerateTargetError(f"geometric({p}) on ]{a}, inf[ has underflowed mass")
     batch = ds_sample_batch(target, n, rng)
-    y = batch.values[~batch.imputed] - support_bounds(target.base, target.interval)[0]
+    y = batch.values[~batch.imputed] - target.support[0]
     kmax = int(max(y.max(), 1))
     support = np.arange(0, kmax + 1)
     probs = p * (1.0 - p) ** support
@@ -454,7 +454,7 @@ def auto_probes(desc: DistributionDescriptor) -> np.ndarray:
 
 
 def _classify(sample, target: Optional[TruncatedTarget], rng: RngLike) -> bool:
-    """Whether ``sample(target, rng)`` gives a clean batch.
+    """Whether ``sample(target, rng)`` gives a clean batch (``SampleBatch.is_clean``).
 
     A depth that cannot be truncated to (``target`` is ``None``), or a
     sampler that raises, is a failure.
@@ -479,8 +479,8 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     ``F(a) + u P(I)`` is non-decreasing in ``u``, rounding included, and
     each registered quantile is non-decreasing on sorted arguments and
     non-finite only at its ends.  So each way a variate can fail
-    (saturating, a non-finite value, a value at or below ``a``, or above
-    ``b``) shows first at one of the two extremes.  ``MAX_ROUND // 2``
+    (saturating, or a value :func:`~trunclc.core.clean_mask` rejects) shows
+    first at one of the two extremes.  ``MAX_ROUND // 2``
     probes at a time go through :func:`~trunclc.core.invert_targets`, and a
     probe is clean when neither of its two inversions is in the failure
     mask, the mask by which ``its_sample_batch`` hands a variate to its
@@ -542,11 +542,10 @@ def _dprime(desc, schedule: np.ndarray, targets: list) -> float:
     """Largest probed depth at which the density is still linearly representable.
 
     ``targets`` are the schedule's targets (:func:`~trunclc.core.tail_targets`).
-    The density is probed at the first support point of each (see
-    :func:`~trunclc.core.support_bounds`); a depth that cannot be truncated
-    to (``None``) fails.
+    The density is probed at the lower edge of each one's ``support``; a
+    depth that cannot be truncated to (``None``) fails.
     """
-    firsts = [math.nan if t is None else support_bounds(desc, t.interval)[0] for t in targets]
+    firsts = [math.nan if t is None else t.support[0] for t in targets]
     ok = np.exp(desc.log_pdf(np.array(firsts))) > 0.0
     if not ok.any():
         return math.nan

@@ -399,9 +399,12 @@ def _build_gamma(params):
     mode = (alpha - 1.0) / lam if alpha >= 1.0 else 0.0
     transform = None
     if alpha < 1.0:
-        # not log-concave: sample |Y|^(1/alpha) / lambda with Y ~ EPD(1/alpha)
-        beta = 1.0 / alpha
-        transform = (build_descriptor("epd", beta=beta), lambda y: np.abs(y) ** beta / lam)
+        # not log-concave: sample |Y|^(1/alpha) / lambda with Y ~ EPD(1/alpha);
+        # the power overflows only at proposals the EPD envelope rejects
+        def fmap(y):
+            with np.errstate(over="ignore"):
+                return np.abs(y) ** (1.0 / alpha) / lam
+        transform = (build_descriptor("epd", beta=1.0 / alpha), fmap)
     return DistributionDescriptor(
         family_name="gamma", params=params, kind="continuous",
         support=(0.0, math.inf), log_pdf=log_pdf, log_cdf=log_cdf, log_sf=log_sf,

@@ -42,8 +42,8 @@ def its_sample_batch(
     """Vectorized inverse-transform batch: the truncated quantile at ``n`` uniforms.
 
     A variate is bad when :meth:`~trunclc.core.TruncatedTarget.invert`
-    masks it: a saturated argument, or a value that is non-finite or lies
-    outside ``]a, b]`` or the truncated support.  Under the ``error``
+    masks it: a saturated argument, or a value that is not a clean variate
+    (:func:`~trunclc.core.clean_mask`).  Under the ``error``
     policy the first bad variate raises :class:`TruncationOverflow`;
     otherwise bad variates are imputed and flagged.
     """

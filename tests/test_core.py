@@ -13,7 +13,6 @@ from trunclc import (
     TruncationOverflow,
     build_descriptor,
     log_interval_mass,
-    project_mode,
     support_bounds,
     truncate,
 )
@@ -84,20 +83,20 @@ class TestLogIntervalMass:
 class TestProjectMode:
     def test_continuous_clamp(self):
         d = build_descriptor("normal", mu=0, sigma=1)
-        assert project_mode(d, TruncationInterval(3.0, math.inf)) == 3.0
-        assert project_mode(d, TruncationInterval(-math.inf, -2.0)) == -2.0
-        assert project_mode(d, TruncationInterval(-1.0, 1.0)) == 0.0
+        assert truncate(d, 3.0, math.inf).proj_mode == 3.0
+        assert truncate(d, -math.inf, -2.0).proj_mode == -2.0
+        assert truncate(d, -1.0, 1.0).proj_mode == 0.0
 
     def test_discrete_projection(self):
         d = build_descriptor("poisson", {"lambda": 5.0})
-        assert project_mode(d, TruncationInterval(10.7, math.inf)) == 11.0
-        assert project_mode(d, TruncationInterval(2.0, 20.0)) == 5.0
-        assert project_mode(d, TruncationInterval(-math.inf, math.inf)) == 5.0
+        assert truncate(d, 10.7, math.inf).proj_mode == 11.0
+        assert truncate(d, 2.0, 20.0).proj_mode == 5.0
+        assert truncate(d, -math.inf, math.inf).proj_mode == 5.0
 
     def test_discrete_empty_interval_errors(self):
         d = build_descriptor("poisson", {"lambda": 5.0})
         with pytest.raises(ValueError):
-            project_mode(d, TruncationInterval(9.2, 9.8))
+            truncate(d, 9.2, 9.8)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -152,8 +151,6 @@ class TestSupportRule:
                 with pytest.raises(ValueError):
                     support_bounds(d, iv)
                 with pytest.raises(ValueError):
-                    project_mode(d, iv)
-                with pytest.raises(ValueError):
                     truncate(d, a, b)
                 continue
             lo, hi = support_bounds(d, iv)
@@ -166,10 +163,32 @@ class TestSupportRule:
                 # the infimum may be the open end a, the supremum sits in ]a, b]
                 assert lo <= pts.min() and (lo in pts or lo == a), (a, b)
                 assert hi >= pts.max() and (hi in pts or unbounded), (a, b)
-            assert project_mode(d, iv) == max(lo, min(hi, d.mode))
             t = truncate(d, a, b)
+            assert t.support == (lo, hi)
+            assert t.proj_mode == max(lo, min(hi, d.mode))
             if not t.degenerate:
                 assert t.quantile(0.0) == lo
+
+
+class TestCleanMask:
+    """``core.clean_mask``: finite, above ``a`` and in the truncated support."""
+
+    def test_continuous_lower_edge_is_open(self):
+        d = build_descriptor("gamma", alpha=2.0)
+        ts = [truncate(d, -1.0, 5.0), truncate(d, 1.0, 5.0)]  # ]0, 5] and ]1, 5]
+        x = np.array([-1.0, 0.0, 5e-324, 1.0, 5.0, np.nextafter(5.0, 6.0), np.inf, np.nan])
+        got = core.clean_mask(ts, np.stack([x, x]))
+        assert got.tolist() == [[False, False, True, True, True, False, False, False],
+                                [False, False, False, False, True, False, False, False]]
+
+    def test_lattice_lower_edge_is_a_support_point(self):
+        d = build_descriptor("poisson", {"lambda": 5.0})
+        x = np.array([[2.5, 3.0, 9.0, 9.5, -np.inf, np.inf]])
+        assert core.clean_mask([truncate(d, 2.5, 9.0)], x).tolist() == [
+            [False, True, True, False, False, False]]
+        # past 2**53, floor(a) + 1 rounds onto the open end a
+        t = truncate(build_descriptor("poisson", {"lambda": 1e34}), lower=1e34)
+        assert t.support[0] == 1e34 and not core.clean_mask([t], np.array([[1e34]])).any()
 
 
 class TestTruncLogPdf:

@@ -12,6 +12,7 @@ from trunclc import (
     ImputationPolicy,
     RngStream,
     SamplingBreakdownError,
+    TruncationOverflow,
     build_descriptor,
     chi_square_gof,
     ds_sample_batch,
@@ -388,6 +389,19 @@ class TestGammaExceptionRoute:
         assert a.values.tobytes() == b.values.tobytes()
         assert (a.proposals, a.accepts) == (b.proposals, b.accepts)
         assert not b.imputed.any()
+
+    def test_values_that_underflow_onto_the_support_end_are_not_clean(self):
+        # gamma(1e-3) has P(X < 5e-324) = 0.475: about half its draws, mapped
+        # through |Y|^1000, round to 0.0, an end the law puts no mass on.  The
+        # map overflows at proposals the envelope rejects, and must not warn.
+        t = truncate(build_descriptor("gamma", alpha=1e-3))
+        b = ds_sample_batch(t, 20_000, RngStream(1))
+        assert not b.imputed.any() and 0.45 < np.mean(b.values == 0.0) < 0.5
+        assert not b.is_clean(t)
+        its = its_sample_batch(t, 20_000, RngStream(1))
+        assert 0.45 < its.imputed.mean() < 0.5 and (its.values[~its.imputed] > 0.0).all()
+        with pytest.raises(TruncationOverflow):
+            its_sample_batch(t, 20_000, RngStream(1), ImputationPolicy("error"))
 
     def test_extreme_truncation_imputes(self):
         # hit-or-miss against a far interval exhausts the trial budget

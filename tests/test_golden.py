@@ -1,26 +1,35 @@
 """Golden outputs: fixed-seed CLI bytes, exit codes and batch contents.
 
-Each CLI case runs ``trunclc.cli.main`` in process and compares the
-sha256 digest of its stdout and stderr, plus its exit code, against the
-value recorded when the case was added; each batch case digests the
+Each CLI case calls ``trunclc.cli.main`` and digests (sha256) its stdout
+and stderr, plus its exit code; each batch case digests the
 values, imputation flags, trial counts and proposal accounting of one
 sampler call; each demo case digests the stdout of one script in
 ``demos/`` (the digest of ``python demos/<name>.py | sha256sum``); each
 family case digests the four callables of one family member on a fixed
-grid.  A refactor that changes any variate, any breakdown depth, any
-density or tail value or any byte of formatting fails here.  Regenerate a
-digest only for a change that is meant to alter output, and say so in
-CHANGES.md.
+grid.  Each is compared with the value recorded when the case was added.
+A refactor that changes any variate, any breakdown depth, any density or
+tail value or any byte of formatting fails here.  Regenerate a digest only
+for a change that is meant to alter output, and say so in CHANGES.md.
+
+numpy's float64 ``exp``, ``log``, ``log1p``, ``expm1`` and ``power`` differ
+in their last bits between its AVX-512 and AVX2 kernels, and some digests
+hash those bits.  So the digests are computed in a child process with the
+AVX-512 dispatch off (``SIMD_ENV``), the same on any x86-64 CPU: numpy
+reads the variable only when it is imported.
 
 Run as a script (``python tests/test_golden.py``), the module prints each
 case's current digest next to its recorded one, marks every mismatch and
-exits 1 if there is one.
+exits 1 if there is one; with ``--json`` it prints the digests computed in
+its own process as JSON, which is how the child reports them.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -113,7 +122,7 @@ GOLDEN = {
     "scan_binomial_json": (0, "818b6b252a345c48c8c0165c632e490d43b6e602c209b624e9ff0c342a5409cb"),
     "scan_exponential": (0, "c0141709729a91b49e800081cd7dfcb9f9bc46c41a70a4ccdfbd73415f50e4b6"),
     "validate_memoryless": (0, "78adab951ee288bef84baa882651e6e48c72b4dfb50e401ee229e6a2cf1894bd"),
-    "validate_qq": (0, "7fbbd0cd01686e173df0584640965c15daee140a7835cdba42f3727a0bdd8361"),
+    "validate_qq": (0, "f962cb16c0c8ec3a718bedc535c105b2c51eacec43d00f87edd06555831c37b7"),
     "validate_ztest": (0, "ec6aa4d36ba56c15a7941ae6c37cdef5441d636ef5edfad9af018ad0c3f03ab0"),
     "devroye_binomial_20000": "56e640701872b4a0753de93e8a5f9684b60bbdfa1bb6a97ae28208070cc2ee68",
     "devroye_cap_continuous": "a049a763d3562d8dc152c5e8e336ae03094faa062fcbb23ef0cf555edb41bf16",
@@ -200,21 +209,6 @@ def batch_digest(name) -> str:
     )
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_golden(name):
-    assert cli_digest(name) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", sorted(BATCH_CASES))
-def test_batch_output_is_golden(name):
-    assert batch_digest(name) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
-def test_demo_output_is_golden(name):
-    assert demo_digest(name) == DEMO_GOLDEN[name]
-
-
 # one member per builder branch: both regimes of the poisson tails, both
 # binomial sizes of the scans, gamma's closed form, series and transform
 FAMILY_MEMBERS = {
@@ -244,20 +238,20 @@ FAMILY_GOLDEN = {
     "binomial_1_0.5": "e70d146eaa53242adb51aaf54de5a993fc04e99b86eaa9c5a8d437141ccefa68",
     "binomial_1e5_0.97": "d4eed6cde671f89b2752f86ec4f1ce0402aa316963791389d08dc94d23cf8e71",
     "binomial_2048_0.5": "a5d7b5861cf22eacb22f00e0a745cfdd337e2f0ac9286a2aafd7c063ba80f567",
-    "binomial_40_0.3": "a1e52361c008e8d693bf6b79e4717c5dbcf0607962dea5aa9f40672c994250fc",
-    "epd_1.5": "a83fa95a92facef48cad5c6240ebd90d6c16b3e8ac383711d03bdafb5f4874ba",
-    "epd_3": "41f50ba2bdca44c069e7750f0b2aed49c56d60815170d0fbfbcfff95da7303b9",
-    "gamma_0.5": "26de555dc24c96dfe5f4520f8a92cbed1b6fd62dd92c8ca88647c56743ec3653",
-    "gamma_1": "ad4515d6e08bc67caaa50e776178625f67c507fb3653334ae68ffdb927c1cfc8",
+    "binomial_40_0.3": "8136c8aa44af63a25b03cacd9e2447ebe5402f2b3a99236aa7be7acb82b6414a",
+    "epd_1.5": "65e539c18ec9653cd0ac534bdbbf9e1fbe65a7ec8b86f345db2d7dc93ee55c55",
+    "epd_3": "0dc3b162ecf36499dd16d70bcb3598c711e3085f9e006be1365ff9acb7f12571",
+    "gamma_0.5": "5692e9b12285f6b413013209d7ec2a5e8ebb99ac2dc73806a6cb4cfbfbd3ed54",
+    "gamma_1": "c50f6c02f4f6e81e39a144a051e6a9e5ac57b8416ed5c368605a6d8c3616cde9",
     "gamma_2": "cb4812640dbfd6a8c79c2f4b9181a317422e5afe5a210ed80fd2f45a94fd1297",
-    "geometric_0.3": "174d2c1ab7a5f11b06ee20550997c2a4542fad8089dd9f4c168d24fd235726ab",
+    "geometric_0.3": "dd20c0eb3a5a5584a020c607fcb7cafc58c060501d6976517b965d984d7aebfc",
     "invgauss_1_0.3": "da46b376382374aba4caed4428afb60db4f61b17490757b6e7c9f65138a431d1",
-    "nbinom_0.5_0.9": "c24f67526585c0a4ff6ef7496ff8dbfbeb48fb2ccecfa55c8c48a7f971ebf841",
+    "nbinom_0.5_0.9": "a8faaefe3cf195801071ba900865e0f2e7722a74a885eacdcd9f03199891611c",
     "nbinom_10_0.5": "cb9c6e0a1a0eb1cf20981a37d4b66001404c393523e66e720a2d4f80b6b939ca",
     "normal": "6c99cf0a6cdbc93c640a8921a0e9ffff4f7a1f0b2298268bc73538f680ad81df",
     "poisson_0.5": "5d63aa7775b2f0d99fdd3e9c49f1b9771151485786f92a00d7b98c58ad51589e",
     "poisson_1e5": "be7c2ae767a07e5c98590c4bb7458bf6d934202e84fae9b6b5752e875d8ef106",
-    "poisson_50": "230b589ae4d1cf600045cf3af3357d943221dbcfb52810e6e2c87eab94a5e41a",
+    "poisson_50": "12994a4537e4bf2bdd0383a40dbf848ac4defef31761053abf2f23090515f6fb",
 }
 
 # depths in units of sigma from mu, far enough to reach the tail-sum and
@@ -279,28 +273,68 @@ def family_digest(name) -> str:
                   d.quantile(_Q).astype("<f8").tobytes())
 
 
+KINDS = {
+    "cli": (CASES, cli_digest, GOLDEN),
+    "batch": (BATCH_CASES, batch_digest, GOLDEN),
+    "demo": (DEMO_GOLDEN, demo_digest, DEMO_GOLDEN),
+    "family": (FAMILY_MEMBERS, family_digest, FAMILY_GOLDEN),
+}
+
+SIMD_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def current_digests() -> dict:
+    """``{kind: {name: digest}}`` of every case, a CLI case's digest with its
+    exit code, computed by a child process under ``SIMD_ENV`` with warnings
+    raised as errors, but for numpy's import-time warning on a CPU family
+    that has no such features."""
+    child = subprocess.run([sys.executable, "-W", "error", "-W", "ignore::ImportWarning",
+                            __file__, "--json"],
+                           env={**os.environ, **SIMD_ENV}, capture_output=True, text=True)
+    if child.returncode:
+        raise RuntimeError(f"the golden child process failed:\n{child.stderr}")
+    return {kind: {name: tuple(d) if isinstance(d, list) else d for name, d in got.items()}
+            for kind, got in json.loads(child.stdout).items()}
+
+
+@pytest.fixture(scope="module")
+def current():
+    """One child's digests for every case (a failure, too, is raised once per module)."""
+    return current_digests()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_golden(name, current):
+    assert current["cli"][name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_output_is_golden(name, current):
+    assert current["batch"][name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
+def test_demo_output_is_golden(name, current):
+    assert current["demo"][name] == DEMO_GOLDEN[name]
+
+
 @pytest.mark.parametrize("name", sorted(FAMILY_MEMBERS))
-def test_family_callables_are_golden(name):
-    assert family_digest(name) == FAMILY_GOLDEN[name]
+def test_family_callables_are_golden(name, current):
+    assert current["family"][name] == FAMILY_GOLDEN[name]
 
 
 def compare_all() -> int:
     """Print every case's current digest next to its recorded one, a CLI
     case's with its exit code; return the number of mismatches."""
-    kinds = [
-        ("cli", CASES, cli_digest, GOLDEN),
-        ("batch", BATCH_CASES, batch_digest, GOLDEN),
-        ("demo", DEMO_GOLDEN, demo_digest, DEMO_GOLDEN),
-        ("family", FAMILY_MEMBERS, family_digest, FAMILY_GOLDEN),
-    ]
 
     def show(d):
         return f"exit {d[0]} {d[1]}" if isinstance(d, tuple) else d
 
     mismatches = 0
-    for kind, cases, current, recorded in kinds:
-        for name in sorted(cases):
-            now, want = current(name), recorded[name]
+    for kind, current in current_digests().items():
+        recorded = KINDS[kind][2]
+        for name in sorted(current):
+            now, want = current[name], recorded[name]
             mismatches += now != want
             print(f"{'ok' if now == want else 'MISMATCH':8} {kind:6} {name:24} "
                   f"current {show(now)} recorded {show(want)}")
@@ -309,4 +343,8 @@ def compare_all() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(1 if compare_all() else 0)
+    if sys.argv[1:] == ["--json"]:
+        print(json.dumps({kind: {name: digest(name) for name in sorted(cases)}
+                          for kind, (cases, digest, _) in KINDS.items()}))
+    else:
+        sys.exit(1 if compare_all() else 0)
