@@ -69,11 +69,9 @@ class DistributionDescriptor:
     peak.  ``mu`` and ``sigma`` are the standardization indices used for
     safety ratios, not necessarily the mean and standard deviation.
 
-    ``transform``, when set, is ``(base, fmap)``: a log-concave descriptor
-    and a map whose image of a ``base`` variate follows this law.  It is how
-    a law outside the log-concave class (gamma with shape below one) tells
-    the sampler to draw ``base``, map the draw, and hit-test it against the
-    interval.
+    ``log_scale``, when set, is ``(log_pdf, mode)``: log X's closed-form
+    log-density (an array function) and mode, declared by a law on (0, inf)
+    log-concave in log x but not in x; the sampler then draws exp(log X).
     """
 
     family_name: str
@@ -87,7 +85,7 @@ class DistributionDescriptor:
     mu: float
     sigma: float
     quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    transform: Optional[tuple["DistributionDescriptor", Callable]] = None
+    log_scale: Optional[tuple[Callable[[np.ndarray], np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):

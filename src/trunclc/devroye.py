@@ -26,16 +26,15 @@ them once per batch, and every round's proposer draws into them.
 The samplers differ only in the proposer they hand the driver, and
 ``_proposer`` is the one place that picks it from the target: the envelope
 proposer of the target's kind, or, for a descriptor that declares a
-``transform``, the hit-test proposer ``_hit_proposer`` (envelope proposals
-of the log-concave base, mapped, kept where the envelope test passes and
-the image lands in the interval).  Hit-or-miss uses the same hit-test
-proposer over the untruncated law.  Slots left open, and every slot of a
-target whose interval mass underflowed (``log_mass == -inf``, a degenerate
-target), go to the one policy helper, ``_finish``: depending on the
-:class:`ImputationPolicy` it substitutes the projected mode flagged as
-imputed, raises, or imputes ``+inf`` (provided only to mirror the
-behavior of quantile-based packages; it is not a sound choice for
-log-concave tails).
+``log_scale``, ``_log_proposer`` (envelope proposals of log X on ]log a,
+log b], mapped by ``exp``).  Hit-or-miss keeps the draws of ``_proposer``
+on the untruncated law that land in the interval.  Slots left open, and
+every slot of a target whose interval mass underflowed (``log_mass ==
+-inf``, a degenerate target), go to the one policy helper, ``_finish``:
+depending on the :class:`ImputationPolicy` it substitutes the projected
+mode flagged as imputed, raises, or imputes ``+inf`` (provided only to
+mirror the behavior of quantile-based packages; it is not a sound choice
+for log-concave tails).
 
 A discrete batch's proposals sit on a narrow lattice around the projected
 mode, so its proposer keeps one log-pmf table per batch (Devroye 1987, "A
@@ -62,6 +61,7 @@ import numpy as np
 
 from .core import (
     DegenerateTargetError,
+    DistributionDescriptor,
     SamplingBreakdownError,
     TruncatedTarget,
     clean_mask,
@@ -184,8 +184,8 @@ def _finish(t, values, bad_idx, proposals, policy, method, error) -> SampleBatch
 def _round_size(k: int, rate: float, left: int) -> int:
     """Proposals for a round with ``k`` open slots: ``k/rate`` plus three of
     its square roots, plus one, clipped to ``left`` and ``MAX_ROUND``.  A
-    rate that underflowed to 0 (a transform route whose interval mass is
-    near the representability limit) asks for the most allowed."""
+    rate that underflowed to 0 (hit-or-miss on an interval mass near the
+    representability limit) asks for the most allowed."""
     mean = k / rate if rate > 0.0 else math.inf
     return min(math.ceil(min(mean + 3.0 * math.sqrt(mean), MAX_ROUND)) + 1, left, MAX_ROUND)
 
@@ -373,35 +373,38 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     return propose, 1.0 / (4.0 + c)
 
 
-def _hit_proposer(t: TruncatedTarget, gen: np.random.Generator, per_draw: bool = False):
-    """Draws of the untruncated law of ``t``, hit-tested against its interval.
-
-    The proposals are those of the envelope of the law's log-concave root:
-    ``t.base`` itself or, when it declares a ``transform``, the transform's
-    base, whose proposals are mapped.  A proposal that passes the envelope
-    test is a draw of the law; it is accepted when it lands in the
-    interval.  The candidates are the proposals, or with ``per_draw`` the
-    draws alone (hit-or-miss counts base draws, not proposals).
-    """
-    root, fmap = t.base.transform or (t.base, None)
-    envelope, rate = _proposer(truncate(root), gen)
+def _log_proposer(t: TruncatedTarget, gen: np.random.Generator):
+    """Envelope proposals of log X mapped by ``exp``; rate 1/4.  Log X has the
+    base's ``log_scale`` density and tails at ``exp(y)``, on ]log a, log b]
+    with each finite end one ulp wider, as the two may round together; a
+    proposal is accepted where the envelope test passes and its image lies in
+    ]a, b].  None if log X's mass rounds below the limit, where ]a, b]'s is."""
+    log_pdf, mode = t.base.log_scale
+    log_x = DistributionDescriptor(
+        family_name=f"log {t.base.family_name}", params=t.base.params, kind="continuous",
+        support=(-math.inf, math.inf), log_pdf=log_pdf, mode=mode, mu=mode, sigma=math.nan,
+        log_cdf=lambda y: t.base.log_cdf(np.exp(y)), log_sf=lambda y: t.base.log_sf(np.exp(y)))
+    ya, yb = (math.nextafter(math.log(e), w) if 0.0 < e < math.inf else w
+              for e, w in ((t.interval.lower, -math.inf), (t.interval.upper, math.inf)))
+    with np.errstate(over="ignore"):  # exp(yb) past the largest double: its tail is -inf
+        target = truncate(log_x, ya, yb)
+    if target.degenerate:
+        return None
+    envelope, rate = _continuous_proposer(target, gen)
 
     def propose(work):
-        x, drawn = envelope(work)
-        if per_draw:
-            x = x[drawn]
-        if fmap is not None:
-            x = fmap(x)
-        hit = t.interval.contains(x)
-        return x, hit if per_draw else drawn & hit
+        y, accepted = envelope(work)
+        with np.errstate(over="ignore"):
+            x = np.exp(y, out=y)
+        return x, accepted & t.interval.contains(x)
 
-    return propose, rate * math.exp(t.log_mass)
+    return propose, rate
 
 
 def _proposer(t: TruncatedTarget, gen: np.random.Generator):
-    """``(propose, rate)`` for ``t``: a transform route, or the envelope of its kind."""
-    if t.base.transform is not None:
-        return _hit_proposer(t, gen)
+    """``(propose, rate)`` for ``t``: log X's envelope (or None), or the envelope of its kind."""
+    if t.base.log_scale is not None:
+        return _log_proposer(t, gen)
     return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
 
 
@@ -409,19 +412,18 @@ def _sample(t: TruncatedTarget, n, rng: RngLike, policy: ImputationPolicy, metho
             proposer, unit: str) -> SampleBatch:
     """The batch of a rejection sampler: ``n`` slots filled by ``_fill`` on
     ``proposer(t, gen)``'s ``(propose, rate)``, spending at most ``n *
-    policy.max_iterations`` candidates, named ``unit`` in the error.
-
-    A degenerate target is handed to the imputation policy whole, with no
-    proposals.
+    policy.max_iterations`` candidates, named ``unit`` in the error.  A
+    degenerate target, or a None from ``proposer``, goes to the policy whole.
     """
     _check_size(n)
-    if t.degenerate:
+    made = None if t.degenerate else proposer(t, as_generator(rng))
+    if made is None:
         error = DegenerateTargetError(
             f"log P(I) underflowed to -inf for {t.base.family_name} on "
             f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy")
         return _finish(t, np.empty(n), np.arange(n), 0, policy, method, lambda i: error)
     budget = n * policy.max_iterations
-    values, filled, proposals = _fill(n, budget, *proposer(t, as_generator(rng)))
+    values, filled, proposals = _fill(n, budget, *made)
 
     def error(i):
         return SamplingBreakdownError(
@@ -438,11 +440,9 @@ def ds_sample_batch(
 ) -> SampleBatch:
     """Draw ``n`` variates from the truncated target.
 
-    A degenerate target is handed to the imputation policy whole.
-    Otherwise the rejection rounds run on the proposer ``_proposer`` picks:
-    the envelope of the target's kind, or, when the descriptor declares a
-    ``transform`` (gamma with shape below one), proposals of its
-    log-concave base mapped and hit-tested against the interval.  At most
+    A degenerate target is handed to the imputation policy whole.  Otherwise
+    the rejection rounds run on the envelope of the target's kind or, for a
+    ``log_scale`` law, of log X mapped by ``exp`` (``_proposer``).  At most
     ``n * policy.max_iterations`` proposals are spent.
     """
     return _sample(t, n, rng, policy, "devroye", _proposer, "proposals")

@@ -13,10 +13,9 @@ New families are added with :func:`register_family`, supplying the same
 ingredients: parameter schema, log-density, log-CDF/survival, and a mode
 function.  A builder returns plain array functions (a float array in, a
 float array of its shape out); :func:`build_descriptor` alone gives them the
-package's scalar/array convention.  A family member outside the log-concave
-class declares on its descriptor how to reach it from one inside
-(``transform``): gamma with shape below one is the image of the exponential
-power distribution.
+package's scalar/array convention.  Gamma with shape below one and the
+inverse Gaussian, log-concave in log x but not in x, declare the closed-form
+log-density of log X (``log_scale``), and the sampler draws log X.
 """
 
 from __future__ import annotations
@@ -194,9 +193,8 @@ class FamilySpec:
     ``builder`` maps validated float parameters to a descriptor whose
     callables are plain array functions (a float array of at least one
     dimension in, a float array of its shape out).
-    A family whose log-concavity fails on part of its parameter space sets
-    the descriptor's ``transform`` there; the recipe itself carries no
-    sampling route.
+    A family log-concave in log x but not in x sets the descriptor's
+    ``log_scale`` there; the recipe itself carries no sampling route.
     """
 
     name: str
@@ -251,8 +249,8 @@ def build_descriptor(family: str, params: dict | None = None, **kwargs) -> Distr
 
 
 def exception_route(desc: DistributionDescriptor):
-    """``desc.transform``, the route or None; kept for ``perfbench/workloads.py``."""
-    return desc.transform
+    """None: no family samples through a hit-tested map (read by perfbench)."""
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -396,29 +394,22 @@ def _build_gamma(params):
     def quantile(q):
         return _stats().gamma.ppf(q, alpha, scale=1.0 / lam)
 
+    # log X's density, log-concave below shape one: unlike log f(e^y) + y it
+    # keeps the mass where e^y rounds to 0 or passes the largest double
+    def log_pdf_y(y):
+        with np.errstate(over="ignore"):  # -inf is the limit
+            return alpha * (y + math.log(lam)) - np.exp(y + math.log(lam)) - sc.gammaln(alpha)
+
     mode = (alpha - 1.0) / lam if alpha >= 1.0 else 0.0
-    transform = None
-    if alpha < 1.0:
-        # not log-concave: sample |Y|^(1/alpha) / lambda with Y ~ EPD(1/alpha);
-        # the power overflows only at proposals the EPD envelope rejects
-        def fmap(y):
-            with np.errstate(over="ignore"):
-                return np.abs(y) ** (1.0 / alpha) / lam
-        transform = (build_descriptor("epd", beta=1.0 / alpha), fmap)
     return DistributionDescriptor(
         family_name="gamma", params=params, kind="continuous",
         support=(0.0, math.inf), log_pdf=log_pdf, log_cdf=log_cdf, log_sf=log_sf,
         mode=mode, mu=alpha / lam, sigma=math.sqrt(alpha) / lam, quantile=quantile,
-        transform=transform,
+        log_scale=(log_pdf_y, math.log(alpha / lam)) if alpha < 1.0 else None,
     )
 
 
 def _build_invgauss(params):
-    # log-density second derivative is 3/(2x^2) - lam/x^3: concave only for
-    # x < 2*lam/3, so the rejection envelope is not a strict bound in the
-    # far tail, and nothing flags the resulting bias: invgauss(1, 0.3) on
-    # ]0.5, inf[ (n = 2e5, seed 3) gives a sample mean of 1.444 against an
-    # oracle of 2.046.  check_log_concavity shows where the law fails.
     mu, lam = params["mu"], params["lambda"]
 
     def log_pdf_inside(x):
@@ -462,10 +453,18 @@ def _build_invgauss(params):
     # form cancels at small lam / mu; hypot, as r^2 overflows before r does
     r = 1.5 * mu / lam
     mode = mu / (math.hypot(1.0, r) + r)
+
+    # log X is log-concave; sinh keeps lam/mu - lam e^y/(2mu^2) - lam e^-y/2 from cancelling
+    def log_pdf_y(y):
+        with np.errstate(over="ignore"):  # -inf is the limit
+            s = np.sinh(0.5 * (y - math.log(mu)))
+        return 0.5 * (math.log(lam) - LOG_2PI - y) - 2.0 * lam / mu * s * s
+
     return DistributionDescriptor(
         family_name="invgauss", params=params, kind="continuous",
         support=(0.0, math.inf), log_pdf=log_pdf, log_cdf=log_cdf, log_sf=log_sf,
         mode=mode, mu=mu, sigma=math.sqrt(mu**3 / lam), quantile=quantile,
+        log_scale=(log_pdf_y, math.log(2.0 * lam / (1.0 + math.hypot(1.0, 2.0 * lam / mu)))),
     )
 
 
@@ -539,7 +538,8 @@ register_family(FamilySpec(
 ))
 register_family(FamilySpec(
     name="gamma",
-    # the alpha < 1 route samples EPD(1/alpha), so 1/alpha must be finite
+    # below it scipy's gammaincc goes negative (gammaincc(1e-310, 1) =
+    # -5.8e-311), so the mass of ]1, inf[, about exp(-715.3), would read -inf
     params=(ParamSpec("alpha", lambda v: v > 0 and math.isfinite(1.0 / v),
                       "alpha > 0 with 1/alpha finite"),
             ParamSpec("lambda", lambda v: v > 0, "lambda > 0")),

@@ -178,4 +178,5 @@ def log_gamma_lower_reg(a: float, z):
     """log of the regularized lower incomplete gamma P(a, z)."""
     if a == 1.0:
         return np.where(z > 0.0, log1mexp(np.minimum(-z, 0.0)), -np.inf)
-    return _log_gamma_reg(a, z, sc.gammainc, _log_gamma_p_series, -np.inf)
+    # at tiny a scipy's gammainc rounds above 1: gammainc(1e-300, 1) = 1 + 2.4e-14
+    return np.minimum(_log_gamma_reg(a, z, sc.gammainc, _log_gamma_p_series, -np.inf), 0.0)

@@ -8,9 +8,9 @@ failed inversion surfaces as :class:`TruncationOverflow` rather than
 being silently repaired.
 
 Both samplers share the rejection sampler's machinery: hit-or-miss builds
-its batch through the rejection sampler's batch function with the hit-test
-proposer (draws of the untruncated law, kept where they land in the
-interval), and both hand their failed variates to the one imputation
+its batch through the rejection sampler's batch function, its candidates
+the rejection sampler's draws of the untruncated law, kept where they land
+in the interval; both hand their failed variates to the one imputation
 policy path.
 """
 
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# ``truncate`` is a module attribute that perfbench's tracer swaps
-from .core import TruncatedTarget, TruncationOverflow, truncate  # noqa: F401
+from .core import TruncatedTarget, TruncationOverflow, truncate
 from .devroye import (
     DEFAULT_POLICY,
     ImputationPolicy,
@@ -27,7 +26,7 @@ from .devroye import (
     SampleBatch,
     _check_size,
     _finish,
-    _hit_proposer,
+    _proposer,
     _sample,
     as_generator,
 )
@@ -79,16 +78,18 @@ def hit_or_miss_batch(
     hits, drawn = [np.empty(0, dtype=np.intp)], 0
 
     def recording(t, gen):
-        propose, rate = _hit_proposer(t, gen, per_draw=True)
+        propose, rate = _proposer(truncate(t.base), gen)
 
         def record(work):
             nonlocal drawn
-            x, hit = propose(work)
+            x, accepted = propose(work)
+            x = x[accepted]
+            hit = t.interval.contains(x)
             hits.append(drawn + np.flatnonzero(hit))
             drawn += x.size
             return x, hit
 
-        return record, rate
+        return record, rate * np.exp(t.log_mass)
 
     batch = _sample(t, n, rng, policy, "hit_or_miss", recording, "base draws")
     # every hit of a round is kept but the surplus of the last, so the kept

@@ -157,7 +157,7 @@ def test_08_memorylessness_deep():
 
 
 def test_09_gamma_below_one_route():
-    """gamma(0.5, 1) via the exponential-power transform: mean and KS."""
+    """gamma(0.5, 1) drawn as exp(Y), Y = log X log-concave: mean and KS."""
     t = truncate(build_descriptor("gamma", alpha=0.5, **{"lambda": 1.0}))
     batch = ds_sample_batch(t, 100_000, RngStream(909))
     se = math.sqrt(0.5) / math.sqrt(batch.values.size)

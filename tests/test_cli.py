@@ -56,10 +56,12 @@ class TestSample:
         assert code == 64
         assert "unknown family" in err
 
-    def test_unknown_param_usage_error(self, capsys):
-        code, _, err = run(capsys, "sample", "--dist", "poisson", "--param", "rate=2",
+    @pytest.mark.parametrize("param,why", [("rate=2", "unknown parameter(s) ['rate']"),
+                                           ("lambda", "--param expects name=value")])
+    def test_unknown_param_usage_error(self, capsys, param, why):
+        code, _, err = run(capsys, "sample", "--dist", "poisson", "--param", param,
                            "--n", "1")
-        assert code == 64
+        assert code == 64 and why in err
 
     def test_tiny_gamma_shape_usage_error(self, capsys):
         code, out, err = run(capsys, "sample", "--dist", "gamma", "--param", "alpha=1e-310",
@@ -203,6 +205,15 @@ class TestScan:
         lam_values = [float(row["lambda"]) for row in rows]
         assert lam_values == sorted(lam_values)
 
+    def test_logit_grid(self, capsys):
+        # evenly spaced in logit(p): logit(0.1) = -logit(0.9), so the middle is 1/2
+        code, out, err = run(capsys, "scan", "--dist", "binomial", "--param", "n=20",
+                             "--grid", "p=0.1:0.9:3:logit", "--probe", "0:3:1",
+                             "--method", "devroye", "--n-probe", "20", "--seed", "1")
+        assert code == 0, err
+        p = [float(row["p"]) for row in csv.DictReader(io.StringIO(out))]
+        assert p == pytest.approx([0.1, 0.5, 0.9], rel=1e-15)
+
     def test_out_file_and_json(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(capsys, "scan", "--dist", "normal",
@@ -235,6 +246,7 @@ class TestScan:
         (["--grid", "lambda=2:20:x:log"], "--grid"),
         (["--grid", "lambda=2:20:0:log"], "--grid"),
         (["--grid", "lambda=2:20:-1:log"], "--grid"),
+        (["--grid", "lambda=2:20:3"], "--grid"),
     ])
     def test_malformed_numeric_field_usage_error(self, capsys, argv, flag):
         code, out, err = run(capsys, "scan", "--dist", "poisson", "--param", "lambda=2",
@@ -249,6 +261,7 @@ class TestScan:
         (["--dist", "poisson", "--grid", "lambda=2:20:3:log",
           "--grid", "lambda=1:2:2:linear", "--probe", "0:3:1"], "--grid"),
         (["--dist", "normal", "--probe", "5:1:1"], "--probe"),
+        (["--dist", "poisson", "--grid", "lambda=2:20:3:cubic", "--probe", "0:3:1"], "--grid"),
     ])
     def test_out_of_domain_usage_error(self, capsys, argv, flag):
         code, out, err = run(capsys, "scan", "--n-probe", "20", *argv)
@@ -358,6 +371,12 @@ class TestValidate:
         assert code == 64 and out == ""
         assert f"argument --lower: expected a finite number, got '{lower}'" in err
 
+    def test_memoryless_needs_the_geometric_family(self, capsys):
+        code, out, err = run(capsys, "validate", "memoryless", "--dist", "poisson",
+                             "--param", "lambda=2", "--lower", "3", "--n", "50")
+        assert code == 64 and out == ""
+        assert "memoryless test is defined for the geometric family" in err
+
     def test_huge_memoryless_lower_prints_as_given(self, capsys):
         # a finite lower bound past the sampler's reach fails at run time,
         # naming the bound as parsed, not as a 301-digit integer
@@ -376,9 +395,10 @@ class TestValidate:
         assert code == 64 and out == ""
         assert "--lower-grid step must be > 0" in err
 
-    def test_malformed_lower_grid_usage_error(self, capsys):
+    @pytest.mark.parametrize("grid", ["0:b:1", "0:2"])
+    def test_malformed_lower_grid_usage_error(self, capsys, grid):
         code, out, err = run(capsys, "validate", "ztest", "--dist", "normal",
-                             "--lower-grid", "0:b:1", "--n", "100")
+                             "--lower-grid", grid, "--n", "100")
         assert code == 64 and out == ""
         assert "usage error: --lower-grid" in err
 

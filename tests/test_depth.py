@@ -7,12 +7,11 @@ within a wall-time budget.  The log mass at that depth must match an
 mpmath oracle, and the auto schedule, whose deepest probe is ``Z_MAX``
 sigmas, must reach the same depth or say that it is censored.
 
-gamma with shape 0.5 is left out: it is not log-concave, and its sampler
-breaks down near log P(I) = -8.  invgauss's depth is checked here, but not
-the exactness of its variates.
+gamma with shape 0.5 and invgauss are not log-concave in x, but are in
+log x, and are sampled there.
 
 Every member's variates are also tested against the truncated law where
-log P(I) ~ -700; there gamma(0.5) is an expected failure.
+log P(I) ~ -700.
 """
 
 import math
@@ -38,7 +37,6 @@ from trunclc.diagnostics import REFINE_TOL
 
 from test_families import CONTRACT_CASES
 
-DEPTH_CASES = [c for c in CONTRACT_CASES if c != ("gamma", {"alpha": 0.5})]
 LIMIT = -740.0   # log P(I) at the breakdown depth must lie at or below this
 BUDGET_S = 10.0  # per scan; each takes 0.01-0.06 s, a fallback at its cap far more
 
@@ -94,7 +92,8 @@ def _scan(family, params, schedule):
     return report.rows[0], elapsed, raised
 
 
-@pytest.fixture(scope="module", params=DEPTH_CASES, ids=[f"{f}{p}" for f, p in DEPTH_CASES])
+@pytest.fixture(scope="module", params=CONTRACT_CASES,
+                ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
 def geometric(request):
     family, params = request.param
     desc = build_descriptor(family, params)
@@ -155,23 +154,14 @@ def _deep_lower_end(desc, log_p=-700.0) -> float:
     return min(math.floor(lo), desc.support[1] - 2.0)
 
 
-# gamma α<1 samples through its EPD transform, which hits ]a, inf[ at a rate
-# of P(I)/4 and so imputes at this depth
-EPD_ROUTE = pytest.mark.xfail(strict=True, reason="the EPD route imputes (ROADMAP item 8)")
-EXACT_CASES = [pytest.param(f, p, marks=EPD_ROUTE) if (f, p) == ("gamma", {"alpha": 0.5})
-               else (f, p) for f, p in CONTRACT_CASES]
-
-
-@pytest.mark.parametrize("family,params", EXACT_CASES, ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
+@pytest.mark.parametrize("family,params", CONTRACT_CASES,
+                         ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
 def test_sampler_is_exact_at_depth(family, params):
     """2e4 variates where log P(I) ~ -700 follow the truncated law: a KS test
-    against ``TruncatedTarget.cdf``, or a chi-square test on its log-pmf.
-
-    invgauss(1, 2) passes: at this depth its log-density is convex by only
-    about 3e-6, too little for this test to see the bias of the envelope."""
+    against ``TruncatedTarget.cdf``, or a chi-square test on its log-pmf."""
     desc = build_descriptor(family, params)
     t = truncate(desc, lower=_deep_lower_end(desc))
-    b = ds_sample_batch(t, 200 if desc.transform else 20_000, RngStream(5))
+    b = ds_sample_batch(t, 20_000, RngStream(5))
     assert b.is_clean(t)
     if desc.is_discrete:
         support = np.arange(t.support[0], b.values.max() + 1.0)

@@ -20,6 +20,8 @@ from trunclc import (
     its_sample_batch,
     scan_safety,
     truncate,
+    truncated_mean_oracle,
+    z_test_mean,
 )
 from trunclc.core import DistributionDescriptor
 from trunclc.devroye import MAX_ROUND
@@ -156,8 +158,6 @@ class TestExactness:
         assert res.pvalue > 0.001
 
     def test_invgauss_moderate_window(self):
-        # the far tail is log-convex (see families tests); at this depth and
-        # n the envelope leak is far below the test's resolution
         d = build_descriptor("invgauss", mu=1, **{"lambda": 1})
         t = truncate(d, lower=0.3, upper=2.0)
         b = ds_sample_batch(t, 20_000, RngStream(16))
@@ -248,7 +248,7 @@ class TestDensityReads:
     @pytest.mark.parametrize("family,params,lower,upper", [
         ("gamma", {"alpha": 2.0}, 5.0, math.inf),
         ("gamma", {"alpha": 2.0}, -1.0, 0.3),
-        ("invgauss", {"mu": 1.0, "lambda": 1.0}, 0.3, 2.0),
+        ("epd", {"beta": 1.5}, 0.3, 2.0),
     ])
     def test_continuous_reads_stay_in_the_truncated_support(self, family, params, lower, upper):
         desc = build_descriptor(family, params)
@@ -260,6 +260,28 @@ class TestDensityReads:
         points = np.concatenate(calls)
         assert points.min() >= lo and points.max() <= hi
         want = ds_sample_batch(truncate(desc, lower, upper), 20_000, RngStream(22))
+        assert np.array_equal(b.values, want.values)
+
+    def test_a_log_scale_law_reads_only_the_log_x_density(self):
+        # invgauss draws log X: the x-scale density is never read, and the
+        # log-X density only on ]log a, log b], each end one ulp wider
+        desc = build_descriptor("invgauss", mu=1.0, **{"lambda": 1.0})
+        x_calls, y_calls = [], []
+        log_pdf, mode = desc.log_scale
+
+        def log_pdf_y(y):
+            y_calls.append(y.copy())
+            return log_pdf(y)
+
+        recorded = dataclasses.replace(self.recorded(desc, x_calls), log_scale=(log_pdf_y, mode))
+        t = truncate(recorded, 0.3, 2.0)
+        x_calls.clear()
+        b = ds_sample_batch(t, 20_000, RngStream(22))
+        assert x_calls == []
+        points = np.concatenate(y_calls)
+        assert points.min() >= math.nextafter(math.log(0.3), -math.inf)
+        assert points.max() <= math.nextafter(math.log(2.0), math.inf)
+        want = ds_sample_batch(truncate(desc, 0.3, 2.0), 20_000, RngStream(22))
         assert np.array_equal(b.values, want.values)
 
 
@@ -359,7 +381,9 @@ class TestBatchSize:
             assert out.values.size == 3
 
 
-class TestGammaExceptionRoute:
+class TestLogScaleRoute:
+    """gamma with shape below one and the inverse Gaussian draw log X."""
+
     def test_alpha_below_one_untruncated(self):
         d = build_descriptor("gamma", alpha=0.5, **{"lambda": 1.0})
         t = truncate(d)
@@ -381,7 +405,7 @@ class TestGammaExceptionRoute:
         assert res.pvalue > 0.001
 
     def test_route_comes_from_the_descriptor(self):
-        # the transform travels with the descriptor, whatever its family name
+        # log_scale travels with the descriptor, whatever its family name
         d = build_descriptor("gamma", alpha=0.5)
         renamed = dataclasses.replace(d, family_name="gamma_half")
         a = ds_sample_batch(truncate(d, lower=0.3), 2_000, RngStream(43))
@@ -391,9 +415,9 @@ class TestGammaExceptionRoute:
         assert not b.imputed.any()
 
     def test_values_that_underflow_onto_the_support_end_are_not_clean(self):
-        # gamma(1e-3) has P(X < 5e-324) = 0.475: about half its draws, mapped
-        # through |Y|^1000, round to 0.0, an end the law puts no mass on.  The
-        # map overflows at proposals the envelope rejects, and must not warn.
+        # gamma(1e-3) has P(X < 5e-324) = 0.475: about half its draws of
+        # log X map to 0.0 under exp, an end the law puts no mass on.  exp
+        # overflows at proposals the envelope rejects, and must not warn.
         t = truncate(build_descriptor("gamma", alpha=1e-3))
         b = ds_sample_batch(t, 20_000, RngStream(1))
         assert not b.imputed.any() and 0.45 < np.mean(b.values == 0.0) < 0.5
@@ -403,12 +427,69 @@ class TestGammaExceptionRoute:
         with pytest.raises(TruncationOverflow):
             its_sample_batch(t, 20_000, RngStream(1), ImputationPolicy("error"))
 
-    def test_extreme_truncation_imputes(self):
-        # hit-or-miss against a far interval exhausts the trial budget
-        d = build_descriptor("gamma", alpha=0.5, **{"lambda": 1.0})
-        t = truncate(d, lower=40.0)
-        b = ds_sample_batch(t, 50, RngStream(42), ImputationPolicy(max_iterations=50))
-        assert b.imputed.all()
+    def test_values_past_the_largest_double_are_not_clean(self):
+        # gamma(0.5, 1e-308) has P(X > 1.8e308) = Q(0.5, 1.8) = 0.058: those
+        # draws of log X map to inf; a density read as lam e^y would drop them
+        t = truncate(build_descriptor("gamma", alpha=0.5, **{"lambda": 1e-308}))
+        b = ds_sample_batch(t, 20_000, RngStream(2))
+        assert not b.imputed.any() and 0.045 < np.mean(np.isinf(b.values)) < 0.07
+        assert not b.is_clean(t)
+
+    @pytest.mark.parametrize("lower", [40.0, 50.0, 700.0])
+    def test_extreme_truncation_is_clean(self, lower):
+        # log P(I) from -42.8 to -703.8; a hit-tested route imputed here
+        t = truncate(build_descriptor("gamma", alpha=0.5), lower=lower)
+        b = ds_sample_batch(t, 20_000, RngStream(42))
+        assert b.is_clean(t)
+        assert st.kstest(b.values, t.cdf).pvalue > 0.001
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-300])
+    def test_tiny_shapes_are_clean_above_a_half(self, alpha):
+        # log P(I) = -7.5 and -691.4: mass a hit test never reaches
+        t = truncate(build_descriptor("gamma", alpha=alpha), lower=0.5)
+        b = ds_sample_batch(t, 20_000, RngStream(44))
+        assert b.is_clean(t)
+        assert abs(b.acceptance_rate - 0.25) < 6.0 * math.sqrt(0.25 * 0.75 / b.proposals)
+
+    def test_log_ends_that_round_together(self):
+        # ]100, nextafter(100)] has log a == log b; the log ends are moved
+        # out by one ulp, and no exp(y) lands on nextafter(100), so every
+        # slot goes to the policy after the batch's budget
+        t = truncate(build_descriptor("gamma", alpha=0.5), 100.0, math.nextafter(100.0, math.inf))
+        assert math.log(t.interval.lower) == math.log(t.interval.upper)
+        b = ds_sample_batch(t, 5, RngStream(45), ImputationPolicy(max_iterations=20))
+        assert b.imputed.all() and b.proposals == 100
+
+    def test_log_x_mass_below_the_limit_goes_to_the_policy(self):
+        # ]a, inf['s mass sits at the limit, and the tails' last digits put
+        # log X's below it (as invgauss(1, 0.3)'s do near a = 4887): here the
+        # tails read the limit at a = 700 alone, not at exp(log 700 - ulp)
+        d = dataclasses.replace(build_descriptor("gamma", alpha=0.5),
+                                log_cdf=lambda x: np.zeros(x.shape),
+                                log_sf=lambda x: np.where(x == 700.0, -745.0, -800.0))
+        t = truncate(d, lower=700.0)
+        assert not t.degenerate
+        b = ds_sample_batch(t, 3, RngStream(46))
+        assert b.imputed.all() and b.proposals == 0
+        with pytest.raises(DegenerateTargetError):
+            ds_sample_batch(t, 3, RngStream(46), ImputationPolicy("error"))
+
+    def test_invgauss_far_tail_is_exact(self):
+        # log-convex in x beyond 2 lambda / 3 = 0.2, log-concave in log x:
+        # the x-scale envelope gave a mean of 1.444 here
+        d = build_descriptor("invgauss", mu=1.0, **{"lambda": 0.3})
+        t = truncate(d, lower=0.5)
+        b = ds_sample_batch(t, 200_000, RngStream(3))
+        assert b.is_clean(t)
+        assert z_test_mean(b, truncated_mean_oracle(d, 0.5), threshold=5.0).passed
+        assert abs(b.acceptance_rate - 0.25) <= 6.0 * math.sqrt(0.25 * 0.75 / b.proposals)
+        b = ds_sample_batch(t, 20_000, RngStream(7))
+        assert st.kstest(b.values, t.cdf).pvalue > 0.001
+
+    def test_geometric_scan_reaches_the_limit_without_violations(self):
+        report = scan_safety("gamma", [{"alpha": 0.5}], "geometric", n_probe=200, seed=1)
+        assert report.endpoint_violations() == []
+        assert report.rows[0].a_bar_prime > 700.0
 
 
 class TestRounds:
@@ -481,10 +562,10 @@ class TestRounds:
         assert b.imputed[-b.n_imputed:].all() and not b.imputed[:b.accepts].any()
 
     def test_rate_underflow_spends_the_budget(self):
-        # P(I) ~ 1e-323, so the transform route's rate P(I)/4 rounds to 0
-        t = truncate(build_descriptor("gamma", alpha=0.5), lower=740.5)
-        assert not t.degenerate
-        b = ds_sample_batch(t, 3, RngStream(85), ImputationPolicy(max_iterations=5))
+        # log P(I) = -744.5, so hit-or-miss's rate P(I)/4 rounds to 0
+        t = truncate(build_descriptor("normal"), lower=38.47)
+        assert not t.degenerate and 0.25 * math.exp(t.log_mass) == 0.0
+        b = hit_or_miss_batch(t, 3, RngStream(85), ImputationPolicy(max_iterations=5))
         assert b.imputed.all() and b.proposals == 15
 
     def test_proposals_stop_at_the_last_kept_acceptance(self):

@@ -85,10 +85,10 @@ class TestParameterValidation:
             build_descriptor("geometric", p=1.5)
 
     def test_gamma_shape_whose_reciprocal_overflows(self):
-        # the alpha < 1 route samples EPD(1/alpha); 1/1e-310 is inf
+        # 1/1e-310 is inf; below there scipy's gammaincc goes negative
         with pytest.raises(ParameterError, match=r"gamma: parameter alpha=1e-310"):
             build_descriptor("gamma", alpha=1e-310)
-        assert build_descriptor("gamma", alpha=1e-300).transform is not None
+        assert build_descriptor("gamma", alpha=1e-300).log_scale is not None
 
     def test_missing_and_extra(self):
         with pytest.raises(ParameterError, match="missing"):
@@ -346,11 +346,6 @@ def _epd_log_pdf(x, beta):
     return build_descriptor("epd", beta=beta).log_pdf(x)
 
 
-def _to_gamma(alpha):
-    """The gamma(alpha) transform map, |y|^(1/alpha) at rate 1."""
-    return build_descriptor("gamma", alpha=alpha).transform[1]
-
-
 class TestExponentialPower:
     def test_log_pdf_values(self):
         assert _epd_log_pdf(0.0, 1.0) == pytest.approx(math.log(0.5), abs=1e-14)
@@ -361,20 +356,6 @@ class TestExponentialPower:
     def test_beta_below_one_rejected(self):
         with pytest.raises(ParameterError):
             _epd_log_pdf(0.0, 0.5)
-
-    def test_to_gamma_mapping(self):
-        assert _to_gamma(0.5)(-1.5) == 2.25
-        assert _to_gamma(1.0 / 3.0)(0.0) == 0.0
-
-    def test_epd2_stream_maps_to_gamma_half(self):
-        # EPD(2) is normal with variance 1/2; |X|^2 is chi^2_1 / 2, i.e.
-        # gamma(1/2, 1) with mean 1/2
-        target = truncate(build_descriptor("epd", beta=2.0))
-        batch = ds_sample_batch(target, 100_000, rng=31)
-        mapped = _to_gamma(0.5)(batch.values)
-        # SE of the mean of gamma(0.5, 1) is sqrt(0.5)/sqrt(n)
-        se = math.sqrt(0.5) / math.sqrt(mapped.size)
-        assert abs(mapped.mean() - 0.5) < 4.0 * se
 
     @pytest.mark.parametrize("beta", [1.5, 3.0])
     @pytest.mark.parametrize("q", [1e-3, 1e-16, 1e-17, 1e-100])
@@ -452,7 +433,7 @@ class TestRegistrationApi:
 
 
 # a member of each registered family: the family's defaults, completed here
-# where it has none; extra cases reach the gamma closed forms and EPD route
+# where it has none; extra cases reach the gamma closed forms and log scale
 MEMBERS = {
     "poisson": {"lambda": 5.0},
     "binomial": {"n": 40.0, "p": 0.3},
@@ -487,17 +468,53 @@ def _assert_convention(fn, xs):
             assert _bits(got) == _bits(want), (fn, arg, got, want)
 
 
-class TestTransformRoute:
+# laws that declare a log scale, over their parameter range
+LOG_SCALE_CASES = [("gamma", {"alpha": a, "lambda": lam})
+                   for a, lam in ((0.5, 1.0), (0.5, 3.0), (1e-3, 1.0), (0.99, 0.2))] + [
+    ("invgauss", {"mu": mu, "lambda": lam})
+    for mu, lam in ((1.0, 0.3), (1.0, 2.0), (1.0, 1e3), (1e3, 1.0), (0.01, 50.0))]
+
+
+class TestLogScale:
     @pytest.mark.parametrize("family,params", CONTRACT_CASES,
                              ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
-    def test_only_gamma_below_one_declares_a_route(self, family, params):
+    def test_which_laws_declare_a_log_scale(self, family, params):
         d = build_descriptor(family, params)
-        below_one = family == "gamma" and d.params["alpha"] < 1.0
-        assert (exception_route(d) is not None) == below_one
-        if below_one:
-            base, fmap = exception_route(d)
-            assert base.family_name == "epd" and base.params == {"beta": 2.0}
-            assert fmap(np.array([-1.5, 0.5])).tolist() == [2.25, 0.25]
+        declares = family == "invgauss" or (family == "gamma" and d.params["alpha"] < 1.0)
+        assert (d.log_scale is not None) == declares
+        assert exception_route(d) is None
+
+    @pytest.mark.parametrize("family,params", LOG_SCALE_CASES,
+                             ids=[f"{f}{p}" for f, p in LOG_SCALE_CASES])
+    def test_closed_form_is_the_log_x_density(self, family, params):
+        # log f(e^y) + y, read where neither form loses digits
+        d = build_descriptor(family, params)
+        log_pdf_y, mode = d.log_scale
+        y = mode + np.linspace(-3.0, 3.0, 61)
+        assert np.allclose(log_pdf_y(y), d.log_pdf(np.exp(y)) + y, rtol=1e-12, atol=1e-12)
+        # the mode is the maximum
+        assert (log_pdf_y(y) <= log_pdf_y(np.array([mode]))).all()
+
+    @pytest.mark.parametrize("family,params", LOG_SCALE_CASES,
+                             ids=[f"{f}{p}" for f, p in LOG_SCALE_CASES])
+    def test_log_x_law_is_log_concave(self, family, params):
+        log_pdf_y, mode = build_descriptor(family, params).log_scale
+        log_x = DistributionDescriptor(
+            family_name="log x", params={}, kind="continuous", support=(-math.inf, math.inf),
+            log_pdf=log_pdf_y, log_cdf=None, log_sf=None, mode=mode, mu=mode, sigma=1.0)
+        ok, violation = check_log_concavity(log_x, (mode - 40.0, mode + 6.0), n_probes=2_000)
+        assert ok, violation
+
+    def test_invgauss_density_does_not_cancel(self):
+        # at lambda/mu = 1e12 the expanded form sums terms of about 1e12 to
+        # about 12, losing 11 digits; mpmath gives the value
+        mu, lam = 1.0, 1e12
+        log_pdf_y, mode = build_descriptor("invgauss", mu=mu, **{"lambda": lam}).log_scale
+        y = mode + 1e-6
+        with mp.workdps(60):
+            e = mp.exp(mp.mpf(y))
+            want = (mp.log(lam) - mp.log(2 * mp.pi) - y) / 2 - lam * (e / mu - 1) ** 2 / (2 * e)
+        assert log_pdf_y(np.array([y]))[0] == pytest.approx(float(want), rel=1e-12)
 
 
 class TestScalarArrayContract:

@@ -105,7 +105,7 @@ GOLDEN = {
     "degenerate_inf": (2, "12a507a93c14fb6aab3d79f04fd1144a4cf4614bc619ca7b4b131faacf9bbcc1"),
     "degenerate_mode": (2, "5020c20d1d1dd4d7dc5935b5dd23bf47373584ed424cabec71a1c974c1aa482b"),
     "gamma_2": (0, "dda5d3547e298981cc810054e87e9684187c4bfda1f8114e04c30405b3d0f07f"),
-    "gamma_half_epd": (0, "5519f04ed90f2ac51c165da177095e83443d22a545979cf68f16f0260c9bc6fd"),
+    "gamma_half_epd": (0, "f9bea26eed9ffefc52cb80a49eeed28604f60cd438a38db72072cf27cdece82c"),
     "geometric": (0, "17766513e0eeaa40db92cb2922b0b37f6f727c9da276e0d97814d5d936008004"),
     "hitormiss": (0, "9be06eb45090c20df276f00a694a03b412ed7209997a8ecf1bf0ab635ef0e8d4"),
     "hitormiss_poisson": (0, "91241a74f3aa79f0866c05997043a20d87ee05a42718807bb5a35db82948623c"),
@@ -127,7 +127,7 @@ GOLDEN = {
     "devroye_binomial_20000": "56e640701872b4a0753de93e8a5f9684b60bbdfa1bb6a97ae28208070cc2ee68",
     "devroye_cap_continuous": "a049a763d3562d8dc152c5e8e336ae03094faa062fcbb23ef0cf555edb41bf16",
     "devroye_cap_discrete": "46c9fae52688b74bbc8befd35fc6e71c9cedb5ac0f2981de8d4a084c9faf8816",
-    "devroye_cap_epd": "d1d5d3bf2d5dae9ae988ef14a0797be58c86cb6fb37ff76aded27ce6f0f0d60d",
+    "devroye_cap_epd": "0e1ddcd9a7dcc5755e849c0a86bfe9f218d9a2bef516ec56c6e6f0c31c379f2b",
     "devroye_geometric_20000": "1ee91b8c8f49f5d9a6ec68e30963714bad1d6dd8545ac5cfd7b6d2ef926eb4d1",
     "devroye_nbinom_20000": "3e06e84376cda297ba14c24a87334de8995e836ba8114bd9f6ef15121aa636d0",
     "devroye_poisson_20000": "dc10c50a09e87ad3b226d777df854fc33a26d9f3d2c214614efbb0933a416d49",
@@ -210,7 +210,7 @@ def batch_digest(name) -> str:
 
 
 # one member per builder branch: both regimes of the poisson tails, both
-# binomial sizes of the scans, gamma's closed form, series and transform
+# binomial sizes of the scans, gamma's closed form, series and log scale
 FAMILY_MEMBERS = {
     "normal": ("normal", {}),
     "poisson_0.5": ("poisson", {"lambda": 0.5}),

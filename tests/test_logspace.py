@@ -83,6 +83,12 @@ class TestLogGammaRegularized:
         want = float(mp.log(mp.gammainc(mp.mpf(a), 0, mp.mpf(z), regularized=True)))
         assert log_gamma_lower_reg(a, z) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("a,z", [(1e-15, 0.5), (1e-300, 1.0)])
+    def test_lower_is_never_positive_at_tiny_shapes(self, a, z):
+        # scipy's gammainc rounds above 1 here; log P(a, z) is within 1e-13 of 0
+        assert -1e-13 < log_gamma_lower_reg(a, z) <= 0.0
+        assert build_descriptor("gamma", alpha=a).log_cdf(z) <= 0.0
+
     def test_exponential_special_case(self):
         assert log_gamma_upper_reg(1.0, 745.0) == -745.0
         assert log_gamma_upper_reg(1.0, 3.25) == -3.25

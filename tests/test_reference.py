@@ -132,11 +132,11 @@ class TestHitOrMiss:
         b = hit_or_miss_batch(t, 1, RngStream(14))
         assert b.values[0] > 0.0 and b.trials.shape == (1,) and b.trials[0] >= 1
 
-    def test_gamma_below_one_draws_through_its_transform(self):
-        # gamma(0.5) is not log-concave: its base draws must take the EPD
-        # route, not the envelope (whose peak is -inf at the pole, so every
-        # proposal would be rejected and every variate imputed).  A variate
-        # misses all 20 trials with probability (1 - P(X > 1))^20 ~ 0.033.
+    def test_gamma_below_one_draws_through_its_log_scale(self):
+        # gamma(0.5) is not log-concave: its base draws must be those of log
+        # X, not of the x-scale envelope (whose peak is -inf at the pole, so
+        # every proposal would be rejected and every variate imputed).  A
+        # variate misses all 20 trials with probability (1 - P(X > 1))^20 ~ 0.033.
         t = truncate(build_descriptor("gamma", alpha=0.5), lower=1.0)
         b = hit_or_miss_batch(t, 20, RngStream(16),
                               policy=ImputationPolicy("impute_mode", max_iterations=20))
