@@ -55,8 +55,8 @@ CASES = {
     "normal_1": ["sample", "--dist", "normal", "--lower", "1", *N],
     "normal_30_csv": ["sample", "--dist", "normal", "--lower", "30", "--format", "csv", *N],
     "gamma_2": ["sample", "--dist", "gamma", "--param", "alpha=2", "--lower", "5", *N],
-    "gamma_half_epd": ["sample", "--dist", "gamma", "--param", "alpha=0.5",
-                       "--lower", "0.2", "--upper", "3", "--format", "json", *N],
+    "gamma_half_log_scale": ["sample", "--dist", "gamma", "--param", "alpha=0.5",
+                             "--lower", "0.2", "--upper", "3", "--format", "json", *N],
     "poisson": ["sample", "--dist", "poisson", "--param", "lambda=5", "--lower", "9", *N],
     "binomial": ["sample", "--dist", "binomial", "--param", "n=60", "--param", "p=0.3",
                  "--lower", "25", "--format", "csv", *N],
@@ -105,7 +105,7 @@ GOLDEN = {
     "degenerate_inf": (2, "12a507a93c14fb6aab3d79f04fd1144a4cf4614bc619ca7b4b131faacf9bbcc1"),
     "degenerate_mode": (2, "5020c20d1d1dd4d7dc5935b5dd23bf47373584ed424cabec71a1c974c1aa482b"),
     "gamma_2": (0, "dda5d3547e298981cc810054e87e9684187c4bfda1f8114e04c30405b3d0f07f"),
-    "gamma_half_epd": (0, "f9bea26eed9ffefc52cb80a49eeed28604f60cd438a38db72072cf27cdece82c"),
+    "gamma_half_log_scale": (0, "f9bea26eed9ffefc52cb80a49eeed28604f60cd438a38db72072cf27cdece82c"),
     "geometric": (0, "17766513e0eeaa40db92cb2922b0b37f6f727c9da276e0d97814d5d936008004"),
     "hitormiss": (0, "9be06eb45090c20df276f00a694a03b412ed7209997a8ecf1bf0ab635ef0e8d4"),
     "hitormiss_poisson": (0, "91241a74f3aa79f0866c05997043a20d87ee05a42718807bb5a35db82948623c"),
@@ -127,11 +127,15 @@ GOLDEN = {
     "devroye_binomial_20000": "56e640701872b4a0753de93e8a5f9684b60bbdfa1bb6a97ae28208070cc2ee68",
     "devroye_cap_continuous": "a049a763d3562d8dc152c5e8e336ae03094faa062fcbb23ef0cf555edb41bf16",
     "devroye_cap_discrete": "46c9fae52688b74bbc8befd35fc6e71c9cedb5ac0f2981de8d4a084c9faf8816",
-    "devroye_cap_epd": "0e1ddcd9a7dcc5755e849c0a86bfe9f218d9a2bef516ec56c6e6f0c31c379f2b",
+    "devroye_cap_log_scale": "0e1ddcd9a7dcc5755e849c0a86bfe9f218d9a2bef516ec56c6e6f0c31c379f2b",
+    "devroye_gamma_tiny_shape": "377a0326120a1de24d19d267e6c0a84a63001b0706dcffedecd60b4c994da821",
     "devroye_geometric_20000": "1ee91b8c8f49f5d9a6ec68e30963714bad1d6dd8545ac5cfd7b6d2ef926eb4d1",
+    "devroye_invgauss_20000": "e9a8185a8adbd873b216e19af9489bb271291e8f058aaaad2adc554808add4c0",
     "devroye_nbinom_20000": "3e06e84376cda297ba14c24a87334de8995e836ba8114bd9f6ef15121aa636d0",
     "devroye_poisson_20000": "dc10c50a09e87ad3b226d777df854fc33a26d9f3d2c214614efbb0933a416d49",
     "hit_or_miss_cap": "b16d127888d3390596c889760b763268509cc3d4f169aaa69f95abd91e193626",
+    "hit_or_miss_gamma_half": "77c729f70617a60b38f4bb741753f32941c6ac946f58a4b291b440783f05ee51",
+    "hit_or_miss_invgauss": "c2315bece0351981cea978f0448003f7f29ac912b93dcb253599c73b39d63d39",
     "hit_or_miss_trials": "61f8810356b649c597d044850d974da6ccdb806e071ba3bf26d3c1cc4f9488ca",
 }
 
@@ -184,8 +188,18 @@ BATCH_CASES = {
         _target("normal", 2, mu=0, sigma=1), 300, RngStream(14), CAP),
     "devroye_cap_discrete": lambda: ds_sample_batch(
         _target("binomial", 30, n=60, p=0.3), 300, RngStream(15), CAP),
-    "devroye_cap_epd": lambda: ds_sample_batch(
+    "devroye_cap_log_scale": lambda: ds_sample_batch(
         _target("gamma", 2, alpha=0.5), 300, RngStream(16), CAP),
+    # the log-X route: a law log-convex in x past its mode, one whose
+    # draws underflow onto the support's end, and hit-or-miss on both laws
+    "devroye_invgauss_20000": lambda: ds_sample_batch(
+        _target("invgauss", 0.5, mu=1, **{"lambda": 0.3}), 20_000, RngStream(21)),
+    "devroye_gamma_tiny_shape": lambda: ds_sample_batch(
+        truncate(build_descriptor("gamma", alpha=1e-3)), 2_000, RngStream(22)),
+    "hit_or_miss_gamma_half": lambda: hit_or_miss_batch(
+        truncate(build_descriptor("gamma", alpha=0.5), 0.5, 3.0), 300, RngStream(23)),
+    "hit_or_miss_invgauss": lambda: hit_or_miss_batch(
+        _target("invgauss", 2, mu=1, **{"lambda": 0.3}), 300, RngStream(24)),
     # discrete batches large enough that both kinds of round occur: early
     # rounds whose proposals span fewer lattice points than there are
     # proposals, and later, smaller rounds whose proposals span more
