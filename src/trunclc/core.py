@@ -71,7 +71,9 @@ class DistributionDescriptor:
 
     ``log_scale``, when set, is ``(log_pdf, mode)``: log X's closed-form
     log-density (an array function) and mode, declared by a law on (0, inf)
-    log-concave in log x but not in x; the sampler then draws exp(log X).
+    log-concave in log x but not in x; the sampler then draws exp(log X),
+    normalising log X's density by the target's P(I), which is log X's mass
+    on ]log a, log b].
     """
 
     family_name: str

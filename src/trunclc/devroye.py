@@ -27,10 +27,14 @@ The samplers differ only in the proposer they hand the driver, and
 ``_proposer`` is the one place that picks it from the target: the envelope
 proposer of the target's kind, or, for a descriptor that declares a
 ``log_scale``, ``_log_proposer`` (envelope proposals of log X on ]log a,
-log b], mapped by ``exp``).  Hit-or-miss keeps the draws of ``_proposer``
-on the untruncated law that land in the interval.  Slots left open, and
-every slot of a target whose interval mass underflowed (``log_mass ==
--inf``, a degenerate target), go to the one policy helper, ``_finish``:
+log b], mapped by ``exp``).  Both continuous routes run
+``_continuous_proposer`` on a density, the target's own log P(I), a mode,
+a peak and the ends of a support: log X needs no target of its own, as its
+mass on ]log a, log b] is the target's.  Hit-or-miss keeps the draws of
+``_proposer`` on the untruncated law that land in the interval.  Slots left
+open, and every slot of a target whose interval mass underflowed
+(``log_mass == -inf``, a degenerate target, the one target refused before
+the rounds), go to the one policy helper, ``_finish``:
 depending on the :class:`ImputationPolicy` it substitutes the projected
 mode flagged as imputed, raises, or imputes ``+inf`` (provided only to
 mirror the behavior of quantile-based packages; it is not a sound choice
@@ -44,10 +48,10 @@ rounds have not reached, and indexes the table.  The table never holds more
 than ``MAX_ROUND`` points, and a round adds no more points than it has
 proposals; a round that would break either bound evaluates the log-pmf once
 per proposal.  Either way the values are those of
-``TruncatedTarget.log_pdf`` bit for bit.  A continuous round reads the base
-density at its proposals clamped into the truncated support and rejects
-the proposals the clamp moved, so it neither reads a density outside the
-support nor masks one.
+``TruncatedTarget.log_pdf`` bit for bit.  A continuous round reads its
+density (the base's, or log X's) at its proposals clamped into the
+truncated support and rejects the proposals the clamp moved, so it neither
+reads a density outside the support nor masks one.
 """
 
 from __future__ import annotations
@@ -61,12 +65,12 @@ import numpy as np
 
 from .core import (
     DegenerateTargetError,
-    DistributionDescriptor,
     SamplingBreakdownError,
     TruncatedTarget,
     clean_mask,
-    truncate,
 )
+# unused here: ``truncate`` is a module attribute that perfbench's tracer swaps
+from .core import truncate  # noqa: F401
 
 DEFAULT_MAX_ITERATIONS = 10_000
 # Largest round, in proposals.  A round's arrays take a few dozen bytes per
@@ -222,8 +226,10 @@ def _fill(n: int, budget: int, propose, rate: float):
     return values, filled, proposals
 
 
-def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
-    """Envelope proposals and their log-space accept test; rate 1/4.
+def _continuous_proposer(log_pdf, log_mass: float, m: float, log_peak: float,
+                         lo: float, hi: float, gen: np.random.Generator):
+    """Envelope proposals about the mode ``m`` of the truncated density
+    ``exp(log_pdf - log_mass)`` and their log-space accept test; rate 1/4.
 
     One uniform ``v`` on [-2, 2) gives the side of the mode (its sign) and
     the envelope component (``|v|``, uniform on [0, 2]); a second
@@ -231,23 +237,18 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
     exponential tails.
 
     A proposal ``x`` is accepted when ``-(E + e*) <= log f_I(x) - log
-    f_I(m)``, tested as ``E + e* >= log f_I(m) - (log f(x) - log P(I))``;
-    negation is exact, so the decisions are those of the first form bit for
-    bit.  The base density is read at ``x`` clamped into the truncated
-    support ``[lo, hi]``, the target's ``support``, so
-    ``log_pdf`` never sees a point outside the support.  At an open finite
-    lower end (``lo = a``) the clamp is to ``nextafter(a, inf)``, the
-    smallest double in ``]a, b]``, so the one support test ``clamp(x) ==
-    x`` rejects every proposal outside the truncated support, at or below
-    ``a`` included, even where the density at an end is positive.  The
-    clamp and the test are made only at a finite end: on an unbounded
-    support (``lo = -inf`` and ``hi = inf``) they cost nothing.
+    f_I(m)``, tested as ``E + e* >= log f_I(m) - (log f(x) - log P(I))``,
+    with ``log f_I(m)`` the peak ``log_peak`` and ``log P(I)`` the
+    ``log_mass``; negation is exact, so the decisions are those of the first
+    form bit for bit.  ``log_pdf`` is read at ``x`` clamped into ``[lo,
+    hi]``, the smallest and largest doubles of the truncated support, so it
+    never sees a point outside the support, and the one support test
+    ``clamp(x) == x`` rejects every proposal outside it, at an open lower
+    end included, even where the density at an end is positive.  The clamp
+    and the test are made only at a finite end: on an unbounded support
+    (``lo = -inf`` and ``hi = inf``) they cost nothing.
     """
-    m = t.proj_mode
-    c = math.exp(t.log_peak)
-    lo, hi = t.support
-    if -math.inf < lo == t.interval.lower:
-        lo = math.nextafter(lo, math.inf)
+    c = math.exp(log_peak)
 
     def propose(work):
         v, x, e = work
@@ -271,8 +272,8 @@ def _continuous_proposer(t: TruncatedTarget, gen: np.random.Generator):
             xc = np.maximum(xc, lo, out=v)
         if hi < math.inf:
             xc = np.minimum(xc, hi, out=v)
-        bound = t.base.log_pdf(xc) - t.log_mass
-        accepted = e >= np.subtract(t.log_peak, bound, out=bound)
+        bound = log_pdf(xc) - log_mass
+        accepted = e >= np.subtract(log_peak, bound, out=bound)
         if xc is not x:
             accepted &= xc == x
         return x, accepted
@@ -375,22 +376,17 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
 
 def _log_proposer(t: TruncatedTarget, gen: np.random.Generator):
     """Envelope proposals of log X mapped by ``exp``; rate 1/4.  Log X has the
-    base's ``log_scale`` density and tails at ``exp(y)``, on ]log a, log b]
-    with each finite end one ulp wider, as the two may round together; a
+    base's ``log_scale`` density over the target's own P(I), on ]log a, log
+    b] with each finite end one ulp wider, as the two may round together; a
     proposal is accepted where the envelope test passes and its image lies in
-    ]a, b].  None if log X's mass rounds below the limit, where ]a, b]'s is."""
+    ]a, b]."""
     log_pdf, mode = t.base.log_scale
-    log_x = DistributionDescriptor(
-        family_name=f"log {t.base.family_name}", params=t.base.params, kind="continuous",
-        support=(-math.inf, math.inf), log_pdf=log_pdf, mode=mode, mu=mode, sigma=math.nan,
-        log_cdf=lambda y: t.base.log_cdf(np.exp(y)), log_sf=lambda y: t.base.log_sf(np.exp(y)))
     ya, yb = (math.nextafter(math.log(e), w) if 0.0 < e < math.inf else w
               for e, w in ((t.interval.lower, -math.inf), (t.interval.upper, math.inf)))
-    with np.errstate(over="ignore"):  # exp(yb) past the largest double: its tail is -inf
-        target = truncate(log_x, ya, yb)
-    if target.degenerate:
-        return None
-    envelope, rate = _continuous_proposer(target, gen)
+    m = max(ya, min(yb, mode))
+    lo = math.nextafter(ya, math.inf) if ya > -math.inf else ya  # the smallest double in ]ya, yb]
+    log_peak = float(log_pdf(np.array([m]))[0]) - t.log_mass
+    envelope, rate = _continuous_proposer(log_pdf, t.log_mass, m, log_peak, lo, yb, gen)
 
     def propose(work):
         y, accepted = envelope(work)
@@ -402,10 +398,15 @@ def _log_proposer(t: TruncatedTarget, gen: np.random.Generator):
 
 
 def _proposer(t: TruncatedTarget, gen: np.random.Generator):
-    """``(propose, rate)`` for ``t``: log X's envelope (or None), or the envelope of its kind."""
+    """``(propose, rate)`` for ``t``: log X's envelope, or the envelope of its kind."""
     if t.base.log_scale is not None:
         return _log_proposer(t, gen)
-    return (_discrete_proposer if t.base.is_discrete else _continuous_proposer)(t, gen)
+    if t.base.is_discrete:
+        return _discrete_proposer(t, gen)
+    lo, hi = t.support
+    if -math.inf < lo == t.interval.lower:  # an open end: the smallest double in ]a, b]
+        lo = math.nextafter(lo, math.inf)
+    return _continuous_proposer(t.base.log_pdf, t.log_mass, t.proj_mode, t.log_peak, lo, hi, gen)
 
 
 def _sample(t: TruncatedTarget, n, rng: RngLike, policy: ImputationPolicy, method: str,
@@ -413,17 +414,16 @@ def _sample(t: TruncatedTarget, n, rng: RngLike, policy: ImputationPolicy, metho
     """The batch of a rejection sampler: ``n`` slots filled by ``_fill`` on
     ``proposer(t, gen)``'s ``(propose, rate)``, spending at most ``n *
     policy.max_iterations`` candidates, named ``unit`` in the error.  A
-    degenerate target, or a None from ``proposer``, goes to the policy whole.
+    degenerate target goes to the policy whole.
     """
     _check_size(n)
-    made = None if t.degenerate else proposer(t, as_generator(rng))
-    if made is None:
+    if t.degenerate:
         error = DegenerateTargetError(
             f"log P(I) underflowed to -inf for {t.base.family_name} on "
             f"]{t.interval.lower}, {t.interval.upper}]; cannot sample under the error policy")
         return _finish(t, np.empty(n), np.arange(n), 0, policy, method, lambda i: error)
     budget = n * policy.max_iterations
-    values, filled, proposals = _fill(n, budget, *made)
+    values, filled, proposals = _fill(n, budget, *proposer(t, as_generator(rng)))
 
     def error(i):
         return SamplingBreakdownError(

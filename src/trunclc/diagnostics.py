@@ -21,8 +21,6 @@ geometric law.
 
 from __future__ import annotations
 
-import functools
-import importlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,7 +41,6 @@ from .core import (
     truncate,
 )
 from .devroye import (
-    MAX_ROUND,
     RngLike,
     RngStream,
     SampleBatch,
@@ -52,16 +49,9 @@ from .devroye import (
     ds_sample_batch,
 )
 from .families import build_descriptor, get_family
-from .logspace import LOG_2PI
+from .logspace import LOG_2PI, _scipy
 # ``its_sample_batch`` is a module attribute that perfbench's tracer swaps
 from .reference import its_sample_batch  # noqa: F401
-
-
-@functools.cache
-def _scipy(name: str):
-    """``scipy.<name>`` (``stats`` or ``integrate``), imported on first use:
-    only the oracles' quadrature and two of the tests read them."""
-    return importlib.import_module(f"scipy.{name}")
 
 
 class OracleUnavailable(ValueError):
@@ -247,11 +237,14 @@ def exp_tail_qq(batch: SampleBatch, a: float) -> QQResult:
     Emits paired quantiles at the 99 integer percentiles plus the
     Kolmogorov-Smirnov distance between the excess sample and
     exponential(a).  The threshold must satisfy ``0 < a < inf``: the
-    exponential law has no rate ``a`` otherwise.
+    exponential law has no rate ``a`` otherwise; and at least 2 values must
+    be left unimputed.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"the exponential tail Q-Q needs a threshold 0 < a < inf, got {a!r}")
     excess = batch.values[~batch.imputed] - a
+    if excess.size < 2:
+        raise ValueError("need at least 2 non-imputed values for a tail Q-Q")
     ps = np.arange(1, 100) / 100.0
     emp = np.quantile(excess, ps)
     theo = -np.log1p(-ps) / a
@@ -470,7 +463,7 @@ def _classify(sample, target: Optional[TruncatedTarget], rng: RngLike) -> bool:
 
 def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     """Whether the ITS batch of ``n`` variates on each of ``targets`` is
-    clean, probe ``i`` drawing from ``streams[i]``, in few quantile calls.
+    clean, probe ``i`` drawing from ``streams[i]``, in one quantile call.
 
     Each probe draws its ``n`` uniforms as
     :func:`~trunclc.reference.its_sample_batch` does, but only the smallest
@@ -480,17 +473,12 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     each registered quantile is non-decreasing on sorted arguments and
     non-finite only at its ends.  So each way a variate can fail
     (saturating, or a value :func:`~trunclc.core.clean_mask` rejects) shows
-    first at one of the two extremes.  ``MAX_ROUND // 2``
-    probes at a time go through :func:`~trunclc.core.invert_targets`, and a
-    probe is clean when neither of its two inversions is in the failure
-    mask, the mask by which ``its_sample_batch`` hands a variate to its
-    policy.  A depth that cannot be truncated to (``None``) is not clean.
+    first at one of the two extremes.  Every probe goes through one
+    :func:`~trunclc.core.invert_targets` call, and a probe is clean when
+    neither of its two inversions is in the failure mask, the mask by which
+    ``its_sample_batch`` hands a variate to its policy.  A depth that cannot
+    be truncated to (``None``) is not clean.
     """
-    step = MAX_ROUND // 2
-    if len(targets) > step:
-        # one chunk at a time, so that no two chunks' arrays are alive at once
-        return [ok for k in range(0, len(targets), step)
-                for ok in _its_schedule(targets[k:k + step], streams[k:k + step], n)]
     clean = [False] * len(targets)
     live = [i for i, t in enumerate(targets) if t is not None]
     if not live or targets[live[0]].base.quantile is None:
@@ -567,7 +555,7 @@ def scan_safety(
     increasing array of finite lower truncation bounds applied to every cell.
 
     Each cell builds its schedule's targets in array calls and judges the
-    ITS batch of every probe with few quantile calls (``_its_schedule``);
+    ITS batch of every probe with one quantile call (``_its_schedule``);
     each probe still draws its ``n_probe`` uniforms from its own spawned
     stream, so the outcome is the one of a batch per probe.  Only the
     smallest and largest uniform of a probe are inverted: the inverse

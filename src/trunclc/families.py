@@ -20,7 +20,6 @@ log-density of log X (``log_scale``), and the sampler draws log X.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -34,6 +33,7 @@ from .logspace import (
     LOG_2PI,
     LOG_HALF,
     _masked,
+    _scipy,
     elementwise,
     log1mexp,
     log_diff_exp,
@@ -44,14 +44,6 @@ from .logspace import (
 
 _LOG_SQRT_2PI = 0.5 * LOG_2PI
 _MAX_TAIL_TERMS = 200_000  # cap on the terms of one log-space tail sum
-
-
-@functools.cache
-def _stats():
-    """``scipy.stats``, imported on first use: only the quantiles read it,
-    and its import is most of the time ``import trunclc`` takes."""
-    import scipy.stats
-    return scipy.stats
 
 
 class UnknownFamilyError(ValueError):
@@ -327,7 +319,7 @@ def _build_poisson(params):
     return _linear_lattice_law(
         "poisson", params, lambda k: _log_poisson_raw(k, lam), math.inf,
         lambda k: sc.gammaincc(k + 1.0, lam), lambda k: sc.gammainc(k + 1.0, lam),
-        lambda q: _stats().poisson.ppf(q, lam),
+        lambda q: _scipy("stats").poisson.ppf(q, lam),
         math.floor(lam), lam, math.sqrt(lam),
     )
 
@@ -337,7 +329,7 @@ def _build_binomial(params):
     return _linear_lattice_law(
         "binomial", params, lambda k: _log_binom_raw(k, n, p), n,
         lambda k: sc.betainc(n - k, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n - k, p),
-        lambda q: _stats().binom.ppf(q, int(n), p),
+        lambda q: _scipy("stats").binom.ppf(q, int(n), p),
         min(n, max(0.0, math.floor((n + 1.0) * p))), n * p, math.sqrt(n * p * (1.0 - p)),
     )
 
@@ -353,7 +345,7 @@ def _build_nbinom(params):
     return _linear_lattice_law(
         "nbinom", params, raw, math.inf,
         lambda k: sc.betainc(n, k + 1.0, 1.0 - p), lambda k: sc.betainc(k + 1.0, n, p),
-        lambda q: _stats().nbinom.ppf(q, n, 1.0 - p),
+        lambda q: _scipy("stats").nbinom.ppf(q, n, 1.0 - p),
         math.floor((n - 1.0) * p / (1.0 - p)) if n > 1.0 else 0.0,
         n * p / (1.0 - p), math.sqrt(n * p) / (1.0 - p),
     )
@@ -367,7 +359,7 @@ def _build_geometric(params):
     return _lattice_law(
         "geometric", params, lambda k: math.log(p) + k * lq, math.inf,
         lambda k: log1mexp(np.minimum((k + 1.0) * lq, 0.0)), lambda k: (k + 1.0) * lq,
-        lambda q: _stats().geom.ppf(q, p) - 1.0,
+        lambda q: _scipy("stats").geom.ppf(q, p) - 1.0,
         0.0, 0.0, math.sqrt(1.0 - p) / p,
     )
 
@@ -392,7 +384,7 @@ def _build_gamma(params):
         return log_gamma_upper_reg(alpha, lam * x)
 
     def quantile(q):
-        return _stats().gamma.ppf(q, alpha, scale=1.0 / lam)
+        return _scipy("stats").gamma.ppf(q, alpha, scale=1.0 / lam)
 
     # log X's density, log-concave below shape one: unlike log f(e^y) + y it
     # keeps the mass where e^y rounds to 0 or passes the largest double
@@ -447,7 +439,7 @@ def _build_invgauss(params):
     log_sf = _on_half_line(sf, -np.inf, 0.0)
 
     def quantile(q):
-        return _stats().invgauss.ppf(q, mu / lam, scale=lam)
+        return _scipy("stats").invgauss.ppf(q, mu / lam, scale=lam)
 
     # mu (sqrt(1 + r^2) - r) with r = 3 mu / (2 lam), rationalised, as that
     # form cancels at small lam / mu; hypot, as r^2 overflows before r does

@@ -9,6 +9,8 @@ their linear-space implementations.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 
 import numpy as np
@@ -19,6 +21,14 @@ LOG_2PI = math.log(2.0 * math.pi)
 LINEAR_FLOOR = 1e-280  # below this a linear-space tail value has lost precision
 _MAX_GAMMA_ITER = 200_000  # cap on the incomplete-gamma series and continued fraction
 _CF_EPS = float(np.finfo(float).eps)  # the continued fraction stops at a step this close to 1
+
+
+@functools.cache
+def _scipy(name: str):
+    """``scipy.<name>`` (``stats`` or ``integrate``), imported on first use:
+    only the quantiles, the oracles' quadrature and two of the tests read
+    them, and ``scipy.stats`` is most of the time ``import trunclc`` takes."""
+    return importlib.import_module(f"scipy.{name}")
 
 
 def elementwise(fn=None, *, at: int = 0):

@@ -51,6 +51,14 @@ class TestSample:
         assert code == 1
         assert "error" in err
 
+    def test_live_target_at_the_limit_samples(self, capsys):
+        # log P(I) = -745.133 on this ]a, inf[, just above the limit: a live target
+        code, out, err = run(capsys, "sample", "--dist", "invgauss", "--param", "mu=1",
+                             "--param", "lambda=0.3", "--lower", "4887.1053931159", "--n", "5")
+        assert code == 0 and "underflowed" not in err
+        values = [float(line) for line in out.strip().splitlines()]
+        assert len(values) == 5 and all(v > 4887.1053931159 for v in values)
+
     def test_unknown_family_usage_error(self, capsys):
         code, _, err = run(capsys, "sample", "--dist", "cauchy", "--n", "1")
         assert code == 64
@@ -463,6 +471,15 @@ class TestValidate:
         assert code == 64
         assert out == ""
         assert "--lower" in err
+
+    @pytest.mark.parametrize("dist", [["normal", "--lower", "40"],
+                                      ["gamma", "--param", "alpha=2", "--lower", "800"]],
+                             ids=["normal", "gamma"])
+    def test_qq_with_every_variate_imputed_exits_one(self, capsys, dist):
+        # degenerate targets: the policy imputes every variate
+        code, out, err = run(capsys, "validate", "qq", "--dist", *dist, "--n", "100")
+        assert code == 1 and out == ""
+        assert err == "trunclc: error: need at least 2 non-imputed values for a tail Q-Q\n"
 
     def test_memoryless_pass(self, capsys):
         code, out, _ = run(capsys, "validate", "memoryless", "--dist", "geometric",

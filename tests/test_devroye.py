@@ -23,7 +23,7 @@ from trunclc import (
     truncated_mean_oracle,
     z_test_mean,
 )
-from trunclc.core import DistributionDescriptor
+from trunclc.core import DistributionDescriptor, tail_targets
 from trunclc.devroye import MAX_ROUND
 from trunclc.logspace import elementwise
 
@@ -460,19 +460,37 @@ class TestLogScaleRoute:
         b = ds_sample_batch(t, 5, RngStream(45), ImputationPolicy(max_iterations=20))
         assert b.imputed.all() and b.proposals == 100
 
-    def test_log_x_mass_below_the_limit_goes_to_the_policy(self):
-        # ]a, inf['s mass sits at the limit, and the tails' last digits put
-        # log X's below it (as invgauss(1, 0.3)'s do near a = 4887): here the
-        # tails read the limit at a = 700 alone, not at exp(log 700 - ulp)
-        d = dataclasses.replace(build_descriptor("gamma", alpha=0.5),
-                                log_cdf=lambda x: np.zeros(x.shape),
-                                log_sf=lambda x: np.where(x == 700.0, -745.0, -800.0))
-        t = truncate(d, lower=700.0)
-        assert not t.degenerate
-        b = ds_sample_batch(t, 3, RngStream(46))
-        assert b.imputed.all() and b.proposals == 0
-        with pytest.raises(DegenerateTargetError):
-            ds_sample_batch(t, 3, RngStream(46), ImputationPolicy("error"))
+    def test_live_targets_at_the_limit_sample_clean(self):
+        # log P(I) = -745.133 on ]a, inf[, a live target: log X's envelope
+        # runs on the target's own mass, so no second mass of log X, whose
+        # last digits may round below the limit, refuses it
+        d = build_descriptor("invgauss", mu=1.0, **{"lambda": 0.3})
+        a = 4887.1053931159
+        live = [t for t in tail_targets(d, np.linspace(a - 3e-13, a + 3e-13, 400))
+                if not t.degenerate]
+        assert live
+        for t in live:
+            b = ds_sample_batch(t, 5, RngStream(46))
+            assert b.is_clean(t) and b.proposals > 0
+
+    def test_a_batch_reads_no_tail_of_the_base(self):
+        # the envelope needs the target's mode, peak and P(I), all known
+        # before the batch: no tail is read again per batch
+        reads = []
+
+        def counted(f, name):
+            def tail(x):
+                reads.append(name)
+                return f(x)
+            return tail
+
+        d = build_descriptor("invgauss", mu=1.0, **{"lambda": 0.3})
+        d = dataclasses.replace(d, log_cdf=counted(d.log_cdf, "log_cdf"),
+                                log_sf=counted(d.log_sf, "log_sf"))
+        t = truncate(d, lower=2.0, upper=50.0)
+        reads.clear()
+        b = ds_sample_batch(t, 1_000, RngStream(47))
+        assert b.is_clean(t) and reads == []
 
     def test_invgauss_far_tail_is_exact(self):
         # log-convex in x beyond 2 lambda / 3 = 0.2, log-concave in log x:

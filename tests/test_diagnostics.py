@@ -30,7 +30,6 @@ from trunclc import (
     truncated_mean_oracle_poisson,
     z_test_mean,
 )
-from trunclc import diagnostics
 from trunclc.core import tail_targets
 from trunclc.devroye import SampleBatch
 from trunclc.diagnostics import (
@@ -211,6 +210,14 @@ class TestExpTailQQ:
         with pytest.raises(ValueError, match="threshold 0 < a < inf"):
             exp_tail_qq(batch, a)
 
+    @pytest.mark.parametrize("imputed", [[True, True, True], [True, False, True]])
+    def test_fewer_than_two_unimputed_values_raise(self, imputed):
+        # rather than the IndexError np.quantile raises on an empty excess
+        batch = SampleBatch(values=np.array([1.0, 2.0, 3.0]), imputed=np.array(imputed),
+                            proposals=3, accepts=3 - sum(imputed), method="devroye")
+        with pytest.raises(ValueError, match="at least 2 non-imputed values"):
+            exp_tail_qq(batch, 0.5)
+
 
 class TestMemorylessness:
     def test_moderate_truncation(self):
@@ -331,36 +338,31 @@ class TestScanner:
 
 class TestItsSchedule:
     """The scan's ITS pass judges every probe of a schedule as ``_classify``
-    judges ``its_sample_batch`` on the same spawned stream, with few
-    quantile calls of at most ``MAX_ROUND`` values.  A case with a ``cap``
-    runs under ``MAX_ROUND = cap``, so that its probes fill many quantile
-    calls."""
+    judges ``its_sample_batch`` on the same spawned stream, with one
+    quantile call per schedule."""
 
     CASES = [
-        ("normal", {}, np.arange(0.0, 51.0), 200, None),
+        ("normal", {}, np.arange(0.0, 51.0), 200),
         # the exponential saturates beyond a ~ 33
-        ("gamma", {"alpha": 1.0}, np.arange(1.0, 1001.0, 7.0), 100, None),
-        ("poisson", {"lambda": 50.0}, "auto", 300, None),
-        ("binomial", {"n": 16.0, "p": 0.5}, "auto", 300, None),
+        ("gamma", {"alpha": 1.0}, np.arange(1.0, 1001.0, 7.0), 100),
+        ("poisson", {"lambda": 50.0}, "auto", 300),
+        ("binomial", {"n": 16.0, "p": 0.5}, "auto", 300),
         # depths past n
-        ("binomial", {"n": 2048.0, "p": 0.05}, "auto", 300, None),
-        # about 910 unsaturated probes under a cap of 64 values a call: the
-        # stacked values overflow one quantile call many times over
-        ("normal", {}, np.linspace(-30.0, 12.0, 1000), 80, 64),
+        ("binomial", {"n": 2048.0, "p": 0.05}, "auto", 300),
+        # about 910 unsaturated probes among 1000
+        ("normal", {}, np.linspace(-30.0, 12.0, 1000), 80),
         # a quantile assembled from 2q - 1 (epd), and a shape below one, on
         # schedules deep into the tail
-        ("epd", {"beta": 1.5}, "geometric", 200, None),
-        ("gamma", {"alpha": 0.5}, "geometric", 200, None),
+        ("epd", {"beta": 1.5}, "geometric", 200),
+        ("gamma", {"alpha": 0.5}, "geometric", 200),
     ]
 
-    @pytest.mark.parametrize("family,params,schedule,n,cap", CASES,
+    @pytest.mark.parametrize("family,params,schedule,n", CASES,
                              ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
-    def test_matches_per_probe_classify(self, family, params, schedule, n, cap, monkeypatch):
+    def test_matches_per_probe_classify(self, family, params, schedule, n):
         desc = build_descriptor(family, params)
         if isinstance(schedule, str):
             schedule = {"auto": auto_probes, "geometric": geometric_probes}[schedule](desc)
-        if cap is not None:
-            monkeypatch.setattr(diagnostics, "MAX_ROUND", cap)
         sizes = []
 
         def quantile(p):
@@ -378,9 +380,7 @@ class TestItsSchedule:
         got = _its_schedule(targets, RngStream(4).spawn(len(targets)), n)
         assert got == want
         assert True in want and False in want
-        assert sizes and max(sizes) <= diagnostics.MAX_ROUND
-        if cap is not None:
-            assert len(sizes) > 10 and sum(sizes) > 10 * cap
+        assert len(sizes) == 1
 
 
 class TestZGridProperty:
