@@ -327,13 +327,17 @@ def truncate(
 
 def clean_mask(targets: list, x) -> np.ndarray:
     """Which of ``x`` are clean variates, row ``i`` of the 2-d ``x`` on
-    ``targets[i]`` (one base): finite, above ``a`` and in ``support``.
+    ``targets[i]`` (one base), or all of ``x`` on a single target: finite,
+    above ``a`` and in ``support``.
 
     A continuous law puts no mass on its lower edge, so there ``x > lo``
     (hence ``x > a``); a lattice keeps ``x > a``, which ``x >= lo`` does
     not imply past 2**53, where ``floor(a) + 1`` rounds to ``a``.
     """
-    a, lo, hi = np.array([(t.interval.lower, *t.support) for t in targets]).T[:, :, None]
+    if len(targets) == 1:
+        a, (lo, hi) = targets[0].interval.lower, targets[0].support
+    else:
+        a, lo, hi = np.array([(t.interval.lower, *t.support) for t in targets]).T[:, :, None]
     above = (x > a) & (x >= lo) if targets[0].base.is_discrete else x > lo
     return above & (x <= hi) & np.isfinite(x)
 

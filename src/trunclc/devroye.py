@@ -159,7 +159,7 @@ class SampleBatch:
 
     def is_clean(self, target: TruncatedTarget) -> bool:
         """No imputation, and every value clean (:func:`~trunclc.core.clean_mask`)."""
-        return not self.imputed.any() and bool(clean_mask([target], self.values[None]).all())
+        return not self.imputed.any() and bool(clean_mask([target], self.values).all())
 
 
 def _finish(t, values, bad_idx, proposals, policy, method, error) -> SampleBatch:
@@ -303,7 +303,9 @@ def _discrete_proposer(t: TruncatedTarget, gen: np.random.Generator):
     at most once.  Table or not, a round reads ``TruncatedTarget.log_pdf``,
     which is -inf outside ``]a, b]`` and off the base's support, so a
     proposal outside the truncated support is rejected without a test of
-    its own.
+    its own.  For the saddle-point laws that read, and so the table's
+    growth, goes through the descriptor's memo (``families._memo``); the
+    target's peak has already filled it about the projected mode.
     """
     m = t.proj_mode
     log_c = min(t.log_peak, 0.0)

@@ -180,6 +180,9 @@ class TestCleanMask:
         got = core.clean_mask(ts, np.stack([x, x]))
         assert got.tolist() == [[False, False, True, True, True, False, False, False],
                                 [False, False, False, False, True, False, False, False]]
+        # one target takes values of any shape against its own ends
+        for t, row in zip(ts, got.tolist()):
+            assert core.clean_mask([t], x).tolist() == row
 
     def test_lattice_lower_edge_is_a_support_point(self):
         d = build_descriptor("poisson", {"lambda": 5.0})

@@ -20,8 +20,10 @@ from trunclc import (
     ds_sample_batch,
     list_families,
     register_family,
+    scan_safety,
     truncate,
 )
+from trunclc import families
 from trunclc.families import _log_tail_sum, exception_route
 from trunclc.logspace import log1mexp
 
@@ -629,7 +631,7 @@ class TestQuantileIsMonotone:
 class TestLogPmfBatchIndependence:
     """A discrete log-pmf value depends only on its own point, never on the
     rest of the array it is evaluated in.  The discrete sampler's per-round
-    table relies on this."""
+    table and the lattice laws' memo rely on this."""
 
     # members with far-tail points: past the ``_bd0`` near branch, at the
     # support's edge and beyond it
@@ -642,22 +644,101 @@ class TestLogPmfBatchIndependence:
 
     @pytest.mark.parametrize("family,params,far", CASES, ids=[c[0] for c in CASES])
     def test_value_does_not_depend_on_batch(self, family, params, far):
-        t = truncate(build_descriptor(family, params))
+        # every read is on a fresh descriptor, so no memo hands back a value
+        # an earlier read of the test left in it
+        def fresh():
+            return build_descriptor(family, params)
+
         # the lattice from 0 to twice the mode crosses the ``_bd0`` near
         # branch, |x - m| < 0.1 (x + m), out to its edges, where its series
         # runs the most terms before it converges
-        lattice = np.arange(0.0, 2.0 * t.base.mode + 20.0)
-        on_lattice = t.log_pdf(lattice)
+        lattice = np.arange(0.0, 2.0 * fresh().mode + 20.0)
         far = np.array(far)
         rng = np.random.default_rng(0)
         subset = rng.choice(lattice, size=lattice.size // 2, replace=False)
         mixed = rng.permutation(np.concatenate([subset, far]))
-        want = {x: _bits(v) for x, v in zip(lattice, on_lattice)}
-        want.update((x, _bits(t.log_pdf(x))) for x in far)
-        got = t.log_pdf(mixed)
-        assert [_bits(v) for v in got] == [want[x] for x in mixed]
-        # each point alone stops the near-branch series at its own term
-        assert [_bits(t.log_pdf(x)) for x in lattice] == [want[x] for x in lattice]
+        # each point read alone: a memo evaluates it amid its own neighbours
+        want = {x: _bits(fresh().log_pdf(x)) for x in np.concatenate([lattice, far])}
+        assert [_bits(v) for v in fresh().log_pdf(mixed)] == [want[x] for x in mixed]
+        assert [_bits(v) for v in fresh().log_pdf(lattice)] == [want[x] for x in lattice]
+
+
+class TestLatticeMemo:
+    """The saddle-point lattice laws read their kernel through one memo per
+    descriptor (``families._memo``); every value read through it is the one
+    a fresh descriptor gives in one call, bit for bit."""
+
+    LAWS = [("poisson", {"lambda": 5.0}), ("binomial", {"n": 2048.0, "p": 0.27}),
+            ("nbinom", {"n": 10.0, "p": 0.5})]
+
+    @staticmethod
+    def _reads(top):
+        """Overlapping reads about [0, ``top``], in a shuffled order."""
+        rng = np.random.default_rng(3)
+        reads = [np.arange(lo, lo + w) for lo, w in
+                 zip(rng.integers(0, top, 40).astype(float), rng.integers(1, 300, 40))]
+        reads += [rng.permutation(r) for r in reads[:10]]
+        reads += [
+            np.array([top + 20.0, 0.0]),  # both edges, one span
+            np.array([-3.0, -0.5, 2.5, 7.25, np.nan, np.inf, -np.inf, 4.0]),
+            np.arange(0.0, 70_000.0),  # wider than the cap
+            np.arange(100_000.0, 100_050.0),  # far from the window: it starts afresh
+            np.arange(2040.0, 2100.0),  # past binomial's n
+            np.array([[1.0, 2.0], [3.0, 1e4]]),
+        ]
+        order = rng.permutation(len(reads))
+        return [reads[i] for i in order] + [reads[i] for i in order[::-1]]
+
+    @pytest.mark.parametrize("family,params", LAWS, ids=[f for f, _ in LAWS])
+    def test_every_read_equals_a_fresh_descriptor(self, family, params):
+        d = build_descriptor(family, params)
+        top = 3.0 * d.mode + 200.0
+        for x in self._reads(top):
+            want = build_descriptor(family, params).log_pdf(x)
+            assert (_bits(d.log_pdf(x)) == _bits(want)).all(), x
+        # the tails' log-space sums read the same memo
+        for k in (1e3, 1e4, 40.0, 2e3, 2047.0):
+            for tail in ("log_sf", "log_cdf"):
+                want = getattr(build_descriptor(family, params), tail)(k)
+                assert _bits(getattr(d, tail)(k)) == _bits(want), (tail, k)
+
+    def test_points_past_two_to_the_53_go_to_the_kernel(self, monkeypatch):
+        seen = []
+        kernel = families._log_poisson_raw
+
+        def recording(k, lam):
+            seen.append(k.copy())
+            return kernel(k, lam)
+
+        monkeypatch.setattr(families, "_log_poisson_raw", recording)
+        d = build_descriptor("poisson", {"lambda": 1e34})
+        reads = [np.array([2.0**53, 2.0**53 + 2.0, 1e34]),
+                 2.0**53 - np.arange(1.0, 30.0),  # its margin would pass 2**53
+                 np.array([1e34, 1e34 + 2.0**62, 2.0**60])]
+        for x in reads:
+            seen.clear()
+            want = build_descriptor("poisson", {"lambda": 1e34}).log_pdf(x)
+            assert (_bits(d.log_pdf(x)) == _bits(want)).all()
+            # one call on exactly the points read, no margin
+            assert len(seen) == 2 and all((s == x).all() for s in seen)
+
+    @pytest.mark.parametrize("family,params,bound", [
+        ("binomial", {"n": 2048.0, "p": 0.5}, 10),
+        ("poisson", {"lambda": 50.0}, 3),
+    ], ids=["binomial", "poisson"])
+    def test_a_scan_cell_makes_few_kernel_calls(self, monkeypatch, family, params, bound):
+        # one auto-schedule scan cell made 104 (binomial) and 63 (poisson)
+        # kernel calls before the memo, and 5 and 1 with it
+        calls = []
+        for name in ("_log_binom_raw", "_log_poisson_raw"):
+            def counting(*args, kernel=getattr(families, name)):
+                calls.append(1)
+                return kernel(*args)
+
+            monkeypatch.setattr(families, name, counting)
+        scan_safety(family, [params], probe_schedule="auto", method="both",
+                    n_probe=500, seed=1)
+        assert 0 < len(calls) <= bound
 
 
 def _log_tail_sum_one_term(log_pmf, start, step, lo, hi):
