@@ -1,10 +1,13 @@
 """Mapping how deep each sampler can truncate before breaking.
 
-The scanner walks increasing lower bounds, generates a 1000-variate batch
-per probe, and classifies the batch clean or broken: the quantile route
-breaks on errors, infinities or out-of-interval values, the rejection
-sampler on a nonzero imputation rate.  Depths are standardized to safety
-ratios eta = (a_bar - mu) / sigma so families can be compared.
+The scanner walks increasing lower bounds.  The quantile route is sampled:
+each probe draws an n_probe-variate batch, which breaks on errors,
+infinities or out-of-interval values.  The rejection sampler's depth is
+read off each probe's target: it breaks only where the interval mass stops
+being representable.  Up to 8 of its batches per cell are then sampled as
+a check, and the shallowest unclean one is reported as ds_inexact (nan when
+all are clean).  Depths are standardized to safety ratios
+eta = (a_bar - mu) / sigma so families can be compared.
 """
 
 import numpy as np

@@ -2,16 +2,18 @@
 
 The scanner walks a schedule of truncation depths per parameter
 configuration and records the deepest point at which each sampler still
-produces a clean batch: the quantile-based sampler's endpoint is an
-execution error or a value that is not a clean variate
-(:func:`~trunclc.core.clean_mask`); the rejection sampler's endpoint is a
-nonzero imputation rate.  Depths are standardized to safety ratios through
+produces a clean batch.  The quantile-based sampler's endpoint is sampled:
+an execution error or a value that is not a clean variate
+(:func:`~trunclc.core.clean_mask`).  The rejection sampler's endpoint is
+read off the target: Devroye's sampler accepts at a rate of at least 1/5,
+so it breaks down only where the target is degenerate, its interval mass
+no longer representable.  A few of its batches per cell are then sampled
+to check that reading.  Depths are standardized to safety ratios through
 each family's central tendency and dispersion indices.  A cell's schedule
 is built in array calls (:func:`~trunclc.core.tail_targets`), and its ITS
 pass inverts the two extreme uniforms of many probes in one quantile call
-(:func:`~trunclc.core.invert_targets`); the rejection pass runs per probe
-on the same targets, and the bisection between two probes builds and
-samples each depth one at a time.
+(:func:`~trunclc.core.invert_targets`); the bisection between two probes
+builds and judges each depth one at a time.
 
 Validation tools check the samples themselves: a Z statistic on the
 truncated mean against independent oracles, an exponential tail Q-Q
@@ -366,12 +368,19 @@ def format_table(fmt: str, columns: Optional[Sequence[str]], rows: list[dict],
 # ---------------------------------------------------------------------------
 # safety scanner
 
-_SCAN_COLUMNS = ("a_bar", "a_bar_prime", "a_bar_dprime", "eta", "eta_prime")
+_SCAN_COLUMNS = ("a_bar", "a_bar_prime", "a_bar_dprime", "eta", "eta_prime", "ds_inexact")
 
 
 @dataclass
 class ScanCell:
-    """Measured breakdown points for one parameter configuration."""
+    """Measured breakdown points for one parameter configuration.
+
+    ``a_bar`` is sampled: the deepest depth whose ITS batch is clean.
+    ``a_bar_prime`` is read off the targets: the deepest depth whose target
+    is live (not degenerate).  ``ds_inexact`` is the shallowest of the
+    sampled rejection checks whose batch is not clean, nan when every check
+    is clean or none ran.
+    """
 
     params: dict
     a_bar: float = math.nan          # quantile-sampler endpoint
@@ -379,6 +388,7 @@ class ScanCell:
     a_bar_dprime: float = math.nan   # density linear-representability edge
     eta: float = math.nan
     eta_prime: float = math.nan
+    ds_inexact: float = math.nan     # shallowest unclean rejection check
     its_censored: bool = False
     ds_censored: bool = False
     its_anomalies: list = field(default_factory=list)
@@ -426,6 +436,7 @@ class SafetyReport:
 
 
 REFINE_TOL = 0.01  # the bisection of a breakdown depth stops at this width
+DS_CHECKS = 8  # the most live depths per cell whose devroye batch is sampled
 Z_MAX = 50  # the "auto" schedule's deepest probe, in sigmas
 GEOMETRIC_RATIO, GEOMETRIC_COUNT = 2.0, 64
 
@@ -491,22 +502,34 @@ def _its_schedule(targets: list, streams: list, n: int) -> list[bool]:
     return clean
 
 
+def _live(targets: list) -> list[bool]:
+    """The rejection sampler's verdict on each of ``targets``, read off the
+    target: it exists and is not degenerate.
+
+    A live log-concave target accepts at a rate of at least 1/5, so it
+    cannot spend the 10,000 proposals a slot its batch may make (the
+    expected number of trials is 1/rate, Devroye 1986, II.3).
+    """
+    return [t is not None and not t.degenerate for t in targets]
+
+
 def _breakdown(
-    judge: Callable[[list, list], Sequence[bool]],
+    judge: Callable[[list], Sequence[bool]],
     desc: DistributionDescriptor,
     schedule: np.ndarray,
     targets: list,
-    stream: RngStream,
 ) -> tuple[float, bool, list]:
     """Largest clean depth on the schedule, one bisection refinement stage, anomalies.
 
     ``targets`` are the schedule's targets (:func:`~trunclc.core.tail_targets`).
-    ``judge(targets, streams)`` says which of ``targets`` give a clean
-    batch, target ``i`` drawing from ``streams[i]``; the schedule is judged
-    in one call and each bisection depth, built with ``tail_targets``, in a
-    call of its own.
+    ``judge(targets)`` says which of ``targets`` are clean: the ITS judge
+    samples them, the rejection judge (:func:`_live`) reads them.  The
+    schedule is judged in one call and each bisection depth, built with
+    ``tail_targets``, in a call of its own.  The bisection stops at
+    ``REFINE_TOL``, or where the midpoint rounds onto an end, as it does
+    once doubles are spaced wider than ``REFINE_TOL``.
     """
-    clean = np.array(judge(targets, stream.spawn(len(schedule))))
+    clean = np.array(judge(targets))
     if not clean.any():
         return math.nan, False, []
     last_clean = int(np.nonzero(clean)[0].max())
@@ -518,8 +541,9 @@ def _breakdown(
     a_hi = float(schedule[last_clean + 1])
     while a_hi - a_lo > REFINE_TOL:
         mid = 0.5 * (a_lo + a_hi)
-        r = stream.spawn(1)[0]
-        if judge(tail_targets(desc, [mid]), [r])[0]:
+        if not a_lo < mid < a_hi:
+            break
+        if judge(tail_targets(desc, [mid]))[0]:
             a_lo = mid
         else:
             a_hi = mid
@@ -561,7 +585,15 @@ def scan_safety(
     smallest and largest uniform of a probe are inverted: the inverse
     transform is non-decreasing in the uniform, so a batch holds a bad
     variate exactly when one of its two extreme order statistics is bad
-    (Devroye 1986, ch. V).  The rejection sampler runs per probe.
+    (Devroye 1986, ch. V).
+
+    The rejection sampler's verdict is read off each target, not sampled
+    (:func:`_live`).  Its samples check that reading instead: up to
+    ``DS_CHECKS`` live schedule depths, evenly spaced over the live probes
+    from the shallowest to the deepest, each get one batch of ``n_probe``
+    variates, on streams spawned after the ITS pass.  The shallowest one
+    that is not clean is the cell's ``ds_inexact``.
+
     The bisection of each breakdown depth builds its depths one at a time,
     with the same ``tail_targets``, and judges each with the same function
     as the schedule; ``_dprime`` reads the density edge off the same targets.
@@ -579,12 +611,6 @@ def scan_safety(
         raise ValueError("empty parameter grid")
     root = RngStream(seed)
     rows: list[ScanCell] = []
-
-    # ``ds_sample_batch`` is a module attribute read at each call
-    def ds(ts, rs):
-        return [_classify(lambda t, r: ds_sample_batch(t, n_probe, r), t, r)
-                for t, r in zip(ts, rs)]
-
     for params in param_grid:
         desc = build_descriptor(family, params)
         if isinstance(probe_schedule, str):
@@ -601,19 +627,26 @@ def scan_safety(
             raise ValueError("probe schedule must be one-dimensional, finite, strictly "
                              "increasing and nonempty")
         cell_stream = root.spawn(1)[0]
-        # frozen, so the ITS and the devroye pass share them
+        # frozen, so the ITS pass, the devroye pass and its checks share them
         targets = tail_targets(desc, schedule)
         cell = ScanCell(params=dict(params))
         cell.a_bar_dprime = _dprime(desc, schedule, targets)
         if method in ("its", "both"):
             cell.a_bar, cell.its_censored, cell.its_anomalies = _breakdown(
-                lambda ts, rs: _its_schedule(ts, rs, n_probe), desc, schedule, targets,
-                cell_stream)
+                lambda ts: _its_schedule(ts, cell_stream.spawn(len(ts)), n_probe),
+                desc, schedule, targets)
             cell.eta = (cell.a_bar - desc.mu) / desc.sigma
         if method in ("devroye", "both"):
             cell.a_bar_prime, cell.ds_censored, cell.ds_anomalies = _breakdown(
-                ds, desc, schedule, targets, cell_stream)
+                _live, desc, schedule, targets)
             cell.eta_prime = (cell.a_bar_prime - desc.mu) / desc.sigma
+            live = np.flatnonzero(_live(targets))
+            picks = live[np.linspace(0, live.size - 1, min(DS_CHECKS, live.size)).astype(int)]
+            for i, r in zip(picks, cell_stream.spawn(picks.size)):
+                # ``ds_sample_batch`` is a module attribute read at each call
+                if not _classify(lambda t, r: ds_sample_batch(t, n_probe, r), targets[i], r):
+                    cell.ds_inexact = float(schedule[i])
+                    break
         rows.append(cell)
     return SafetyReport(
         family=family, rows=rows, n_probe=n_probe, seed=seed,

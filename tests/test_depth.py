@@ -2,10 +2,11 @@
 
 For each registered family (the ``CONTRACT_CASES`` members), a devroye scan
 on the geometric schedule must end where the interval mass stops being
-representable as a double, log P(I) ~ -745, without a probe raising and
-within a wall-time budget.  The log mass at that depth must match an
-mpmath oracle, and the auto schedule, whose deepest probe is ``Z_MAX``
-sigmas, must reach the same depth or say that it is censored.
+representable as a double, log P(I) ~ -745, without a sampled check
+raising or coming out unclean (``ds_inexact``), and within a wall-time
+budget.  The log mass at that depth must match an mpmath oracle, and the
+auto schedule, whose deepest probe is ``Z_MAX`` sigmas, must reach the
+same depth or say that it is censored.
 
 gamma with shape 0.5 and invgauss are not log-concave in x, but are in
 log x, and are sampled there.
@@ -72,7 +73,7 @@ def _mp_log_sf(desc, a: float) -> float:
 
 def _scan(family, params, schedule):
     """The devroye cell of ``schedule``, its wall time, and every exception
-    a probe's batch raised (the scan itself only marks such a probe unclean)."""
+    a checked batch raised (the scan itself only marks such a check unclean)."""
     raised = []
     sample = diagnostics.ds_sample_batch
 
@@ -107,6 +108,7 @@ def test_geometric_schedule_reaches_the_limit(geometric):
     assert elapsed < BUDGET_S
     a = cell.a_bar_prime
     assert math.isfinite(a) and not cell.ds_censored
+    assert math.isnan(cell.ds_inexact)
     lm = log_interval_mass(desc, TruncationInterval(a, math.inf))
     if desc.family_name == "binomial":
         # the support ends at n, so the depth stops below it, on P(X = n)
@@ -129,7 +131,7 @@ def test_auto_schedule_reaches_the_same_depth_or_is_censored(geometric):
     cell, elapsed, raised = _scan(desc.family_name, desc.params, "auto")
     assert raised == []
     assert elapsed < BUDGET_S
-    assert math.isfinite(cell.a_bar_prime)
+    assert math.isfinite(cell.a_bar_prime) and math.isnan(cell.ds_inexact)
     if cell.ds_censored:
         assert cell.a_bar_prime <= geo.a_bar_prime
     else:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -30,13 +31,16 @@ from trunclc import (
     truncated_mean_oracle_poisson,
     z_test_mean,
 )
+from trunclc import diagnostics
 from trunclc.core import tail_targets
 from trunclc.devroye import SampleBatch
 from trunclc.diagnostics import (
     SafetyReport,
     ScanCell,
+    _breakdown,
     _classify,
     _its_schedule,
+    _live,
     auto_probes,
     format_table,
     geometric_probes,
@@ -381,6 +385,83 @@ class TestItsSchedule:
         assert got == want
         assert True in want and False in want
         assert len(sizes) == 1
+
+
+class TestDevroyeVerdict:
+    """The scan reads the rejection sampler's verdict off the target
+    (``_live``) and samples only a few checks per cell.  The per-probe
+    sampled judge that the rule replaced is kept here as its reference."""
+
+    CASES = [
+        ("normal", {}, np.arange(0.0, 51.0)),
+        ("gamma", {"alpha": 1.0}, np.arange(1.0, 1001.0, 7.0)),
+        ("poisson", {"lambda": 50.0}, "auto"),
+        ("binomial", {"n": 2048.0, "p": 0.5}, "auto"),
+        # sampled on log X
+        ("gamma", {"alpha": 0.5}, "geometric"),
+        ("invgauss", {"mu": 1.0, "lambda": 0.3}, "geometric"),
+    ]
+
+    @pytest.mark.parametrize("family,params,schedule", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_sampled_judge_agrees_with_the_rule(self, family, params, schedule):
+        desc = build_descriptor(family, params)
+        if isinstance(schedule, str):
+            schedule = {"auto": auto_probes, "geometric": geometric_probes}[schedule](desc)
+        targets = tail_targets(desc, schedule)
+        stream = RngStream(6)
+
+        def sampled(ts):
+            return [_classify(lambda t, r: ds_sample_batch(t, 200, r), t, r)
+                    for t, r in zip(ts, stream.spawn(len(ts)))]
+
+        assert sampled(targets) == _live(targets)
+        # the bisection's depths too: both judges end on the same depth
+        got = _breakdown(_live, desc, schedule, targets)
+        assert _breakdown(sampled, desc, schedule, targets) == got
+
+    def test_bisection_ends_where_doubles_are_coarser_than_the_tolerance(self):
+        # doubles near 1e14 are 1/64 apart, wider than REFINE_TOL: the
+        # midpoint of two adjacent ones rounds onto one of them
+        desc = build_descriptor("normal", mu=1e14, sigma=1.0)
+        schedule = auto_probes(desc)
+        calls = []
+
+        def judge(ts):
+            calls.append(ts)
+            if len(calls) > 200:
+                raise AssertionError("the bisection does not end")
+            return _live(ts)
+
+        got = _breakdown(judge, desc, schedule, tail_targets(desc, schedule))
+        assert got == (1e14 + 38.484375, False, [])
+
+    def test_a_route_that_imputes_deep_is_flagged(self, monkeypatch):
+        sample = diagnostics.ds_sample_batch
+
+        def imputing(t, n, rng):
+            # every slot imputed where log P(I) < -8, as gamma(0.5)'s old
+            # transform route did
+            b = sample(t, n, rng)
+            if t.log_mass < -8.0:
+                b.imputed[:] = True
+            return b
+
+        monkeypatch.setattr(diagnostics, "ds_sample_batch", imputing)
+        report = scan_safety("gamma", [{"alpha": 0.5}], "geometric", n_probe=200, seed=1)
+        cell = report.rows[0]
+        assert cell.ds_inexact == pytest.approx(11.81, abs=0.01)
+        assert cell.a_bar_prime == pytest.approx(741.26, abs=0.01)
+        row = next(csv.DictReader(io.StringIO(report.to_csv())))
+        assert float(row["ds_inexact"]) == cell.ds_inexact
+        assert json.loads(report.to_json())["rows"][0]["ds_inexact"] == cell.ds_inexact
+
+    def test_a_lattice_past_two_to_the_53_is_flagged(self):
+        # every bisection there ends on adjacent doubles, 16384 apart
+        t0 = time.perf_counter()
+        cell = scan_safety("poisson", [{"lambda": 1e20}], "auto", n_probe=20).rows[0]
+        assert time.perf_counter() - t0 < 10.0
+        assert math.isfinite(cell.a_bar_prime) and math.isfinite(cell.ds_inexact)
 
 
 class TestZGridProperty:

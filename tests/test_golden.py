@@ -117,10 +117,10 @@ GOLDEN = {
     "normal_1": (0, "e1a22717a704e9ddb528684559a87f0b34fc3e860a8572319041b97fce0bdda6"),
     "normal_30_csv": (0, "df2a4fc5aa4e14cf42c2756c7ae5e9df910224f57139e464b1bf2f3718b9e2d4"),
     "poisson": (0, "f8e8c0460469f49e2df049fd1bc1c279b9d232bbed05ec654b704700fea30c61"),
-    "scan_csv": (0, "167725d63de9ec66ba368bd2f32ec017384cadecad6009d2f64641c8650501b3"),
-    "scan_json": (0, "8fd0713754671407f150e331796ab8b6f6043c63c3692a2b62582f593074ed2a"),
-    "scan_binomial_json": (0, "818b6b252a345c48c8c0165c632e490d43b6e602c209b624e9ff0c342a5409cb"),
-    "scan_exponential": (0, "c0141709729a91b49e800081cd7dfcb9f9bc46c41a70a4ccdfbd73415f50e4b6"),
+    "scan_csv": (0, "8364125d8b4ce9f3aab55f1be34d95b2a1b4fc01c7113b4a77f7ed434ed8ef81"),
+    "scan_json": (0, "9c7550992b5d118a993e818e714eac1be9e8eea121bfd3938dd30196749803f2"),
+    "scan_binomial_json": (0, "f0e3bff1d3c41eca74d3936912e8cd4808349ac885c59c6d90a279a05617ece0"),
+    "scan_exponential": (0, "e26e6cf412748d82d6b31588ff66b7cf9ac58481caeb79e2f38dc673a6278e8c"),
     "validate_memoryless": (0, "78adab951ee288bef84baa882651e6e48c72b4dfb50e401ee229e6a2cf1894bd"),
     "validate_qq": (0, "f962cb16c0c8ec3a718bedc535c105b2c51eacec43d00f87edd06555831c37b7"),
     "validate_ztest": (0, "ec6aa4d36ba56c15a7941ae6c37cdef5441d636ef5edfad9af018ad0c3f03ab0"),
@@ -143,7 +143,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 DEMO_GOLDEN = {
     "01_deep_tail_sampling": "1b89effa366c6436b076b487ec1273625f6d7f97ef439979327430bc142f9db2",
-    "02_safety_scan": "55255f73892c8c9b12eddb1ec3b06a3b3879ef14a0334f2c3c749b726fbf97bf",
+    "02_safety_scan": "fe3df99a07b6354571e4c913e7d5c867bf6969959d842bdca8498782c1581e36",
     "03_validate_output": "84f638c0cb63fd2b283c0f8ff713437ce89017884f7f10cc4b1f9d3f767b9468",
 }
 
