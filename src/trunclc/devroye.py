@@ -59,9 +59,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
+# ``_coerce_to_uint32_array``: SeedSequence's own coercion of entropy and
+# spawn keys to uint32 words
+from numpy.random.bit_generator import ISpawnableSeedSequence, _coerce_to_uint32_array
 
 from .core import (
     DegenerateTargetError,
@@ -78,20 +82,169 @@ DEFAULT_MAX_ITERATIONS = 10_000
 MAX_ROUND = 1 << 16
 
 
+# numpy's SeedSequence hash constants, frozen by its stream-compatibility
+# policy (NEP 19)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = np.uint32(16)
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``h = init * mult**k mod 2**32`` for ``k`` in ``[start, start + count]``,
+    as uint32: ``(h[:-1], h[1:])``, each hash's constant before and after it
+    advances."""
+    h = init * pow(mult, start, 1 << 32) & _MASK32
+    out = []
+    for _ in range(count + 1):
+        out.append(h)
+        h = h * mult & _MASK32
+    out = np.array(out, dtype=np.uint32)
+    return out[:-1], out[1:]
+
+
+def _mix_in(pools: np.ndarray, words: np.ndarray, n_mixed: int) -> np.ndarray:
+    """Each row of ``pools`` after SeedSequence's ``mix_entropy`` mixes in the
+    same row of ``words``, ``n_mixed`` entropy words having gone in before.
+
+    Past the pool's first ``pool_size`` words, an entropy word is hashed once
+    per pool word and mixed into it; the hash constant has then advanced
+    ``pool_size`` times per word, so each word's constants are known upfront.
+    """
+    size = pools.shape[1]
+    for j in range(words.shape[1]):
+        h0, h1 = _hash_consts(_INIT_A, _MULT_A, size * (n_mixed + j), size)
+        v = (words[:, j:j + 1] ^ h0) * h1
+        v ^= v >> _XSHIFT
+        pools = pools * _MIX_MULT_L - v * _MIX_MULT_R
+        pools ^= pools >> _XSHIFT
+    return pools
+
+
+@lru_cache(maxsize=None)
+def _cycle(n_words: int, size: int) -> np.ndarray:
+    """The pool word each of ``n_words`` state words hashes, cycling the pool."""
+    return np.arange(n_words) % size
+
+
+def _hash_out(pools: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence's ``generate_state(n_words)``, uint32, of each row of ``pools``."""
+    h0, h1 = _hash_consts(_INIT_B, _MULT_B, 0, n_words)
+    v = (pools.take(_cycle(n_words, pools.shape[1]), axis=1) ^ h0) * h1
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _as_state(words: np.ndarray, dtype) -> np.ndarray:
+    """uint32 ``generate_state`` words as ``dtype``, uint64 from little-endian pairs."""
+    if np.dtype(dtype) == np.uint32:
+        return words
+    if np.dtype(dtype) != np.uint64:
+        raise ValueError("only support uint32 or uint64")
+    return words.astype("<u4", order="C", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _index_words(lo: int, hi: int) -> list[np.ndarray]:
+    """The uint32 words SeedSequence makes of each spawn index in ``[lo, hi)``
+    (little-endian, as few as hold it, 0 as one word), one 2-d array per
+    word count, in index order."""
+    groups, w = [], 1
+    while lo < hi:
+        top = min(hi, 1 << 32 * w)
+        if lo < top:
+            if w == 1:
+                words = np.arange(lo, top, dtype=np.uint32)[:, None]
+            else:
+                i = np.arange(top - lo, dtype=np.uint64 if top <= 1 << 64 else object) + lo
+                words = np.stack([(i >> 32 * k) & _MASK32 for k in range(w)], axis=1)
+            groups.append(words.astype(np.uint32, copy=False))
+            lo = top
+        w += 1
+    return groups
+
+
+class _SpawnedSeed(ISpawnableSeedSequence):
+    """A spawned child's stand-in for its ``numpy.random.SeedSequence``.
+
+    It holds what the child's ``SeedSequence`` would: ``entropy``,
+    ``spawn_key``, ``pool_size``, ``n_children_spawned`` and the mixed
+    ``pool``, plus ``n_mixed``, the count of entropy words in the pool, and
+    the SFC64 seed its spawn hashed out.  Its ``generate_state`` and its
+    children (:meth:`spawn`) are those of that ``SeedSequence``.
+    """
+
+    __slots__ = ("entropy", "spawn_key", "pool_size", "n_children_spawned", "pool",
+                 "n_mixed", "_sfc64_seed")
+
+    @classmethod
+    def of(cls, seq) -> "_SpawnedSeed":
+        """The stand-in of ``seq`` itself, a ``SeedSequence`` or a stand-in."""
+        if isinstance(seq, cls):
+            return seq
+        self = cls.__new__(cls)
+        self.entropy, self.spawn_key, self.pool_size = seq.entropy, seq.spawn_key, seq.pool_size
+        self.n_children_spawned, self.pool = seq.n_children_spawned, seq.pool
+        # a spawn key pads the run entropy to the pool size; zeros hashed
+        # past the end of a short entropy leave the same pool
+        self.n_mixed = (max(len(_coerce_to_uint32_array(seq.entropy)), seq.pool_size)
+                        + len(_coerce_to_uint32_array(seq.spawn_key)))
+        self._sfc64_seed = None
+        return self
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 3 and dtype is np.uint64 and self._sfc64_seed is not None:
+            return self._sfc64_seed.copy()
+        return _as_state(_hash_out(self.pool[None], n_words * np.dtype(dtype).itemsize // 4)[0],
+                         dtype)
+
+    def spawn(self, n_children: int) -> list["_SpawnedSeed"]:
+        """The next ``n_children`` children, in one array pass per index width."""
+        lo = self.n_children_spawned
+        self.n_children_spawned = lo + n_children
+        out, new, i = [], _SpawnedSeed.__new__, lo
+        for words in _index_words(lo, lo + n_children):
+            pools = _mix_in(self.pool[None], words, self.n_mixed)
+            # SFC64 seeds itself with generate_state(3, np.uint64)
+            seeds = _as_state(_hash_out(pools, 6), np.uint64)
+            n_mixed = self.n_mixed + words.shape[1]
+            for pool, seed in zip(pools, seeds):
+                child = new(_SpawnedSeed)
+                child.entropy, child.spawn_key, child.pool_size = (
+                    self.entropy, self.spawn_key + (i,), self.pool_size)
+                child.n_children_spawned, child.pool, child.n_mixed = 0, pool, n_mixed
+                child._sfc64_seed = seed
+                out.append(child)
+                i += 1
+        return out
+
+
 class RngStream:
     """Deterministic, spawnable random stream (SFC64 core).
 
     Identical seeds yield identical variate sequences; ``spawn`` derives
-    statistically independent child streams (``SeedSequence.spawn``) for
-    parallel grid cells.
+    statistically independent child streams for parallel grid cells.  The
+    children are those of ``SeedSequence.spawn``, bit for bit, but derived
+    in one array pass: the parent's mixed pool is read once, on its first
+    spawn, and each child mixes in its own index and hashes out its SFC64
+    seed with numpy's SeedSequence algorithm in uint32 array arithmetic.  A
+    child's ``seed_sequence`` is a stand-in (``_SpawnedSeed``) with the
+    entropy, spawn key and pool size of the ``SeedSequence`` it replaces.
     """
 
     def __init__(self, seed: Optional[int] = 0, *, _seq: Optional[np.random.SeedSequence] = None):
         self.seed_sequence = _seq if _seq is not None else np.random.SeedSequence(seed)
         self.generator = np.random.Generator(np.random.SFC64(self.seed_sequence))
 
+    @cached_property
+    def _spawner(self) -> _SpawnedSeed:
+        return _SpawnedSeed.of(self.seed_sequence)
+
     def spawn(self, n: int) -> list["RngStream"]:
-        return [RngStream(_seq=s) for s in self.seed_sequence.spawn(n)]
+        if not (isinstance(n, numbers.Integral) and n >= 0):
+            raise ValueError(f"spawn count must be a non-negative integer, got {n!r}")
+        return [RngStream(_seq=s) for s in self._spawner.spawn(int(n))]
 
 
 RngLike = Union[RngStream, np.random.Generator, int, None]
