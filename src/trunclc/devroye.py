@@ -110,8 +110,10 @@ def _mix_in(pools: np.ndarray, words: np.ndarray, n_mixed: int) -> np.ndarray:
     same row of ``words``, ``n_mixed`` entropy words having gone in before.
 
     Past the pool's first ``pool_size`` words, an entropy word is hashed once
-    per pool word and mixed into it; the hash constant has then advanced
-    ``pool_size`` times per word, so each word's constants are known upfront.
+    per pool word and mixed into it.  The hash constant advances once per
+    hash, and ``pool_size`` times per entropy word in all (the first
+    ``pool_size`` words are hashed once each, then once per other pool word),
+    so each word's constants are known upfront.
     """
     size = pools.shape[1]
     for j in range(words.shape[1]):
@@ -166,13 +168,14 @@ def _index_words(lo: int, hi: int) -> list[np.ndarray]:
 
 
 class _SpawnedSeed(ISpawnableSeedSequence):
-    """A spawned child's stand-in for its ``numpy.random.SeedSequence``.
+    """A stand-in for a ``numpy.random.SeedSequence``: a spawned child's, or
+    (:meth:`of`) a stream's own, read on the stream's first spawn.
 
-    It holds what the child's ``SeedSequence`` would: ``entropy``,
-    ``spawn_key``, ``pool_size``, ``n_children_spawned`` and the mixed
-    ``pool``, plus ``n_mixed``, the count of entropy words in the pool, and
-    the SFC64 seed its spawn hashed out.  Its ``generate_state`` and its
-    children (:meth:`spawn`) are those of that ``SeedSequence``.
+    It holds what that ``SeedSequence`` would: ``entropy``, ``spawn_key``,
+    ``pool_size``, ``n_children_spawned`` and the mixed ``pool``, plus
+    ``n_mixed``, the count of entropy words in the pool, and a child's SFC64
+    seed, hashed out by the spawn that made it.  Its ``generate_state`` and
+    its children (:meth:`spawn`) are those of that ``SeedSequence``.
     """
 
     __slots__ = ("entropy", "spawn_key", "pool_size", "n_children_spawned", "pool",

@@ -50,6 +50,89 @@ class TestRngStream:
         v2 = ds_sample_batch(t, 100, s2).values
         assert not np.array_equal(v1, v2)
 
+    @staticmethod
+    def _assert_same_stream(got, want):
+        """``got`` and ``want`` have one SFC64 state, draws and spawn key."""
+        a, b = got.generator.bit_generator.state, want.generator.bit_generator.state
+        assert np.array_equal(a["state"]["state"], b["state"]["state"])
+        assert (a["has_uint32"], a["uinteger"]) == (b["has_uint32"], b["uinteger"])
+        assert got.seed_sequence.spawn_key == want.seed_sequence.spawn_key
+        assert got.seed_sequence.pool_size == want.seed_sequence.pool_size
+        assert got.generator.integers(0, 2**63, 8).tolist() == \
+            want.generator.integers(0, 2**63, 8).tolist()
+
+    @staticmethod
+    def _numpy_children(seq, lo, n):
+        """Children ``lo, ..., lo + n - 1`` of ``seq`` as ``SeedSequence.spawn``
+        builds them: one ``SeedSequence`` per child, its index appended to
+        the spawn key.  numpy 2.4's own ``spawn`` keeps its loop index in 32
+        bits and never returns once that index passes 2**32 - 1, so the
+        panel builds the children it would."""
+        return [RngStream(_seq=np.random.SeedSequence(
+            seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size))
+            for i in range(lo, lo + n)]
+
+    SEEDS = [
+        {"entropy": 0}, {"entropy": 1}, {"entropy": 2**32}, {"entropy": 2**64 + 5},
+        {"entropy": RngStream(None).seed_sequence.entropy},  # 128 random bits
+        {"entropy": [3, 2, 17, 1]},  # as perfbench's Env._seq builds it
+        {"entropy": np.array([9, 2**32 - 1, 0, 5, 6, 7], dtype=np.uint32)},
+        {"entropy": 1, "pool_size": 8},
+        {"entropy": [5, 0], "spawn_key": (3, 2**33), "n_children_spawned": 7},
+        {"entropy": 5, "spawn_key": (1,), "n_children_spawned": 2**32 - 2},
+    ]
+
+    @pytest.mark.parametrize("kwargs", SEEDS, ids=range(len(SEEDS)))
+    def test_spawned_streams_are_seed_sequence_children(self, kwargs):
+        seq = np.random.SeedSequence(**kwargs)
+        ours = RngStream(_seq=seq)
+        lo = seq.n_children_spawned
+        for n in (0, 1, 51, 1000, 1, 0, 3):
+            got = ours.spawn(n)
+            assert len(got) == n
+            for g, w in zip(got, self._numpy_children(seq, lo, n)):
+                self._assert_same_stream(g, w)
+            lo += n
+        assert ours.spawn(0) == []
+        # grandchildren and great-grandchildren, through numpy's own spawn
+        # where its indices stay below 2**32
+        child, = ours.spawn(1)
+        want, = self._numpy_children(seq, lo, 1)
+        assert child.seed_sequence.entropy is seq.entropy
+        grandchildren = child.spawn(51)
+        for g, w in zip(grandchildren, want.seed_sequence.spawn(51)):
+            self._assert_same_stream(g, RngStream(_seq=w))
+        last = want.seed_sequence.spawn_key + (50,)
+        for g, w in zip(grandchildren[-1].spawn(4), np.random.SeedSequence(
+                seq.entropy, spawn_key=last, pool_size=seq.pool_size).spawn(4)):
+            self._assert_same_stream(g, RngStream(_seq=w))
+
+    def test_a_derived_child_is_a_seed_sequence_stand_in(self):
+        # perfbench's TracedRngStream builds streams from ``seed_sequence``
+        # and spawns through ``seed_sequence.spawn``
+        child, = RngStream(4).spawn(1)
+        seq = child.seed_sequence
+        assert isinstance(seq, np.random.bit_generator.ISpawnableSeedSequence)
+        assert (seq.entropy, seq.spawn_key, seq.pool_size) == (4, (0,), 4)
+        want = np.random.SeedSequence(4, spawn_key=(0,))
+        assert np.array_equal(seq.pool, want.pool)
+        for n_words, dtype in ((1, np.uint32), (7, np.uint32), (3, np.uint64), (5, np.uint64)):
+            assert np.array_equal(seq.generate_state(n_words, dtype),
+                                  want.generate_state(n_words, dtype))
+        twin, = RngStream(4).spawn(1)
+        for g, w in zip(child.spawn(3), [RngStream(_seq=s) for s in twin.seed_sequence.spawn(3)]):
+            self._assert_same_stream(g, w)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, 1.5, "3", None])
+    def test_spawn_refuses_a_count_that_is_not_a_non_negative_integer(self, n):
+        with pytest.raises(ValueError, match="spawn count must be a non-negative integer"):
+            RngStream(1).spawn(n)
+
+    def test_spawn_takes_numpy_integers(self):
+        got = RngStream(1).spawn(np.int64(3))
+        assert [s.seed_sequence.spawn_key for s in got] == [(0,), (1,), (2,)]
+        assert all(type(i) is int for s in got for i in s.seed_sequence.spawn_key)
+
 
 class TestEnvelopeDomination:
     @pytest.mark.parametrize("family,params,span", [
