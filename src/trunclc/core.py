@@ -297,10 +297,11 @@ def _targets(desc: DistributionDescriptor, intervals: list, supports: list) -> l
     """The target of ``desc`` on each of ``intervals``, ``supports`` the
     edges ``(lo, hi)`` of their truncated supports (:func:`support_bounds`).
 
-    The only code that computes a target's fields.  One :func:`_log_lower`
-    and one :func:`_log_masses` call cover every interval, and one
-    ``log_pdf`` call every projected mode of a non-degenerate target.  One
-    interval takes :func:`_target` instead, with the same fields bit for bit.
+    With :func:`_target`, the only code that computes a target's fields.
+    One :func:`_log_lower` and one :func:`_log_masses` call cover every
+    interval, and one ``log_pdf`` call every projected mode of a
+    non-degenerate target.  One interval takes :func:`_target` instead, with
+    the same fields bit for bit.
     """
     if len(intervals) == 1:
         return [_target(desc, intervals[0], supports[0])]

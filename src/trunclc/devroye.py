@@ -86,28 +86,22 @@ MAX_ROUND = 1 << 16
 # policy (NEP 19)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
-_XSHIFT = 16
+_XSHIFT = np.uint32(16)
 
 
 @lru_cache(maxsize=None)
-def _hash_ints(init: int, mult: int, start: int, count: int) -> tuple[int, ...]:
-    """``h = init * mult**k mod 2**32`` for ``k`` in ``[start, start + count]``:
-    ``h[k]`` and ``h[k + 1]`` are a hash's constant before and after it
+def _hash_consts(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``h = init * mult**k mod 2**32`` for ``k`` in ``[start, start + count]``,
+    as uint32: ``(h[:-1], h[1:])``, each hash's constant before and after it
     advances."""
     h = init * pow(mult, start, 1 << 32) & _MASK32
     out = []
     for _ in range(count + 1):
         out.append(h)
         h = h * mult & _MASK32
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _hash_consts(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_hash_ints` as uint32 arrays ``(h[:-1], h[1:])``."""
-    out = np.array(_hash_ints(init, mult, start, count), dtype=np.uint32)
+    out = np.array(out, dtype=np.uint32)
     return out[:-1], out[1:]
 
 
@@ -173,33 +167,6 @@ def _index_words(lo: int, hi: int) -> list[np.ndarray]:
     return groups
 
 
-def _words_of(i: int) -> list[int]:
-    """The uint32 words SeedSequence makes of the spawn index ``i``."""
-    return [i >> 32 * k & _MASK32 for k in range(max(1, -(-i.bit_length() // 32)))]
-
-
-def _derive_one(pool: list[int], words: list[int], n_mixed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pool and SFC64 seed of the child whose index has the entropy
-    ``words``, from its parent's ``pool`` (a list, mixed in place) and
-    ``n_mixed``: ``_mix_in``, ``_hash_out`` and ``_as_state`` of one child on
-    Python ints."""
-    size = len(pool)
-    for j, word in enumerate(words):
-        h = _hash_ints(_INIT_A, _MULT_A, size * (n_mixed + j), size)
-        for k in range(size):
-            v = (word ^ h[k]) * h[k + 1] & _MASK32
-            v ^= v >> _XSHIFT
-            p = (pool[k] * _MIX_MULT_L - v * _MIX_MULT_R) & _MASK32
-            pool[k] = p ^ p >> _XSHIFT
-    h = _hash_ints(_INIT_B, _MULT_B, 0, 6)
-    state = []
-    for k in range(6):
-        v = (pool[k % size] ^ h[k]) * h[k + 1] & _MASK32
-        state.append(v ^ v >> _XSHIFT)
-    seed = [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
-    return np.array(pool, dtype=np.uint32), np.array(seed, dtype=np.uint64)
-
-
 class _SpawnedSeed(ISpawnableSeedSequence):
     """A stand-in for a ``numpy.random.SeedSequence``: a spawned child's, or
     (:meth:`of`) a stream's own, read on the stream's first spawn.
@@ -236,33 +203,24 @@ class _SpawnedSeed(ISpawnableSeedSequence):
                          dtype)
 
     def spawn(self, n_children: int) -> list["_SpawnedSeed"]:
-        """The next ``n_children`` children, in one array pass per index
-        width.  One child takes :func:`_derive_one` instead: the array pass
-        runs about 17 numpy calls however few children it derives."""
+        """The next ``n_children`` children, in one array pass per index width."""
         lo = self.n_children_spawned
         self.n_children_spawned = lo + n_children
-        if n_children == 1:
-            words = _words_of(lo)
-            return [self._child(lo, *_derive_one(self.pool.tolist(), words, self.n_mixed),
-                                len(words))]
-        out, i = [], lo
+        out, new, i = [], _SpawnedSeed.__new__, lo
         for words in _index_words(lo, lo + n_children):
             pools = _mix_in(self.pool[None], words, self.n_mixed)
             # SFC64 seeds itself with generate_state(3, np.uint64)
             seeds = _as_state(_hash_out(pools, 6), np.uint64)
+            n_mixed = self.n_mixed + words.shape[1]
             for pool, seed in zip(pools, seeds):
-                out.append(self._child(i, pool, seed, words.shape[1]))
+                child = new(_SpawnedSeed)
+                child.entropy, child.spawn_key, child.pool_size = (
+                    self.entropy, self.spawn_key + (i,), self.pool_size)
+                child.n_children_spawned, child.pool, child.n_mixed = 0, pool, n_mixed
+                child._sfc64_seed = seed
+                out.append(child)
                 i += 1
         return out
-
-    def _child(self, i: int, pool: np.ndarray, seed: np.ndarray, n_words: int) -> "_SpawnedSeed":
-        """Child ``i``, whose index took ``n_words`` entropy words."""
-        child = _SpawnedSeed.__new__(_SpawnedSeed)
-        child.entropy, child.spawn_key, child.pool_size = (
-            self.entropy, self.spawn_key + (i,), self.pool_size)
-        child.n_children_spawned, child.pool, child.n_mixed = 0, pool, self.n_mixed + n_words
-        child._sfc64_seed = seed
-        return child
 
 
 class RngStream:
@@ -273,10 +231,18 @@ class RngStream:
     children are those of ``SeedSequence.spawn``, bit for bit, but derived
     in one array pass: the parent's mixed pool is read once, on its first
     spawn, and each child mixes in its own index and hashes out its SFC64
-    seed with numpy's SeedSequence algorithm in uint32 array arithmetic (a
-    single child on Python ints, where numpy's per-call cost dominates).  A
+    seed with numpy's SeedSequence algorithm in uint32 array arithmetic.  A
     child's ``seed_sequence`` is a stand-in (``_SpawnedSeed``) with the
     entropy, spawn key and pool size of the ``SeedSequence`` it replaces.
+
+    A stream's spawn counter starts from its ``seed_sequence``'s
+    ``n_children_spawned`` on its first spawn and is kept by the stream from
+    then on.  A numpy ``SeedSequence``'s counter cannot be set from Python,
+    so once :meth:`spawn` has run on a stream built on one (a root stream),
+    ``seed_sequence.spawn`` restarts where that counter stood and hands out
+    children :meth:`spawn` has already given: spawn such a stream through
+    one of the two only.  A spawned child's ``seed_sequence`` shares the
+    stream's counter.
     """
 
     def __init__(self, seed: Optional[int] = 0, *, _seq: Optional[np.random.SeedSequence] = None):

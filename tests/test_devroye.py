@@ -123,6 +123,22 @@ class TestRngStream:
         for g, w in zip(child.spawn(3), [RngStream(_seq=s) for s in twin.seed_sequence.spawn(3)]):
             self._assert_same_stream(g, w)
 
+    def test_a_root_stream_keeps_its_own_spawn_counter(self):
+        # the counter is read from the SeedSequence on the first spawn only
+        seq = np.random.SeedSequence(6)
+        seq.spawn(2)
+        stream = RngStream(_seq=seq)
+        assert [s.seed_sequence.spawn_key for s in stream.spawn(2)] == [(2,), (3,)]
+        # numpy's read-only counter has not moved, so the SeedSequence hands
+        # out again the children the stream already gave
+        assert seq.n_children_spawned == 2
+        assert [s.spawn_key for s in seq.spawn(1)] == [(2,)]
+        assert [s.seed_sequence.spawn_key for s in stream.spawn(1)] == [(4,)]
+        # a derived child's stand-in is the stream's counter
+        child, = stream.spawn(1)
+        assert child.seed_sequence.spawn(1)[0].spawn_key == (5, 0)
+        assert [s.seed_sequence.spawn_key for s in child.spawn(2)] == [(5, 1), (5, 2)]
+
     @pytest.mark.parametrize("n", [-1, 2.0, 1.5, "3", None])
     def test_spawn_refuses_a_count_that_is_not_a_non_negative_integer(self, n):
         with pytest.raises(ValueError, match="spawn count must be a non-negative integer"):
