@@ -14,12 +14,9 @@ keeps them as ``support``; :func:`clean_mask` says, for every sampler and
 check, which values the truncated law can produce.
 
 These are computed only in ``_targets``, over many intervals of one
-descriptor in one call of each descriptor function, and :func:`tail_targets`
-builds many targets ``]a, inf[`` through it, such as a scan's schedule of
-depths.  One interval, as in :func:`truncate` or a bisection step's
-``tail_targets(desc, [a])``, takes its one-interval path ``_target``: the
-same three reads and the same fields bit for bit, on Python floats and
-numpy's ufuncs, without the array bookkeeping that costs more than the reads.
+descriptor in one call of each descriptor function: :func:`truncate` is its
+one-interval case, and :func:`tail_targets` builds many targets ``]a, inf[``,
+such as a scan's schedule of depths.
 :func:`invert_targets` runs the inverse transform on many targets of one
 descriptor with one quantile call; :meth:`TruncatedTarget.invert` is its
 one-target case.
@@ -297,14 +294,10 @@ def _targets(desc: DistributionDescriptor, intervals: list, supports: list) -> l
     """The target of ``desc`` on each of ``intervals``, ``supports`` the
     edges ``(lo, hi)`` of their truncated supports (:func:`support_bounds`).
 
-    With :func:`_target`, the only code that computes a target's fields.
-    One :func:`_log_lower` and one :func:`_log_masses` call cover every
-    interval, and one ``log_pdf`` call every projected mode of a
-    non-degenerate target.  One interval takes :func:`_target` instead, with
-    the same fields bit for bit.
+    The only code that computes a target's fields.  One :func:`_log_lower`
+    and one :func:`_log_masses` call cover every interval, and one
+    ``log_pdf`` call every projected mode of a non-degenerate target.
     """
-    if len(intervals) == 1:
-        return [_target(desc, intervals[0], supports[0])]
     modes = [float(max(lo, min(hi, desc.mode))) for lo, hi in supports]
     las, lsas = _log_lower(desc, np.array([iv.lower for iv in intervals]))
     lms = _log_masses(desc, las, lsas, np.array([iv.upper for iv in intervals]))
@@ -320,47 +313,6 @@ def _targets(desc: DistributionDescriptor, intervals: list, supports: list) -> l
             peaks[i] = lf - lms[i]
     return [TruncatedTarget(desc, *fields) for fields in
             zip(intervals, supports, lms, modes, peaks, las.tolist(), lsas.tolist())]
-
-
-def _read(f, x: float) -> float:
-    """``f`` at the one point ``x``, called as the array path calls it."""
-    return f(np.array([x])).item()
-
-
-def _target(desc: DistributionDescriptor, interval: TruncationInterval, support) -> TruncatedTarget:
-    """The one-interval case of :func:`_targets`, on Python floats.
-
-    It makes the array path's three reads (log F(a), the far end's tail, the
-    peak's ``log_pdf``) and the same steps on their values: ``+``, ``-`` and
-    comparisons are exact on floats, and ``exp``, ``log``, ``log1p``,
-    ``expm1`` and ``minimum`` stay numpy's ufuncs, whose last bit and signed
-    zeros ``math`` need not share.
-    """
-    a, b = interval.lower, interval.upper
-    lo, hi = support
-    mode = float(max(lo, min(hi, desc.mode)))
-    # _log_lower
-    la = -math.inf if a == -math.inf else _read(desc.log_cdf, a)
-    survival = not la <= LOG_HALF
-    lsa = _read(desc.log_sf, a) if survival else float(np.log1p(-np.exp(la)))
-    # _log_masses: the larger of the two tail values, and the smaller
-    if survival:
-        top, bottom = lsa, (-math.inf if b == math.inf else _read(desc.log_sf, b))
-    else:
-        top, bottom = (0.0 if b == math.inf else _read(desc.log_cdf, b)), la
-    bottom = float(np.minimum(bottom, top))
-    if bottom != -math.inf:
-        # log_diff_exp(top, bottom), through log1mexp's two branches
-        z = float(np.minimum(bottom - top, 0.0))
-        if z == 0.0:
-            top += -math.inf
-        elif z < LOG_HALF:
-            top += float(np.log1p(-np.exp(z)))
-        else:
-            top += float(np.log(-np.expm1(z if z < 0.0 else -math.inf)))
-    lm = _representable(float(np.minimum(top, 0.0)))
-    peak = _read(desc.log_pdf, mode) - lm if lm > -math.inf else math.inf
-    return TruncatedTarget(desc, interval, support, lm, mode, peak, la, lsa)
 
 
 def truncate(

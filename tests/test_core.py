@@ -430,70 +430,6 @@ class TestTailTargets:
         assert pp[0] == math.exp(d.log_cdf(1.0))
 
 
-class TestOneIntervalTarget:
-    """A single interval's target (``truncate``, a bisection step's
-    ``tail_targets(desc, [a])``) is built on Python floats, and each of its
-    fields is bit for bit the one the array path gives."""
-
-    FIELDS = ("log_mass", "proj_mode", "log_peak", "log_cdf_lower", "log_sf_lower")
-
-    @staticmethod
-    def _limit_edge(desc):
-        """Depths on both sides of where ]a, inf[ stops being live: the -745
-        limit of log P(I), or the top of a finite support."""
-        lowers = desc.mu + desc.sigma * np.geomspace(0.01, 1e7, 60)
-        live = [t is not None and not t.degenerate for t in tail_targets(desc, lowers)]
-        if all(live):
-            return []
-        k = live.index(False)
-        lo, hi = (lowers[k - 1] if k else desc.mu), lowers[k]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            t = tail_targets(desc, [mid, mid])[0]
-            lo, hi = (mid, hi) if t is not None and not t.degenerate else (lo, mid)
-        return [np.nextafter(lo, -math.inf), lo, hi, np.nextafter(hi, math.inf),
-                lo - desc.sigma, hi + desc.sigma]
-
-    @pytest.mark.parametrize("family,params", CONTRACT_CASES,
-                             ids=[f"{f}{p}" for f, p in CONTRACT_CASES])
-    def test_fields_equal_the_array_path_bit_for_bit(self, family, params):
-        desc = build_descriptor(family, params)
-        # both sides of the median (the CDF and the survival route), the
-        # -745 edge, a = -inf, and a finite upper end for each
-        lowers = [-math.inf, *(desc.mu + desc.sigma * np.array(
-            [-6.0, -2.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 2.0, 8.0, 30.0, 100.0])),
-            *self._limit_edge(desc)]
-        intervals, supports = [], []
-        for a in lowers:
-            finite_top = desc.mu + desc.sigma * 3.0 if a == -math.inf else a + desc.sigma
-            for b in (math.inf, finite_top):
-                try:
-                    iv = TruncationInterval(float(a), float(b))
-                    supports.append(support_bounds(desc, iv))
-                except ValueError:
-                    continue
-                intervals.append(iv)
-        assert len(intervals) >= 20
-        routes = set()
-        for iv, sup, want in zip(intervals, supports, core._targets(desc, intervals, supports)):
-            got = truncate(desc, iv.lower, iv.upper)
-            assert got.interval == iv and got.base is desc
-            for name in self.FIELDS:
-                assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), \
-                    (iv, name)
-            assert [v.hex() for v in got.support] == [v.hex() for v in want.support]
-            routes.add(got.log_cdf_lower > math.log(0.5))
-        assert routes == {False, True}
-
-    def test_a_bisection_step_takes_the_one_interval_path(self, monkeypatch):
-        desc = build_descriptor("poisson", {"lambda": 50.0})
-        monkeypatch.setattr(core, "_log_lower", None)  # the array path's first step
-        t, = tail_targets(desc, [200.3])
-        assert t == truncate(desc, lower=200.3)
-
-
 class TestInvertTargets:
     """``invert_targets`` runs the inverse transform of many targets of one
     base in one quantile call; ``invert`` is its one-target case."""
