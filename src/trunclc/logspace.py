@@ -25,9 +25,10 @@ _CF_EPS = float(np.finfo(float).eps)  # the continued fraction stops at a step t
 
 @functools.cache
 def _scipy(name: str):
-    """``scipy.<name>`` (``stats`` or ``integrate``), imported on first use:
-    only the quantiles, the oracles' quadrature and two of the tests read
-    them, and ``scipy.stats`` is most of the time ``import trunclc`` takes."""
+    """``scipy.<name>``, imported on first use: ``stats`` is the one read,
+    by the quantiles and the chi-square critical value, and it is most of
+    the time ``import trunclc`` takes.  The oracles integrate with their own
+    Gauss-Kronrod rule, so the package never loads ``scipy.integrate``."""
     return importlib.import_module(f"scipy.{name}")
 
 
