@@ -167,8 +167,8 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], w0: float, w1: float) -> n
     (1/count) of the tolerance, the worst interval at least, and evaluates
     all new halves in one :func:`_gk21` call.  It stops once the summed
     error is below tol / 8, tol = max(QUAD_EPSABS, QUAD_EPSREL * |integral|),
-    once that error is not finite, or at QUAD_LIMIT intervals, returning
-    the estimate it has then.
+    once that error is not finite, or once it holds QUAD_LIMIT intervals or
+    more, returning the estimate it has then.
     """
     mid = 0.5 * (w0 + w1)
     a, b = np.array([w0, mid]), np.array([mid, w1])
@@ -177,13 +177,10 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], w0: float, w1: float) -> n
         tol = max(QUAD_EPSABS, QUAD_EPSREL * float(np.linalg.norm(part.sum(axis=0))))
         total = float(err.sum())
         n = err.size
-        if not (math.isfinite(total) and math.isfinite(tol)) or total < tol / 8 or n >= QUAD_LIMIT:
+        if not math.isfinite(total) or total < tol / 8 or n >= QUAD_LIMIT:
             return part.sum(axis=0)
-        # the intervals over their share are the largest errors, and the
-        # largest is always over it in exact arithmetic
-        k = min(max(int(np.count_nonzero(err >= tol / (8 * n))), 1), QUAD_LIMIT - n)
-        split = np.zeros(n, dtype=bool)
-        split[np.argsort(err)[n - k:]] = True
+        split = err >= tol / (8 * n)
+        split[np.argmax(err)] = True  # over its share in exact arithmetic, whatever the rounding
         mids = 0.5 * (a[split] + b[split])
         new_a, new_b = np.concatenate([a[split], mids]), np.concatenate([mids, b[split]])
         new_part, new_err = _gk21(f, new_a, new_b)
@@ -208,7 +205,8 @@ def brute_force_truncated_moments(
     (:func:`_integrate`): each step reads ``desc.log_pdf`` once, on the
     nodes of every new interval.  Its tolerance is ``quad_vec``'s here:
     an absolute 1e-14 or a relative 1e-11, in the 2-norm over the three
-    integrals; at 400 intervals it returns its estimate as it stands.
+    integrals; once it holds 400 intervals it returns its estimate as it
+    stands.
     """
     try:
         lo, hi = support_bounds(desc, interval)

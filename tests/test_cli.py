@@ -538,8 +538,8 @@ def test_help_lists_only_the_parsers_own_flags(capsys, command):
 
 
 def test_import_and_devroye_sample_leave_scipy_stats_unimported():
-    # scipy.stats and scipy.integrate are imported on first use: only the
-    # quantiles, the oracles' quadrature and two tests read them
+    # scipy.stats, which loads scipy.integrate, is imported on first use:
+    # only the quantiles and the chi-square critical value read it
     script = (
         "import sys\n"
         "import trunclc.cli\n"

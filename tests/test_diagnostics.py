@@ -5,11 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as st
 
 from trunclc import (
@@ -32,7 +36,7 @@ from trunclc import (
     z_test_mean,
 )
 from trunclc import diagnostics
-from trunclc.core import tail_targets
+from trunclc.core import support_bounds, tail_targets
 from trunclc.devroye import SampleBatch
 from trunclc.diagnostics import (
     SafetyReport,
@@ -149,6 +153,70 @@ class TestBruteForceMoments:
         assert type(mean) is float and type(sd) is float
         assert abs(sd * sd - want) <= 1e-12 * want
 
+    @staticmethod
+    def quad_vec_moments(desc, interval):
+        # the same window, shift and centring, integrated by scipy's quad_vec
+        lo, hi = support_bounds(desc, interval)
+        w0 = max(lo, desc.mu - 60.0 * desc.sigma)
+        w1 = min(hi, desc.mu + 60.0 * desc.sigma)
+        c = float(max(w0, min(w1, desc.mode)))
+        shift = desc.log_pdf(c)
+        if not math.isfinite(shift):
+            shift = float(np.max(desc.log_pdf(np.linspace(w0, w1, 101)[1:-1])))
+        powers = np.arange(3)
+        (z, m1, m2), _ = integrate.quad_vec(
+            lambda x: (x - c) ** powers * math.exp(desc.log_pdf(x) - shift),
+            w0, w1, limit=400, epsabs=1e-14, epsrel=1e-11)
+        m1, m2 = m1 / z, m2 / z
+        return c + m1, math.sqrt(max(m2 - m1 * m1, 0.0))
+
+    @pytest.mark.parametrize("family,params,a,rel", [
+        ("gamma", {"alpha": 2.0}, 0.5, 1e-12),
+        ("gamma", {"alpha": 2.0}, 5.0, 1e-12),
+        ("gamma", {"alpha": 2.0}, 50.0, 1e-12),
+        ("epd", {"beta": 1.5}, 3.0, 1e-12),
+        ("epd", {"beta": 3.0}, 0.0, 1e-12),
+        ("gamma", {"alpha": 0.5}, 0.5, 1e-12),
+        ("invgauss", {"mu": 1.0, "lambda": 0.3}, 0.5, 1e-12),
+        ("invgauss", {"mu": 1.0, "lambda": 2.0}, 3.0, 1e-12),
+        ("normal", {}, 5.0, 1e-12),
+        ("normal", {}, 37.0, 1e-12),
+        # singular at 0: both rules stop on their error estimates there
+        ("gamma", {"alpha": 0.5}, -math.inf, 1e-10),
+    ])
+    def test_agrees_with_quad_vec(self, family, params, a, rel):
+        d = build_descriptor(family, params)
+        interval = TruncationInterval(a, math.inf)
+        mean, sd = brute_force_truncated_moments(d, interval)
+        want_mean, want_sd = self.quad_vec_moments(d, interval)
+        assert abs(mean - want_mean) <= rel * abs(want_mean)
+        assert abs(sd - want_sd) <= rel * want_sd
+
+    def test_stops_at_the_interval_cap(self):
+        # 1/x on ]0, 1] has no integral: the estimate at the cap is returned
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return (1.0 / x)[:, None]
+
+        got = diagnostics._integrate(f, 0.0, 1.0)
+        # two halves to start, then two new intervals for each one bisected
+        assert (sum(calls) // 21 + 2) // 2 == diagnostics.QUAD_LIMIT
+        assert got.shape == (1,) and math.isfinite(got[0])
+
+    def test_the_oracle_leaves_scipy_integrate_unimported(self):
+        script = (
+            "import sys\n"
+            "from trunclc import build_descriptor, truncated_mean_oracle\n"
+            "truncated_mean_oracle(build_descriptor('gamma', {'alpha': 2.0}), 5.0)\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(diagnostics.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+
 
 class TestZTest:
     def test_degenerate_zero_z(self):
@@ -183,6 +251,62 @@ class TestChiSquareGof:
     def test_support_and_probs_of_one_nonzero_length(self, support, probs):
         with pytest.raises(ValueError, match="support and probs"):
             chi_square_gof(np.array([1.0, 2.0]), np.array(support), np.array(probs))
+
+    @staticmethod
+    def per_point_gof(observed, support, probs, alpha=0.001):
+        # one pass over the sample per support point, the rest as the module
+        n = observed.size
+        counts = np.array([(observed == k).sum() for k in support], dtype=float)
+        exp_counts, obs_counts = list(n * probs), list(counts)
+        exp_counts[-1] += n * max(0.0, 1.0 - probs.sum())
+        obs_counts[-1] += n - counts.sum()
+        while len(exp_counts) > 2 and exp_counts[-1] < 5.0:
+            exp_counts[-2] += exp_counts.pop()
+            obs_counts[-2] += obs_counts.pop()
+        exp_arr, obs_arr = np.array(exp_counts), np.array(obs_counts)
+        keep = exp_arr > 0
+        stat = float(((obs_arr[keep] - exp_arr[keep]) ** 2 / exp_arr[keep]).sum())
+        return stat, int(keep.sum() - 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_equal_the_per_point_loop(self, seed):
+        # duplicates throughout, and values above the support joining the last cell
+        rng = np.random.default_rng(seed)
+        observed = rng.poisson(20.0, size=5_000).astype(float)
+        support = np.arange(10.0, 10.0 + 8 + 4 * seed)
+        probs = np.exp(st.poisson.logpmf(support, 20.0))
+        probs /= probs.sum() * 1.05
+        observed = np.maximum(observed, support[0])
+        assert (observed > support[-1]).any()
+        res = chi_square_gof(observed, support, probs)
+        assert (res.statistic, res.df) == self.per_point_gof(observed, support, probs)
+        assert res.n == observed.size
+
+    @pytest.mark.parametrize("support", [
+        [0.0, 2.0, 3.0], [0.5, 1.5, 2.5], [3.0, 2.0, 1.0], [1.0, 1.0, 2.0], [math.nan, 1.0, 2.0],
+    ], ids=["gap", "half-integers", "decreasing", "repeated", "nan"])
+    def test_a_support_of_other_than_consecutive_integers_raises(self, support):
+        with pytest.raises(ValueError, match="consecutive integers"):
+            chi_square_gof(np.array([1.0, 2.0]), np.array(support), np.full(3, 1 / 3))
+
+    def test_one_cell_left_passes_a_perfect_sample(self):
+        # binomial(16, 1/2) on ]15, 16] has the one support point 16
+        t = truncate(build_descriptor("binomial", {"n": 16, "p": 0.5}), lower=15.0, upper=16.0)
+        b = ds_sample_batch(t, 1000, RngStream(1))
+        support = np.arange(b.values.min(), b.values.max() + 1)
+        res = chi_square_gof(b.values, support, np.exp(t.log_pdf(support)))
+        assert (res.statistic, res.df, res.critical, res.passed) == (0.0, 0, 0.0, True)
+
+    @pytest.mark.parametrize("stray", [0.0, 5.5, math.nan], ids=["below", "between", "nan"])
+    def test_an_observation_off_the_support_fails(self, stray):
+        observed = np.concatenate([np.full(50, stray), np.full(50, 5.0)])
+        res = chi_square_gof(observed, np.array([5.0, 6.0]), np.array([0.5, 0.5]))
+        assert res.statistic == math.inf and not res.passed
+
+    def test_an_observation_in_a_cell_of_probability_zero_fails(self):
+        observed = np.repeat([5.0, 6.0, 7.0], [40, 20, 40])
+        res = chi_square_gof(observed, np.arange(5.0, 8.0), np.array([0.5, 0.0, 0.5]))
+        assert res.statistic == math.inf and not res.passed
 
 
 class TestExpTailQQ:
@@ -221,6 +345,20 @@ class TestExpTailQQ:
                             proposals=3, accepts=3 - sum(imputed), method="devroye")
         with pytest.raises(ValueError, match="at least 2 non-imputed values"):
             exp_tail_qq(batch, 0.5)
+
+    @pytest.mark.parametrize("n", [2, 400, 100_000])
+    @pytest.mark.parametrize("a", [0.5, 3.0, 10.0, 30.0])
+    def test_equals_quantile_and_kstest_on_the_unsorted_excess(self, a, n):
+        t = truncate(build_descriptor("normal"), lower=a)
+        batch = ds_sample_batch(t, n, RngStream(int(10 * a) + n))
+        if n == 400:
+            batch.imputed[::7] = True
+        qq = exp_tail_qq(batch, a)
+        excess = batch.values[~batch.imputed] - a
+        ks = st.kstest(excess, lambda y: -np.expm1(-a * np.asarray(y))).statistic
+        assert qq.empirical.tobytes() == np.quantile(excess, qq.percentiles).tobytes()
+        assert qq.theoretical.tobytes() == (-np.log1p(-qq.percentiles) / a).tobytes()
+        assert qq.ks_statistic == float(ks) and qq.n == excess.size
 
 
 class TestMemorylessness:
